@@ -14,7 +14,6 @@ from idealforge.hierarchy import (
     hat_mult,
     hset,
     lesssim_star,
-    rank,
     ur_elem,
 )
 from idealforge.fixtures import capped_addition
@@ -31,7 +30,7 @@ print("vstar stage 2:", [x.serial for x in lv.members])
 
 # hereditary sets compare by the forall-exists rule
 x = hset([ur_elem(0), ur_elem(1)])
-print("{u0,u1} ~< {u0}:", lesssim_star(x, hset([ur_elem(0)]), a2), " rank:", rank(x))
+print("{u0,u1} ~< {u0}:", lesssim_star(x, hset([ur_elem(0)]), a2), " rank:", x.rank)
 
 # stage multiplication picks the least-level representative of the product
 m = capped_addition(2)

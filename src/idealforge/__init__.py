@@ -28,14 +28,12 @@ from .hierarchy import (
     HierLevel,
     HSet,
     build_atoms,
-    build_ihat_level,
     build_level,
     compare_atoms,
     hat_mult,
     hset,
     hset_mult,
     lesssim_star,
-    rank,
     sim_star,
     ur_elem,
 )

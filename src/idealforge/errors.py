@@ -21,6 +21,10 @@ class NotTransitiveError(IdealforgeError):
     pass
 
 
+class SchemaError(IdealforgeError):
+    """Input JSON does not have the shape a reader requires."""
+
+
 class EmptyCarrierError(IdealforgeError):
     """Raised by operations that need at least one element to make sense."""
 

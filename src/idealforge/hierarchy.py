@@ -118,11 +118,6 @@ def sim_star(x: HSet, y: HSet, q: FiniteQO) -> bool:
     return lesssim_star(x, y, q) and lesssim_star(y, x, q)
 
 
-def rank(x: HSet) -> int:
-    'Hereditary height: -1 for urelements, 1 + max over members for sets.'
-    return x.rank
-
-
 def hset_mult(x: HSet, y: HSet, m: MonoidalQO) -> HSet:
     """Multiplication lifted to hereditary sets, memoized per monoid.
 
@@ -278,12 +273,6 @@ def build_level(
             )
         level = HierLevel(stage, kind, q, _canonical_reps(candidates, q), level)
     return level
-
-
-def build_ihat_level(
-    base: FiniteQO | MonoidalQO, alpha: int, **kwargs
-) -> HierLevel:
-    return build_level(base, alpha, "ihat", **kwargs)
 
 
 def hat_mult(x: HSet, y: HSet, level: HierLevel, m: MonoidalQO) -> HSet | None:

@@ -5,9 +5,10 @@ A word embeds into another when a weakly increasing map matches every letter
 to a letter above it, and only idempotent target letters may absorb more than
 one source letter.  With no idempotent letters this is the classical sequence
 embedding; with all letters idempotent it is domination of supports.  The
-fast decision procedure is a small dynamic program; its ground truth is the
-explicit search over all weakly increasing maps, and the two are swept against
-each other exhaustively at small scale.
+decision procedure is a greedy leftmost match: each letter takes the first
+remaining target above it, and only a plain target is used up.  Its ground
+truth is the explicit search over all weakly increasing maps, and the two are
+swept against each other exhaustively at small scale.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ class AtomAlphabet:
     a plain letter.  That is checked on construction.
     """
 
-    __slots__ = ("order", "idem", "_dp_cache", "_leq_rows")
+    __slots__ = ("order", "idem", "_leq_rows")
 
     def __init__(self, order: FiniteQO, idem: Iterable[int]) -> None:
         idem = frozenset(int(i) for i in idem)
@@ -48,8 +49,7 @@ class AtomAlphabet:
                     )
         self.order = order
         self.idem = idem
-        self._dp_cache: dict = {}
-        self._leq_rows = tuple(tuple(bool(x) for x in row) for row in order.leq)
+        self._leq_rows = order.leq.tolist()
 
     @property
     def nonidem(self) -> frozenset[int]:
@@ -108,52 +108,40 @@ def concat(u: HWord, v: HWord) -> HWord:
 def _leq_letters(
     lu: tuple[int, ...],
     lv: tuple[int, ...],
-    leq_rows: tuple,
+    leq_rows: Sequence[Sequence[bool]],
     idem: frozenset[int],
 ) -> bool:
-    """Embedding decision on raw letter tuples.
+    """Embedding decision on raw letter tuples, by greedy leftmost match.
 
-    ok[i][j]: the tail lu[i:] embeds using fresh target positions >= j.
-    stay[i][j]: the same, except position j (known idempotent) was already
-    used and may absorb more letters.  Both run right to left.
+    Each letter of lu takes the first position at or after the cursor whose
+    letter lies above it; the cursor moves past that position only when its
+    letter is plain, so an idempotent target stays open to absorb more.
     """
-    n, m = len(lu), len(lv)
-    if n == 0:
-        return True
-    ok_next = [True] * (m + 1)
-    stay_next = [True] * m
-    for i in range(n - 1, -1, -1):
-        row = leq_rows[lu[i]]
-        ok_cur = [False] * (m + 1)
-        stay_cur = [False] * m
-        for j in range(m - 1, -1, -1):
-            fits = row[lv[j]]
-            if lv[j] in idem:
-                hit = fits and stay_next[j]
-            else:
-                hit = fits and ok_next[j + 1]
-            ok_cur[j] = hit or ok_cur[j + 1]
-            stay_cur[j] = (fits and stay_next[j]) or ok_cur[j + 1]
-        ok_next, stay_next = ok_cur, stay_cur
-    return ok_next[0]
+    j, m = 0, len(lv)
+    for a in lu:
+        row = leq_rows[a]
+        while j < m and not row[lv[j]]:
+            j += 1
+        if j == m:
+            return False
+        if lv[j] not in idem:
+            j += 1
+    return True
 
 
 def leq_H(u: HWord, v: HWord) -> bool:
-    """Generalized embedding of u into v, decided by dynamic programming.
+    """Generalized embedding of u into v, decided by greedy leftmost match.
 
-    Verdicts are memoized per alphabet.  Agreement with the explicit witness
-    search is a standing invariant of the test suite, not an assumption.
+    The greedy is complete by an exchange argument: by induction on the
+    letters of u, its cursor never passes the cursor of any witness map, so
+    it fails only when no witness exists.  Agreement with the explicit
+    witness search is a standing invariant of the test suite, not an
+    assumption.
     """
     if u.alphabet is not v.alphabet:
         raise AlphabetMismatchError("cannot compare words over different alphabets")
     alpha = u.alphabet
-    key = (u.letters, v.letters)
-    cached = alpha._dp_cache.get(key)
-    if cached is not None:
-        return cached
-    out = _leq_letters(u.letters, v.letters, alpha._leq_rows, alpha.idem)
-    alpha._dp_cache[key] = out
-    return out
+    return _leq_letters(u.letters, v.letters, alpha._leq_rows, alpha.idem)
 
 
 @lru_cache(maxsize=None)
@@ -161,32 +149,32 @@ def _weakly_increasing_maps(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.combinations_with_replacement(range(m), n))
 
 
-def leq_H_bruteforce(u: HWord, v: HWord, max_len: int = 8) -> bool:
-    """Ground truth by explicit search over every weakly increasing map.
+def _witness_exists(
+    lu: Sequence[int],
+    lv: Sequence[int],
+    leq_rows: Sequence[Sequence[bool]],
+    idem: frozenset[int] | set[int],
+) -> bool:
+    """Search every weakly increasing map from lu into lv for a witness: each
+    letter lands below its target, and any target hit more than once is
+    idempotent."""
+    for f in _weakly_increasing_maps(len(lu), len(lv)):
+        for i, t in enumerate(f):
+            if not leq_rows[lu[i]][lv[t]] or (i and t == f[i - 1] and lv[t] not in idem):
+                break
+        else:
+            return True
+    return False
 
-    A map witnesses the embedding when each letter lands below its target and
-    any target hit more than once is idempotent.  Guarded against long words.
-    """
+
+def leq_H_bruteforce(u: HWord, v: HWord, max_len: int = 8) -> bool:
+    'Ground truth by the explicit witness search, guarded against long words.'
     if u.alphabet is not v.alphabet:
         raise AlphabetMismatchError("cannot compare words over different alphabets")
     if len(u) > max_len or len(v) > max_len:
         raise TooLargeError(f"witness search is capped at length {max_len}")
-    leq = u.alphabet._leq_rows
-    idem = u.alphabet.idem
-    lu, lv = u.letters, v.letters
-    n, m = len(lu), len(lv)
-    for f in _weakly_increasing_maps(n, m):
-        good = True
-        for i in range(n):
-            if not leq[lu[i]][lv[f[i]]]:
-                good = False
-                break
-            if i > 0 and f[i] == f[i - 1] and lv[f[i]] not in idem:
-                good = False
-                break
-        if good:
-            return True
-    return False
+    alpha = u.alphabet
+    return _witness_exists(u.letters, v.letters, alpha._leq_rows, alpha.idem)
 
 
 def equiv_H(u: HWord, v: HWord) -> bool:
@@ -323,7 +311,7 @@ def check_abstractly_higman(m: MonoidalQO, max_tuple: int = 3) -> Report:
     one.  Both directions are checked; a failure of either is reported with
     the offending tuples.
     """
-    leq = m.order.leq
+    leq_rows = m.order.leq.tolist()
     M = m.mult
     ps = sorted(monoid_primes(m))
     if len(ps) ** max_tuple > 200_000:
@@ -346,20 +334,8 @@ def check_abstractly_higman(m: MonoidalQO, max_tuple: int = 3) -> Report:
     for a, ta in enumerate(tuples):
         for b, tb in enumerate(tuples):
             checked += 1
-            ordered = bool(leq[prods[a], prods[b]])
-            matched = False
-            for f in _weakly_increasing_maps(len(ta), len(tb)):
-                good = True
-                for i in range(len(ta)):
-                    if not leq[ta[i], tb[f[i]]]:
-                        good = False
-                        break
-                    if i > 0 and f[i] == f[i - 1] and tb[f[i]] not in idem:
-                        good = False
-                        break
-                if good:
-                    matched = True
-                    break
+            ordered = leq_rows[prods[a]][prods[b]]
+            matched = _witness_exists(ta, tb, leq_rows, idem)
             if ordered != matched:
                 bad = {
                     "left": [m.label(x) for x in ta],

@@ -7,6 +7,8 @@ reported as data with a concrete counterexample, not raised.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .downsets import downset_product, enumerate_ideals, unit_downset
@@ -292,17 +294,8 @@ def check_prime_product_lemma(m: MonoidalQO, max_tuple: int = 3) -> Report:
     ps = sorted(primes(m))
     counterexample = None
     checked = 0
-
-    def tuples(length: int):
-        if length == 0:
-            yield ()
-            return
-        for head in range(m.n):
-            for rest in tuples(length - 1):
-                yield (head,) + rest
-
     for length in range(1, max_tuple + 1):
-        for factors in tuples(length):
+        for factors in itertools.product(range(m.n), repeat=length):
             prod = factors[0]
             for f in factors[1:]:
                 prod = int(M[prod, f])
@@ -366,18 +359,12 @@ def ideal_monoid(m: MonoidalQO) -> MonoidalQO:
     return MonoidalQO(FiniteQO(labels, table), mult, unit)
 
 
-def ideal_monoid_basis(m: MonoidalQO):
-    'The ideals backing ideal_monoid, in the same index order.'
-    return enumerate_ideals(m.order)
-
-
 __all__ = [
     "MonoidalQO",
     "check_axioms",
     "check_plus_property",
     "check_prime_product_lemma",
     "ideal_monoid",
-    "ideal_monoid_basis",
     "monoid_from_json",
     "monoid_to_json",
     "neutral_elements",

@@ -274,8 +274,8 @@ def check_containment_agreement(
     masks = [ctx.word_mask(tuple(system.atoms[i] for i in t)) for t in words]
 
     violation = None
-    unresolved: list[dict] = []
-    confirmed = refuted = 0
+    flagged: list[dict] = []
+    confirmed = refuted = unresolved = 0
     for i, u in enumerate(hwords):
         for j, v in enumerate(hwords):
             sym = leq_H(u, v)
@@ -293,15 +293,16 @@ def check_containment_agreement(
             elif not contained:
                 refuted += 1
             else:
-                if len(unresolved) < 10:
-                    unresolved.append({"lhs": list(u.labels), "rhs": list(v.labels)})
+                unresolved += 1
+                if len(flagged) < 10:
+                    flagged.append({"lhs": list(u.labels), "rhs": list(v.labels)})
     stats = {
         "atoms": len(system.atoms),
         "words": len(words),
         "pairs": len(words) ** 2,
         "confirmed": confirmed,
         "refuted": refuted,
-        "unresolved": len(unresolved),
+        "unresolved": unresolved,
     }
     return Report(
         "containment-agreement",
@@ -311,7 +312,7 @@ def check_containment_agreement(
                 "non-order-has-refuting-sequence",
                 True,
                 None,
-                {"unresolved": len(unresolved), "flagged": unresolved},
+                {"unresolved": unresolved, "flagged": flagged},
             ),
         ),
     )

@@ -18,6 +18,7 @@ from .errors import (
     DuplicateLabelError,
     NotReflexiveError,
     NotTransitiveError,
+    SchemaError,
     UnknownLabelError,
 )
 
@@ -124,7 +125,20 @@ def validate(elements: Iterable[str], order: Iterable[tuple[str, str]], close: b
 
 def from_json(obj: dict) -> FiniteQO:
     'Read the {"elements": [...], "order": [[a,b],...], "close": bool} form.'
-    return validate(obj["elements"], [tuple(p) for p in obj["order"]], bool(obj.get("close", False)))
+    if not isinstance(obj, dict):
+        raise SchemaError("a quasi-order must be a JSON object")
+    elements, order = obj.get("elements"), obj.get("order")
+    close = obj.get("close", False)
+    if not isinstance(elements, list) or not all(isinstance(x, str) for x in elements):
+        raise SchemaError('"elements" must be a list of strings')
+    if not isinstance(order, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p)
+        for p in order
+    ):
+        raise SchemaError('"order" must be a list of [a, b] label pairs')
+    if not isinstance(close, bool):
+        raise SchemaError('"close" must be true or false')
+    return validate(elements, [tuple(p) for p in order], close)
 
 
 def to_json(q: FiniteQO) -> dict:

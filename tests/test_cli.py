@@ -41,6 +41,25 @@ def test_missing_file_is_a_usage_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"elements": 5, "order": []},
+        {"elements": ["a"], "order": 7},
+        [],
+        {"elements": ["a"], "order": [["a", "a"]], "close": "no"},
+    ],
+)
+def test_malformed_qo_is_a_usage_error(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "qo", "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_no_arguments_is_a_usage_error(capsys):
     assert main([]) == 2
     assert main(["qo"]) == 2

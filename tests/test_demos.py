@@ -1,0 +1,24 @@
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# the oracle sweep demo takes several seconds and is left to manual runs
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-6]_*.py"))
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_runs(name):
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr

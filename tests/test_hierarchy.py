@@ -13,7 +13,6 @@ from idealforge.hierarchy import (
     Atom,
     AtomSystem,
     build_atoms,
-    build_ihat_level,
     build_level,
     compare_atoms,
     hat_mult,
@@ -23,7 +22,6 @@ from idealforge.hierarchy import (
     is_hereditarily_directed,
     lesssim_star,
     non_idem_atom,
-    rank,
     sim_star,
     ur_elem,
 )
@@ -36,9 +34,9 @@ def test_interning_gives_identity():
     assert hset([a, b]) is hset([b, a, b])
     nested = hset([hset([a]), b])
     assert nested is hset([b, hset([a])])
-    assert rank(a) == -1
-    assert rank(hset([a, b])) == 0
-    assert rank(nested) == 1
+    assert a.rank == -1
+    assert hset([a, b]).rank == 0
+    assert nested.rank == 1
     assert nested.serial == "{u1,{u0}}"
 
 
@@ -133,6 +131,7 @@ def test_frozen_cardinalities(a2, singleton, chain3):
     ]
     for kind in ("istar", "ihat"):
         lev = build_level(a2, 3, kind)
+        assert lev.kind == kind
         assert [s.cardinality for s in lev.chain()] == [2, 2, 2, 2]
     # every directed set over a finite carrier has a top, so the directed
     # stages never outgrow the carrier classes
@@ -148,12 +147,6 @@ def test_frozen_cardinalities(a2, singleton, chain3):
 
 def test_flat_fixture_vstar_growth():
     assert [s.cardinality for s in build_level(flat(2), 2, "vstar").chain()] == [4, 5, 6]
-
-
-def test_build_ihat_level_wrapper(a2):
-    lev = build_ihat_level(a2, 1)
-    assert lev.kind == "ihat"
-    assert lev.cardinality == 2
 
 
 def test_istar_members_have_principal_twins(a2, singleton, chain2, chain3, antichain3, two_cycle):

@@ -22,7 +22,7 @@ from idealforge.higman import (
     upward_closed_subsets,
     word_is_idempotent,
 )
-from idealforge.fixtures import capped_addition
+from idealforge.fixtures import capped_addition, flat
 from idealforge.monoid import check_axioms
 from idealforge.qo import FiniteQO, validate
 
@@ -167,6 +167,21 @@ def test_abstract_matching_against_capped_addition():
     report = check_abstractly_higman(capped_addition(4), max_tuple=3)
     assert report.passed
     assert report.checks[0].stats["prime_count"] == 1
+
+
+def test_abstract_matching_fails_on_commuting_primes():
+    # a1*a2 and a2*a1 are both the top, yet no weakly increasing map matches
+    # a1.a2 letterwise into a2.a1
+    report = check_abstractly_higman(flat(2), max_tuple=3)
+    assert not report.passed
+    check = report.checks[0]
+    assert check.counterexample == {
+        "left": ["a1", "a2"],
+        "right": ["a2", "a1"],
+        "products-ordered": True,
+        "letterwise-match": False,
+    }
+    assert check.stats["tuple_pairs"] == 66
 
 
 def test_upward_closed_subsets(chain2):

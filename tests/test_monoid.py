@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from idealforge.downsets import enumerate_ideals
 from idealforge.errors import EmptyCarrierError, NoFactorizationError
 from idealforge.fixtures import (
     capped_addition,
@@ -15,7 +16,6 @@ from idealforge.monoid import (
     check_plus_property,
     check_prime_product_lemma,
     ideal_monoid,
-    ideal_monoid_basis,
     monoid_from_json,
     monoid_to_json,
     neutral_elements,
@@ -99,7 +99,7 @@ def test_ideal_monoid_of_a_chain_is_a_chain():
     # capped addition on ideals is still capped addition
     assert im.mul(1, 2) == 3
     assert im.mul(3, 3) == 3
-    basis = ideal_monoid_basis(capped_addition(3))
+    basis = enumerate_ideals(capped_addition(3).order)
     assert len(basis) == im.n
 
 

@@ -142,12 +142,20 @@ def test_two_forms_census(a2, singleton):
         check_two_forms(a2, maxlen=5)
 
 
-def test_containment_agreement_small(chain2):
+def test_containment_agreement_small(chain2, singleton):
     report = check_containment_agreement(chain2, 1, maxlen=3, max_word_len=2)
     assert report.passed
     stats = report.check("order-implies-containment").stats
     assert stats["unresolved"] == 0
     assert stats["confirmed"] + stats["refuted"] == stats["pairs"]
+    # every undecided pair is counted; only the flagged sample is capped
+    report = check_containment_agreement(singleton, 2, maxlen=3, max_word_len=2)
+    stats = report.check("order-implies-containment").stats
+    assert (stats["pairs"], stats["confirmed"], stats["refuted"]) == (169, 112, 33)
+    assert stats["unresolved"] == 24
+    flagged = report.check("non-order-has-refuting-sequence").stats
+    assert flagged["unresolved"] == 24
+    assert len(flagged["flagged"]) == 10
     with pytest.raises(ScaleExceededError):
         check_containment_agreement(chain2, 3)
 
