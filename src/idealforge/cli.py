@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from . import hierarchy, oracle
 from .downsets import enumerate_downsets, enumerate_ideals
-from .errors import IdealforgeError, NoFactorizationError
+from .errors import IdealforgeError, NoFactorizationError, SchemaError
 from .higman import AtomAlphabet, HWord, dp_agreement_sweep, leq_H
 from .monoid import (
     check_axioms,
@@ -61,8 +61,10 @@ def _load_qo(path: str) -> FiniteQO:
 def _load_alphabet(path: str) -> AtomAlphabet:
     obj = _load_json(path)
     q = from_json(obj)
-    idem = [q.index(lab) for lab in obj.get("idem", [])]
-    return AtomAlphabet(q, idem)
+    idem = obj.get("idem", [])
+    if not isinstance(idem, list) or not all(isinstance(lab, str) for lab in idem):
+        raise SchemaError('"idem" must be a list of labels')
+    return AtomAlphabet(q, [q.index(lab) for lab in idem])
 
 
 def _word(alpha: AtomAlphabet, text: str) -> HWord:

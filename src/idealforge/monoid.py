@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 
 from .downsets import downset_product, enumerate_ideals, unit_downset
-from .errors import EmptyCarrierError, NoFactorizationError, UnknownLabelError
+from .errors import EmptyCarrierError, NoFactorizationError, SchemaError, UnknownLabelError
 from .qo import FiniteQO, equiv_classes, from_json as qo_from_json, to_json as qo_to_json
 from .report import CheckResult, Report
 
@@ -66,16 +66,20 @@ def monoid_from_json(obj: dict) -> MonoidalQO:
     order = qo_from_json(obj)
     n = order.n
     table = -np.ones((n, n), dtype=np.int64)
+    mult = obj.get("mult")
+    if not isinstance(mult, list) or not all(isinstance(t, list) and len(t) == 3 for t in mult):
+        raise SchemaError('"mult" must be a list of [a, b, c] triples')
 
     def resolve(x) -> int:
         if isinstance(x, str):
             return order.index(x)
-        i = int(x)
-        if not 0 <= i < n:
-            raise UnknownLabelError(f"index {i} out of range")
-        return i
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise SchemaError(f"{x!r} is neither a label nor a carrier index")
+        if not 0 <= x < n:
+            raise UnknownLabelError(f"index {x} out of range")
+        return x
 
-    for a, b, c in obj["mult"]:
+    for a, b, c in mult:
         table[resolve(a), resolve(b)] = resolve(c)
     if (table < 0).any():
         i, j = np.argwhere(table < 0)[0]
@@ -83,7 +87,7 @@ def monoid_from_json(obj: dict) -> MonoidalQO:
             f"multiplication table missing entry for "
             f"({order.elements[i]!r}, {order.elements[j]!r})"
         )
-    return MonoidalQO(order, table, resolve(obj["unit"]))
+    return MonoidalQO(order, table, resolve(obj.get("unit")))
 
 
 def monoid_to_json(m: MonoidalQO) -> dict:

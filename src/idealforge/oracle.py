@@ -262,8 +262,9 @@ def check_containment_agreement(
     """Pit the word-order decision against raw denotation containment.
 
     A word below another must denote a subset; a word not below must be
-    refuted by a concrete short sequence.  Pairs where the refutation
-    search is inconclusive at this universe size are flagged, not failed.
+    refuted by a concrete short sequence.  Every pair the universe cannot
+    refute is counted, the first ten are flagged, and any such pair fails
+    the second check: an undecided pair is no evidence either way.
     """
     if alpha > 2 or maxlen > 5:
         raise ScaleExceededError("containment sweep is sized for alpha <= 2, maxlen <= 5")
@@ -310,7 +311,7 @@ def check_containment_agreement(
             CheckResult("order-implies-containment", violation is None, violation, stats),
             CheckResult(
                 "non-order-has-refuting-sequence",
-                True,
+                unresolved == 0,
                 None,
                 {"unresolved": unresolved, "flagged": flagged},
             ),
@@ -393,16 +394,21 @@ def _factor_list(letters: tuple[Atom, ...], p: FiniteQO) -> tuple[tuple[str, int
     at every level, since starring a union of star-or-down pieces stars
     their single letters.  Adjacent factors a star absorbs are dropped.
     """
-    out: list[tuple[str, int]] = []
-    for a in letters:
-        f = ("d" if not a.is_idem else "s", _single_letters(a, p))
-        if out:
-            prev = out[-1]
-            if prev[0] == "s" and f[1] & ~prev[1] == 0:
-                continue
-            if f[0] == "s" and prev[1] & ~f[1] == 0:
-                out.pop()
-        out.append(f)
+    factors = tuple(("s" if a.is_idem else "d", _single_letters(a, p)) for a in letters)
+    return _concat((), factors)
+
+
+def _concat(
+    fu: tuple[tuple[str, int], ...], fv: tuple[tuple[str, int], ...]
+) -> tuple[tuple[str, int], ...]:
+    'Append fv to the normalised list fu; a star absorbs the neighbours it covers.'
+    out = list(fu)
+    for kind, letters in fv:
+        if out and out[-1][0] == "s" and letters & ~out[-1][1] == 0:
+            continue
+        while kind == "s" and out and out[-1][1] & ~letters == 0:
+            out.pop()
+        out.append((kind, letters))
     return tuple(out)
 
 
@@ -451,6 +457,13 @@ def _product_contained(
     return True
 
 
+def _intern(rows: list[list]) -> tuple[list[list[int]], list]:
+    'Replace each cell by an integer id; also return the distinct values by id.'
+    ids: dict = {}
+    out = [[ids.setdefault(v, len(ids)) for v in row] for row in rows]
+    return out, list(ids)
+
+
 def check_xy_wz(
     p: FiniteQO, maxlen: int = 4, max_word_len: int = 2, level_cap: int = 3
 ) -> Report:
@@ -463,6 +476,11 @@ def check_xy_wz(
     (all a-sequences up to length 4 fit below a four-fold product of single
     letters), so the bounded universe serves here as a consistency guard on
     the exact decision rather than as the decision itself.
+
+    Containment is decided once per distinct pair of normalised factor
+    products and bounded inclusion once per distinct pair of product masks;
+    the quadruple sweep reads both tables.  A word is its product with the
+    empty word, so single-word containment reads the same table.
     """
     if maxlen > 4:
         raise ScaleExceededError("product sweep is sized for maxlen <= 4")
@@ -475,7 +493,13 @@ def check_xy_wz(
     k = len(words)
     n = p.n
 
-    exact = [[_product_contained(factors[a], factors[b], n) for b in range(k)] for a in range(k)]
+    list_id, lists = _intern([[_concat(fa, fb) for fb in factors] for fa in factors])
+    mask_id, pair_masks = _intern([[ctx.product(ma, mb) for mb in masks] for ma in masks])
+    contained = [[_product_contained(fu, fv, n) for fv in lists] for fu in lists]
+    bounded = [[mu & ~mv == 0 for mv in pair_masks] for mu in pair_masks]
+    # words[0] is the empty word, and a list concatenated with () is itself
+    single = [row[0] for row in list_id]
+    exact = [[contained[a][b] for b in single] for a in single]
     guard_bad = None
     for a in range(k):
         for b in range(k):
@@ -485,23 +509,20 @@ def check_xy_wz(
         if guard_bad:
             break
 
-    pair_factors = [[factors[a] + factors[b] for b in range(k)] for a in range(k)]
-    pair_masks = [[ctx.product(masks[a], masks[b]) for b in range(k)] for a in range(k)]
-
     bad = None
     held = saturated = 0
     labels = [".".join(system.atoms[i].serial for i in t) or "ε" for t in words]
     for x in range(k):
         for y in range(k):
-            pxy = pair_factors[x][y]
-            mxy = pair_masks[x][y]
-            row = exact[x]
+            crow = contained[list_id[x][y]]
+            brow = bounded[mask_id[x][y]]
             for w in range(k):
-                xw = row[w]
+                xw = exact[x][w]
+                lw, mw = list_id[w], mask_id[w]
                 for z in range(k):
-                    if mxy & ~pair_masks[w][z] != 0:
+                    if not brow[mw[z]]:
                         continue
-                    if not _product_contained(pxy, pair_factors[w][z], n):
+                    if not crow[lw[z]]:
                         saturated += 1
                         continue
                     held += 1

@@ -60,6 +60,27 @@ def test_malformed_qo_is_a_usage_error(capsys, tmp_path, doc):
     assert "Traceback" not in err
 
 
+ONE = {"elements": ["a"], "order": [["a", "a"]]}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        (("monoid", "check"), {**ONE, "mult": 5, "unit": "a"}),
+        (("monoid", "check"), {**ONE, "mult": [["a", "a", "a"]], "unit": [1]}),
+        (("higman", "leq", "--lhs", "a", "--rhs", "a", "--alphabet"), {**ONE, "idem": 5}),
+    ],
+)
+def test_malformed_monoid_or_alphabet_is_a_usage_error(capsys, tmp_path, command, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_no_arguments_is_a_usage_error(capsys):
     assert main([]) == 2
     assert main(["qo"]) == 2
@@ -235,6 +256,21 @@ def test_verify_commands_pass(capsys):
         capsys, "verify", "two-forms", "--qo", str(DATA / "singleton.json"), "--maxlen", "3"
     )
     assert code == 0
+
+
+def test_verify_containment_fails_on_undecided_pairs(capsys):
+    code, doc = run_json(
+        capsys, "verify", "containment", "--qo", str(DATA / "singleton.json"),
+        "--alpha", "2", "--maxlen", "3",
+    )
+    assert code == 1
+    assert doc["report"]["passed"] is False
+    (refuting,) = [
+        c for c in doc["report"]["reports"][0]["checks"]
+        if c["name"] == "non-order-has-refuting-sequence"
+    ]
+    assert refuting["passed"] is False
+    assert refuting["stats"]["unresolved"] == 311
 
 
 def test_seed_is_recorded(capsys):

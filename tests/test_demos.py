@@ -6,8 +6,7 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-# the oracle sweep demo takes several seconds and is left to manual runs
-DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-6]_*.py"))
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-7]_*.py"))
 
 
 @pytest.mark.parametrize("name", DEMOS)

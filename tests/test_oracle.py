@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from idealforge import oracle
 from idealforge.downsets import enumerate_ideals
 from idealforge.errors import ScaleExceededError
 from idealforge.fixtures import capped_addition
@@ -153,9 +154,12 @@ def test_containment_agreement_small(chain2, singleton):
     stats = report.check("order-implies-containment").stats
     assert (stats["pairs"], stats["confirmed"], stats["refuted"]) == (169, 112, 33)
     assert stats["unresolved"] == 24
-    flagged = report.check("non-order-has-refuting-sequence").stats
-    assert flagged["unresolved"] == 24
-    assert len(flagged["flagged"]) == 10
+    refuting = report.check("non-order-has-refuting-sequence")
+    assert refuting.stats["unresolved"] == 24
+    assert len(refuting.stats["flagged"]) == 10
+    # an undecided pair is not a pass
+    assert not refuting.passed
+    assert not report.passed
     with pytest.raises(ScaleExceededError):
         check_containment_agreement(chain2, 3)
 
@@ -171,6 +175,8 @@ def test_factor_lists_normalize(a2):
     assert _factor_list((star_a, a), a2) == (("s", 0b01),)
     assert _factor_list((a, star_ab, star_a), a2) == (("s", 0b11),)
     assert _factor_list((a, a), a2) == (("d", 0b01), ("d", 0b01))
+    # a star absorbs every covered factor before it, not just the last one
+    assert _factor_list((a, a, star_a), a2) == (("s", 0b01),)
 
 
 def test_exact_product_containment(a2):
@@ -192,12 +198,28 @@ def test_exact_product_containment(a2):
     assert _product_contained(f(a, b), f(star_ab), 2)
 
 
-def test_product_sweep_frozen(singleton):
-    report = check_xy_wz(singleton)
-    assert report.passed
-    stats = report.check("factor-containment-forced").stats
-    assert stats["containments"] == 2010
-    assert stats["saturated_at_bound"] == 40
-    assert report.check("exact-implies-bounded").passed
+def test_product_sweep_frozen(singleton, chain2, a2):
+    # quadruples / containments / saturated_at_bound per carrier
+    pins = [
+        (singleton, 2_401, 2_010, 40),
+        (chain2, 194_481, 130_218, 1_303),
+        (a2, 923_521, 554_393, 80),
+    ]
+    for p, quadruples, containments, saturated in pins:
+        report = check_xy_wz(p)
+        assert report.passed
+        stats = report.check("factor-containment-forced").stats
+        assert (stats["quadruples"], stats["containments"]) == (quadruples, containments)
+        assert stats["saturated_at_bound"] == saturated
+        assert report.check("exact-implies-bounded").passed
     with pytest.raises(ScaleExceededError):
         check_xy_wz(singleton, maxlen=5)
+
+
+def test_product_sweep_guard_sees_a_lying_decision(monkeypatch, a2):
+    # the containment tables must come from the live exact decision, and the
+    # bounded guard must catch a decision that claims too much
+    monkeypatch.setattr(oracle, "_product_contained", lambda fu, fv, n: True)
+    report = check_xy_wz(a2)
+    assert not report.check("exact-implies-bounded").passed
+    assert not report.passed
