@@ -92,7 +92,8 @@ def lesssim_star(x: HSet, y: HSet, q: FiniteQO) -> bool:
     Urelements compare through q's table; an urelement sits below a set when
     it sits below some member; a set sits below an urelement when every
     member does; sets compare by the for-all-exists rule on members.
-    Memoized per carrier on interned pairs.
+    Memoized per carrier on interned pairs; the set-vs-set case reads the
+    memo before recursing into a member pair.
     """
     cache = q._hset_leq_cache
     key = (x, y)
@@ -107,9 +108,17 @@ def lesssim_star(x: HSet, y: HSet, q: FiniteQO) -> bool:
     elif y.ur is not None:
         out = all(lesssim_star(c, y, q) for c in x.children)
     else:
-        out = all(
-            any(lesssim_star(a, b, q) for b in y.children) for a in x.children
-        )
+        out = True
+        for a in x.children:
+            for b in y.children:
+                below = cache.get((a, b))
+                if below is None:
+                    below = lesssim_star(a, b, q)
+                if below:
+                    break
+            else:
+                out = False
+                break
     cache[key] = out
     return out
 
@@ -222,6 +231,8 @@ def build_level(
     q = base.order if isinstance(base, MonoidalQO) else base
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+    if alpha < 0:
+        raise ValueError(f"level must be at least 0, got {alpha}")
     if alpha > level_cap:
         raise LevelCapExceededError(
             f"level {alpha} exceeds the cap of {level_cap}; raise level_cap "
@@ -295,10 +306,12 @@ class Atom:
 
     Hash-consed per base carrier; build through non_idem_atom and idem_atom.
     The level is the stage where the letter first appears: 0 for plain
-    letters, one past the deepest payload letter otherwise.
+    letters, one past the deepest payload letter otherwise.  leq_memo maps a
+    letter y to the verdict of compare_atoms(self, y), filled as the
+    comparison recursion answers it, and lives as long as the letter.
     """
 
-    __slots__ = ("base", "base_class", "downset", "level", "serial")
+    __slots__ = ("base", "base_class", "downset", "level", "serial", "leq_memo")
 
     def __init__(self, base, base_class, downset, level, serial) -> None:
         self.base = base
@@ -306,6 +319,7 @@ class Atom:
         self.downset = downset
         self.level = level
         self.serial = serial
+        self.leq_memo: dict[Atom, bool] = {}
 
     @property
     def is_idem(self) -> bool:
@@ -358,18 +372,35 @@ def compare_atoms(x: Atom, y: Atom) -> bool:
     compare payload-wise by for-all-exists; an idempotent letter is never
     below a plain one.  These rules are this package's own construction, and
     the oracle sweeps exist to hold them to account.
+
+    Each verdict is memoized on the lower letter (Atom.leq_memo), and the
+    recursion into payload letters reads that memo before descending.  The
+    recursion stays inside this function's own rule, so callers that look up
+    hierarchy.compare_atoms at call time (build_atoms, verify_reflection)
+    still consult whatever rule is installed there, and a rule swapped in
+    never writes into the memo.
     """
     if x.base is not y.base:
         raise ValueError("letters over different carriers")
+    return _letter_leq(x, y)
+
+
+def _letter_leq(x: Atom, y: Atom) -> bool:
+    memo = x.leq_memo
+    hit = memo.get(y)
+    if hit is not None:
+        return hit
     if x.downset is None:
         if y.downset is None:
-            return bool(x.base.leq[x.base_class, y.base_class])
-        return any(compare_atoms(x, e) for e in y.downset)
-    if y.downset is None:
-        return False
-    return all(
-        any(compare_atoms(d, e) for e in y.downset) for d in x.downset
-    )
+            out = bool(x.base.leq[x.base_class, y.base_class])
+        else:
+            out = any(_letter_leq(x, e) for e in y.downset)
+    elif y.downset is None:
+        out = False
+    else:
+        out = all(any(_letter_leq(d, e) for e in y.downset) for d in x.downset)
+    memo[y] = out
+    return out
 
 
 @dataclass(eq=False)
@@ -412,6 +443,8 @@ def build_atoms(
     rejects construction if any idempotent letter lands below a plain one,
     which is how a corrupted comparison rule gets caught early.
     """
+    if alpha < 0:
+        raise ValueError(f"level must be at least 0, got {alpha}")
     if alpha > level_cap:
         raise LevelCapExceededError(
             f"level {alpha} exceeds the cap of {level_cap}"

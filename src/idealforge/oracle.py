@@ -118,6 +118,9 @@ class DenotationContext:
     __slots__ = ("base", "maxlen", "seqs", "index", "splits", "_atom_masks", "_word_masks")
 
     def __init__(self, p: FiniteQO, maxlen: int, max_universe: int = _SEQ_UNIVERSE_CAP):
+        if maxlen < 1:
+            # a letter denotes one-letter sequences, so the universe needs them
+            raise ValueError(f"maxlen must be at least 1, got {maxlen}")
         self.base = p
         self.maxlen = maxlen
         self.seqs = all_sequences(p, maxlen)
@@ -477,10 +480,13 @@ def check_xy_wz(
     letters), so the bounded universe serves here as a consistency guard on
     the exact decision rather than as the decision itself.
 
-    Containment is decided once per distinct pair of normalised factor
-    products and bounded inclusion once per distinct pair of product masks;
-    the quadruple sweep reads both tables.  A word is its product with the
-    empty word, so single-word containment reads the same table.
+    Containment is decided at most once per distinct pair of normalised
+    factor products and bounded inclusion once per distinct pair of product
+    masks; the quadruple sweep reads both tables.  A word is its product
+    with the empty word, so single-word containment reads the same table.
+    The single-word cells are decided up front, since the exact table and
+    its guard read all of them; every other containment cell is decided on
+    its first read, which comes only after the bounded pre-filter passes.
     """
     if maxlen > 4:
         raise ScaleExceededError("product sweep is sized for maxlen <= 4")
@@ -495,10 +501,14 @@ def check_xy_wz(
 
     list_id, lists = _intern([[_concat(fa, fb) for fb in factors] for fa in factors])
     mask_id, pair_masks = _intern([[ctx.product(ma, mb) for mb in masks] for ma in masks])
-    contained = [[_product_contained(fu, fv, n) for fv in lists] for fu in lists]
     bounded = [[mu & ~mv == 0 for mv in pair_masks] for mu in pair_masks]
+    # Containment cells are filled on first read; None is not yet decided.
+    contained = [[None] * len(lists) for _ in lists]
     # words[0] is the empty word, and a list concatenated with () is itself
     single = [row[0] for row in list_id]
+    for a in set(single):
+        for b in set(single):
+            contained[a][b] = _product_contained(lists[a], lists[b], n)
     exact = [[contained[a][b] for b in single] for a in single]
     guard_bad = None
     for a in range(k):
@@ -514,7 +524,7 @@ def check_xy_wz(
     labels = [".".join(system.atoms[i].serial for i in t) or "ε" for t in words]
     for x in range(k):
         for y in range(k):
-            crow = contained[list_id[x][y]]
+            fu, crow = lists[list_id[x][y]], contained[list_id[x][y]]
             brow = bounded[mask_id[x][y]]
             for w in range(k):
                 xw = exact[x][w]
@@ -522,7 +532,10 @@ def check_xy_wz(
                 for z in range(k):
                     if not brow[mw[z]]:
                         continue
-                    if not crow[lw[z]]:
+                    held_here = crow[lw[z]]
+                    if held_here is None:
+                        held_here = crow[lw[z]] = _product_contained(fu, lists[lw[z]], n)
+                    if not held_here:
                         saturated += 1
                         continue
                     held += 1

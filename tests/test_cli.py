@@ -273,6 +273,22 @@ def test_verify_containment_fails_on_undecided_pairs(capsys):
     assert refuting["stats"]["unresolved"] == 311
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (("hier", "build", "--qo", str(DATA / "a2.json"), "--alpha", "-1"), "level"),
+        (("verify", "xywz", "--qo", str(DATA / "a2.json"), "--maxlen", "0"), "maxlen"),
+    ],
+)
+def test_out_of_domain_level_or_bound_is_a_usage_error(capsys, argv, what):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert what in err
+    assert "Traceback" not in err
+
+
 def test_seed_is_recorded(capsys):
     code, doc = run_json(
         capsys, "--seed", "9", "qo", "validate", str(DATA / "singleton.json")

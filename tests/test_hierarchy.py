@@ -25,7 +25,7 @@ from idealforge.hierarchy import (
     sim_star,
     ur_elem,
 )
-from idealforge.qo import FiniteQO, equiv_classes, validate
+from idealforge.qo import FiniteQO, all_quasi_orders, equiv_classes, validate
 
 
 def test_interning_gives_identity():
@@ -260,3 +260,52 @@ def test_atom_guards(a2):
         build_atoms(FiniteQO((), np.zeros((0, 0), dtype=bool)), 1)
     with pytest.raises(CombinatorialBlowupError):
         build_atoms(a2, 2, max_members=8)
+
+
+def test_negative_level_is_rejected(a2):
+    with pytest.raises(ValueError):
+        build_level(a2, -1)
+    with pytest.raises(ValueError):
+        build_atoms(a2, -1)
+
+
+def _plain_letter_leq(x, y):
+    'The letter rule as a bare recursion with no memo.'
+    if not x.is_idem:
+        if not y.is_idem:
+            return bool(x.base.leq[x.base_class, y.base_class])
+        return any(_plain_letter_leq(x, e) for e in y.downset)
+    if not y.is_idem:
+        return False
+    return all(any(_plain_letter_leq(d, e) for e in y.downset) for d in x.downset)
+
+
+def _plain_hereditary_leq(x, y, q):
+    'The hereditary rule as a bare recursion with no memo.'
+    if x.ur is not None:
+        if y.ur is not None:
+            return bool(q.leq[x.ur, y.ur])
+        return any(_plain_hereditary_leq(x, c, q) for c in y.children)
+    if y.ur is not None:
+        return all(_plain_hereditary_leq(c, y, q) for c in x.children)
+    return all(
+        any(_plain_hereditary_leq(a, b, q) for b in y.children) for a in x.children
+    )
+
+
+def test_memoized_orders_match_bare_recursions():
+    # every quasi-order on at most 3 points, on fresh carriers at level 2
+    for n in range(1, 4):
+        for q in all_quasi_orders(n):
+            system = build_atoms(q, 2)
+            leq = system.alphabet.order.leq
+            for (i, x), (j, y) in itertools.product(enumerate(system.atoms), repeat=2):
+                assert leq[i, j] == _plain_letter_leq(x, y), (q.leq.tolist(), x, y)
+            try:
+                members = build_level(q, 2, "vstar").members
+            except CombinatorialBlowupError:
+                continue
+            for x, y in itertools.product(members, repeat=2):
+                assert lesssim_star(x, y, q) == _plain_hereditary_leq(x, y, q), (
+                    q.leq.tolist(), x, y,
+                )

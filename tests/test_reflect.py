@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from idealforge import hierarchy
 from idealforge.hierarchy import ur_elem
+from idealforge.qo import all_quasi_orders
 from idealforge.reflect import build_reflection, verify_reflection
 
 
@@ -74,3 +76,25 @@ def test_corrupted_comparison_rule_is_reported(a2, monkeypatch):
     # resulting letter order outright
     with pytest.raises(ValueError):
         build_reflection(a2, 1)
+
+
+def test_translation_verifies_at_level_three_on_three_points():
+    # The discrete order on three points is left out: its 1,962 letters take
+    # about 80 s to order at level 3.  The letter order as matrix products
+    # (ROADMAP.md item 2) is what would bring it in.
+    discrete = np.eye(3, dtype=bool)
+    carriers = [q for q in all_quasi_orders(3) if (q.leq != discrete).any()]
+    assert len(carriers) == 8
+    sizes = []
+    total = 0
+    for q in carriers:
+        table = build_reflection(q, 3)
+        report = verify_reflection(table)
+        assert report.passed, (q.leq.tolist(), report.to_json())
+        n = len(table.system.atoms)
+        pairs = report.check("order-preserving").stats["pairs"]
+        assert pairs == n * n
+        sizes.append(n)
+        total += pairs
+    assert max(sizes) == 173
+    assert total == 41_574
