@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,25 +31,12 @@ from .reflect import build_reflection, verify_reflection
 from .report import Report
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: tuple[str, ...]
-    paths: tuple[str, ...] = ()
-    alpha: int = 1
-    maxlen: int = 4
-    kind: str = "ihat"
-    fmt: str = "json"
-    max_members: int | None = None
-    seed: int = 0
-    lhs: str = ""
-    rhs: str = ""
-    element: str | None = None
-    max_atoms: int = 3
-
-
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise SchemaError("JSON nesting is too deep") from None
 
 
 def _load_qo(path: str) -> FiniteQO:
@@ -83,11 +68,12 @@ def _json_default(x):
     raise TypeError(f"not JSON serializable: {type(x).__name__}")
 
 
-def _envelope(config: RunConfig, payload) -> str:
+def _envelope(ns: argparse.Namespace, payload) -> str:
+    sub = getattr(ns, "sub", None)
     doc = {
-        "command": " ".join(config.command),
+        "command": ns.cmd if sub is None else f"{ns.cmd} {sub}",
         "version": __version__,
-        "seed": config.seed,
+        "seed": ns.seed,
         "report": payload,
     }
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False, default=_json_default) + "\n"
@@ -99,17 +85,16 @@ def _report_payload(reports: list[Report]) -> tuple[int, dict]:
     return (0 if ok else 1), payload
 
 
-def _cmd_qo(config: RunConfig) -> tuple[int, str]:
-    q = _load_qo(config.paths[0])
-    sub = config.command[1]
-    if sub == "validate":
+def _cmd_qo(ns: argparse.Namespace) -> tuple[int, str]:
+    q = _load_qo(ns.path)
+    if ns.sub == "validate":
         payload = {
             "ok": True,
             "elements": len(q.elements),
             "classes": len(equiv_classes(q)),
         }
-        return 0, _envelope(config, payload)
-    if sub == "quotient":
+        return 0, _envelope(ns, payload)
+    if ns.sub == "quotient":
         qm = quotient(q)
         payload = {
             "classes": list(qm.classes.elements),
@@ -121,69 +106,62 @@ def _cmd_qo(config: RunConfig) -> tuple[int, str]:
                 if qm.classes.leq[i, j]
             ],
         }
-        return 0, _envelope(config, payload)
+        return 0, _envelope(ns, payload)
     return 0, hasse_dot(q)
 
 
-def _cmd_downsets(config: RunConfig) -> tuple[int, str]:
-    q = _load_qo(config.paths[0])
-    kind = config.command[0]
-    rows = enumerate_downsets(q) if kind == "downsets" else enumerate_ideals(q)
+def _cmd_downsets(ns: argparse.Namespace) -> tuple[int, str]:
+    q = _load_qo(ns.path)
+    rows = enumerate_downsets(q) if ns.cmd == "downsets" else enumerate_ideals(q)
     payload = {"count": len(rows), "members": [sorted(d.labels) for d in rows]}
-    return 0, _envelope(config, payload)
+    return 0, _envelope(ns, payload)
 
 
-def _cmd_monoid(config: RunConfig) -> tuple[int, str]:
-    m = monoid_from_json(_load_json(config.paths[0]))
-    sub = config.command[1]
-    if sub == "check":
+def _cmd_monoid(ns: argparse.Namespace) -> tuple[int, str]:
+    m = monoid_from_json(_load_json(ns.path))
+    if ns.sub == "check":
         code, payload = _report_payload([check_axioms(m), check_plus_property(m)])
-        return code, _envelope(config, payload)
-    if sub == "primes":
+        return code, _envelope(ns, payload)
+    if ns.sub == "primes":
         labels = sorted(m.label(i) for i in primes(m))
-        return 0, _envelope(config, {"primes": labels})
-    if config.element is None:
-        raise IdealforgeError("monoid factor needs --element")
-    target = m.order.index(config.element)
+        return 0, _envelope(ns, {"primes": labels})
+    target = m.order.index(ns.element)
     try:
         factors = prime_factorization(m, target)
     except NoFactorizationError as e:
-        payload = {"passed": False, "element": config.element, "reason": str(e)}
-        return 1, _envelope(config, payload)
+        payload = {"passed": False, "element": ns.element, "reason": str(e)}
+        return 1, _envelope(ns, payload)
     payload = {
         "passed": True,
-        "element": config.element,
+        "element": ns.element,
         "factors": [m.label(i) for i in factors],
     }
-    return 0, _envelope(config, payload)
+    return 0, _envelope(ns, payload)
 
 
-def _cmd_higman(config: RunConfig) -> tuple[int, str]:
-    alpha = _load_alphabet(config.paths[0])
-    u = _word(alpha, config.lhs)
-    v = _word(alpha, config.rhs)
+def _cmd_higman(ns: argparse.Namespace) -> tuple[int, str]:
+    alpha = _load_alphabet(ns.path)
+    u = _word(alpha, ns.lhs)
+    v = _word(alpha, ns.rhs)
     payload = {"lhs": list(u.labels), "rhs": list(v.labels), "leq": leq_H(u, v)}
-    return 0, _envelope(config, payload)
+    return 0, _envelope(ns, payload)
 
 
-def _cmd_hier(config: RunConfig) -> tuple[int, str]:
-    q = _load_qo(config.paths[0])
-    sub = config.command[1]
-    if sub == "build" and config.kind != "symbolic":
-        level = hierarchy.build_level(
-            q, config.alpha, kind=config.kind, max_members=config.max_members
-        )
+def _cmd_hier(ns: argparse.Namespace) -> tuple[int, str]:
+    q = _load_qo(ns.path)
+    if ns.sub == "build":
+        level = hierarchy.build_level(q, ns.alpha, kind=ns.kind, max_members=ns.max_members)
         payload = {
-            "kind": config.kind,
-            "alpha": config.alpha,
+            "kind": ns.kind,
+            "alpha": ns.alpha,
             "levels": [
                 {"alpha": lv.alpha, "count": lv.cardinality, "members": [x.serial for x in lv.members]}
                 for lv in level.chain()
             ],
         }
-        return 0, _envelope(config, payload)
-    system = hierarchy.build_atoms(q, config.alpha, max_members=config.max_members)
-    if sub == "atoms" and config.fmt == "dot":
+        return 0, _envelope(ns, payload)
+    system = hierarchy.build_atoms(q, ns.alpha, max_members=ns.max_members)
+    if ns.format == "dot":
         return 0, hasse_dot(system.alphabet.order, name="atoms")
     payload = {
         "alpha": system.alpha,
@@ -197,58 +175,37 @@ def _cmd_hier(config: RunConfig) -> tuple[int, str]:
             for i in range(len(system.atoms))
         ],
     }
-    return 0, _envelope(config, payload)
+    return 0, _envelope(ns, payload)
 
 
-def _cmd_verify(config: RunConfig) -> tuple[int, str]:
-    sub = config.command[1]
-    if sub == "higman-dp":
-        reports = [dp_agreement_sweep(max_atoms=config.max_atoms, max_pair_len=config.maxlen)]
-    elif sub == "axioms":
-        m = monoid_from_json(_load_json(config.paths[0]))
+def _cmd_verify(ns: argparse.Namespace) -> tuple[int, str]:
+    if ns.sub == "higman-dp":
+        reports = [dp_agreement_sweep(max_atoms=ns.max_atoms, max_pair_len=ns.maxlen)]
+    elif ns.sub == "axioms":
+        m = monoid_from_json(_load_json(ns.path))
         reports = [check_axioms(m), check_plus_property(m), check_prime_product_lemma(m)]
     else:
-        q = _load_qo(config.paths[0])
-        if sub == "two-forms":
-            reports = [oracle.check_two_forms(q, maxlen=config.maxlen)]
-        elif sub == "containment":
-            reports = [oracle.check_containment_agreement(q, config.alpha, maxlen=config.maxlen)]
-        elif sub == "xywz":
-            reports = [oracle.check_xy_wz(q, maxlen=config.maxlen)]
+        q = _load_qo(ns.path)
+        if ns.sub == "two-forms":
+            reports = [oracle.check_two_forms(q, maxlen=ns.maxlen)]
+        elif ns.sub == "containment":
+            reports = [oracle.check_containment_agreement(q, ns.alpha, maxlen=ns.maxlen)]
+        elif ns.sub == "xywz":
+            reports = [oracle.check_xy_wz(q, maxlen=ns.maxlen)]
         else:
-            table = build_reflection(q, config.alpha)
+            table = build_reflection(q, ns.alpha)
             reports = [verify_reflection(table)]
     code, payload = _report_payload(reports)
-    return code, _envelope(config, payload)
-
-
-_HANDLERS = {
-    "qo": _cmd_qo,
-    "downsets": _cmd_downsets,
-    "ideals": _cmd_downsets,
-    "monoid": _cmd_monoid,
-    "higman": _cmd_higman,
-    "hier": _cmd_hier,
-    "verify": _cmd_verify,
-}
-
-
-def dispatch(config: RunConfig) -> tuple[int, str]:
-    return _HANDLERS[config.command[0]](config)
+    return code, _envelope(ns, payload)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="idealforge")
     top.add_argument("--seed", type=int, default=0, help="recorded in every report")
-    top.add_argument(
-        "--max-members",
-        type=int,
-        default=None,
-        help="member-count bound for hierarchy builds (env IDEALFORGE_MAX_MEMBERS)",
-    )
     sub = top.add_subparsers(dest="cmd", required=True)
 
     qo = sub.add_parser("qo", help="inspect a quasi-order file")
+    qo.set_defaults(run=_cmd_qo)
     qosub = qo.add_subparsers(dest="sub", required=True)
     for name in ("validate", "quotient", "dot"):
         p = qosub.add_parser(name)
@@ -256,9 +213,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name in ("downsets", "ideals"):
         p = sub.add_parser(name, help=f"enumerate {name} of a quasi-order")
+        p.set_defaults(run=_cmd_downsets)
         p.add_argument("path")
 
     mo = sub.add_parser("monoid", help="check or factor a multiplicative carrier")
+    mo.set_defaults(run=_cmd_monoid)
     mosub = mo.add_subparsers(dest="sub", required=True)
     for name in ("check", "primes", "factor"):
         p = mosub.add_parser(name)
@@ -267,81 +226,58 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--element", required=True)
 
     hg = sub.add_parser("higman", help="compare words over an annotated alphabet")
+    hg.set_defaults(run=_cmd_higman)
     hgsub = hg.add_subparsers(dest="sub", required=True)
     p = hgsub.add_parser("leq")
-    p.add_argument("--alphabet", required=True)
+    p.add_argument("--alphabet", dest="path", required=True)
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
 
     hi = sub.add_parser("hier", help="build iterated ideal stages or their atoms")
+    hi.set_defaults(run=_cmd_hier)
     hisub = hi.add_subparsers(dest="sub", required=True)
-    p = hisub.add_parser("build")
-    p.add_argument("--qo", required=True)
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--kind", choices=("ihat", "vstar", "istar", "symbolic"), default="ihat")
-    p = hisub.add_parser("atoms")
-    p.add_argument("--qo", required=True)
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--format", choices=("json", "dot"), default="json")
+    for name in ("build", "atoms"):
+        p = hisub.add_parser(name)
+        p.add_argument("--qo", dest="path", required=True)
+        p.add_argument("--alpha", type=int, required=True)
+        p.add_argument(
+            "--max-members",
+            type=int,
+            default=hierarchy.DEFAULT_MAX_MEMBERS,
+            help="member-count bound for each stage",
+        )
+        if name == "build":
+            p.add_argument("--kind", choices=("ihat", "vstar", "istar"), default="ihat")
+        else:
+            p.add_argument("--format", choices=("json", "dot"), default="json")
 
     ve = sub.add_parser("verify", help="run a theorem check and report")
+    ve.set_defaults(run=_cmd_verify)
     vesub = ve.add_subparsers(dest="sub", required=True)
     for name in ("two-forms", "containment", "xywz"):
         p = vesub.add_parser(name)
-        p.add_argument("--qo", required=True)
+        p.add_argument("--qo", dest="path", required=True)
         p.add_argument("--maxlen", type=int, default=4)
         if name == "containment":
             p.add_argument("--alpha", type=int, default=1)
     p = vesub.add_parser("reflect")
-    p.add_argument("--qo", required=True)
+    p.add_argument("--qo", dest="path", required=True)
     p.add_argument("--alpha", type=int, default=1)
     p = vesub.add_parser("higman-dp")
     p.add_argument("--max-atoms", type=int, default=3)
     p.add_argument("--maxlen", type=int, default=4)
     p = vesub.add_parser("axioms")
-    p.add_argument("--monoid", required=True)
+    p.add_argument("--monoid", dest="path", required=True)
     return top
-
-
-def parse_args(argv=None) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
-    max_members = ns.max_members
-    if max_members is None and os.environ.get("IDEALFORGE_MAX_MEMBERS"):
-        max_members = int(os.environ["IDEALFORGE_MAX_MEMBERS"])
-    command = (ns.cmd,) if getattr(ns, "sub", None) is None else (ns.cmd, ns.sub)
-    paths = tuple(
-        p
-        for p in (
-            getattr(ns, "path", None),
-            getattr(ns, "qo", None),
-            getattr(ns, "monoid", None),
-            getattr(ns, "alphabet", None),
-        )
-        if p
-    )
-    return RunConfig(
-        command=command,
-        paths=paths,
-        alpha=getattr(ns, "alpha", 1),
-        maxlen=getattr(ns, "maxlen", 4),
-        kind=getattr(ns, "kind", "ihat"),
-        fmt=getattr(ns, "format", "json"),
-        max_members=max_members,
-        seed=ns.seed,
-        lhs=getattr(ns, "lhs", ""),
-        rhs=getattr(ns, "rhs", ""),
-        element=getattr(ns, "element", None),
-        max_atoms=getattr(ns, "max_atoms", 3),
-    )
 
 
 def main(argv=None) -> int:
     try:
-        config = parse_args(argv)
+        ns = _build_parser().parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:
-        code, out = dispatch(config)
+        code, out = ns.run(ns)
     except (IdealforgeError, OSError, ValueError, KeyError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

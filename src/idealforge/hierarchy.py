@@ -11,7 +11,6 @@ treated as the definition of the other.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -22,16 +21,11 @@ from .higman import AtomAlphabet, HWord
 from .monoid import MonoidalQO
 from .qo import FiniteQO, all_downsets_of_poset, equiv_classes
 
-_DEFAULT_MAX_MEMBERS = 20_000
+# The paper's hierarchy runs through every ordinal; this package stops here.
+LEVEL_CAP = 3
+DEFAULT_MAX_MEMBERS = 20_000
 # 2^k candidate subsets; past this the enumeration loop itself is the problem
 _SUBSET_CAP = 20
-
-
-def _resolve_max_members(max_members: int | None) -> int:
-    if max_members is not None:
-        return max_members
-    env = os.environ.get("IDEALFORGE_MAX_MEMBERS")
-    return int(env) if env else _DEFAULT_MAX_MEMBERS
 
 
 class HSet:
@@ -217,8 +211,7 @@ def build_level(
     base: FiniteQO | MonoidalQO,
     alpha: int,
     kind: str = "ihat",
-    level_cap: int = 3,
-    max_members: int | None = None,
+    max_members: int = DEFAULT_MAX_MEMBERS,
 ) -> HierLevel:
     """Iterate one of the three set-formation rules alpha times.
 
@@ -233,14 +226,10 @@ def build_level(
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
     if alpha < 0:
         raise ValueError(f"level must be at least 0, got {alpha}")
-    if alpha > level_cap:
-        raise LevelCapExceededError(
-            f"level {alpha} exceeds the cap of {level_cap}; raise level_cap "
-            "explicitly if the growth is affordable"
-        )
+    if alpha > LEVEL_CAP:
+        raise LevelCapExceededError(f"level {alpha} exceeds the cap of {LEVEL_CAP}")
     if q.n == 0:
         raise EmptyCarrierError("no hierarchy over the empty carrier")
-    bound = _resolve_max_members(max_members)
 
     members = _canonical_reps(
         (ur_elem(cls[0]) for cls in equiv_classes(q)), q
@@ -273,14 +262,14 @@ def build_level(
                 ):
                     continue
                 new_sets.append(hset(prev[i] for i in chosen))
-                if len(new_sets) > bound:
+                if len(new_sets) > max_members:
                     raise CombinatorialBlowupError(
-                        f"stage {stage} exceeds {bound} candidate members"
+                        f"stage {stage} exceeds {max_members} candidate members"
                     )
         candidates = list(prev) + new_sets
-        if len(candidates) > bound:
+        if len(candidates) > max_members:
             raise CombinatorialBlowupError(
-                f"stage {stage} exceeds {bound} candidate members"
+                f"stage {stage} exceeds {max_members} candidate members"
             )
         level = HierLevel(stage, kind, q, _canonical_reps(candidates, q), level)
     return level
@@ -432,8 +421,7 @@ class AtomSystem:
 def build_atoms(
     p: FiniteQO,
     alpha: int,
-    level_cap: int = 3,
-    max_members: int | None = None,
+    max_members: int = DEFAULT_MAX_MEMBERS,
 ) -> AtomSystem:
     """Accumulate the prime alphabet over p up to the given level.
 
@@ -445,13 +433,10 @@ def build_atoms(
     """
     if alpha < 0:
         raise ValueError(f"level must be at least 0, got {alpha}")
-    if alpha > level_cap:
-        raise LevelCapExceededError(
-            f"level {alpha} exceeds the cap of {level_cap}"
-        )
+    if alpha > LEVEL_CAP:
+        raise LevelCapExceededError(f"level {alpha} exceeds the cap of {LEVEL_CAP}")
     if p.n == 0:
         raise EmptyCarrierError("no letters over the empty carrier")
-    bound = _resolve_max_members(max_members)
 
     atoms: list[Atom] = [non_idem_atom(p, cls[0]) for cls in equiv_classes(p)]
     present = set(atoms)
@@ -462,16 +447,16 @@ def build_atoms(
         for i in range(k):
             for j in range(k):
                 table[i, j] = compare_atoms(atoms[i], atoms[j])
-        for ds in all_downsets_of_poset(table, max_count=bound):
+        for ds in all_downsets_of_poset(table, max_count=max_members):
             if not ds:
                 continue
             atom = idem_atom(p, (atoms[i] for i in ds))
             if atom not in present:
                 present.add(atom)
                 atoms.append(atom)
-        if len(atoms) > bound:
+        if len(atoms) > max_members:
             raise CombinatorialBlowupError(
-                f"alphabet exceeds {bound} letters"
+                f"alphabet exceeds {max_members} letters"
             )
         counts.append(len(atoms))
 

@@ -24,6 +24,11 @@ from .monoid import MonoidalQO, primes as monoid_primes
 from .qo import FiniteQO, all_downsets_of_poset, all_quasi_orders, quotient
 from .report import CheckResult, Report
 
+# longest word the explicit witness search accepts
+_BRUTEFORCE_MAX_LEN = 8
+# longest prime product on each side of check_abstractly_higman
+_MAX_TUPLE = 3
+
 
 class AtomAlphabet:
     """An ordered alphabet split into plain and idempotent letters.
@@ -167,12 +172,12 @@ def _witness_exists(
     return False
 
 
-def leq_H_bruteforce(u: HWord, v: HWord, max_len: int = 8) -> bool:
+def leq_H_bruteforce(u: HWord, v: HWord) -> bool:
     'Ground truth by the explicit witness search, guarded against long words.'
     if u.alphabet is not v.alphabet:
         raise AlphabetMismatchError("cannot compare words over different alphabets")
-    if len(u) > max_len or len(v) > max_len:
-        raise TooLargeError(f"witness search is capped at length {max_len}")
+    if len(u) > _BRUTEFORCE_MAX_LEN or len(v) > _BRUTEFORCE_MAX_LEN:
+        raise TooLargeError(f"witness search is capped at length {_BRUTEFORCE_MAX_LEN}")
     alpha = u.alphabet
     return _witness_exists(u.letters, v.letters, alpha._leq_rows, alpha.idem)
 
@@ -302,10 +307,10 @@ def hword_primes_check(alphabet: AtomAlphabet, maxlen: int = 4) -> Report:
     )
 
 
-def check_abstractly_higman(m: MonoidalQO, max_tuple: int = 3) -> Report:
+def check_abstractly_higman(m: MonoidalQO) -> Report:
     """Does comparison of prime products reduce to letterwise matching?
 
-    Products of at most max_tuple primes on each side: the left product sits
+    Products of at most three primes on each side: the left product sits
     below the right one exactly when a weakly increasing map matches every
     left prime below its target and only idempotent targets absorb more than
     one.  Both directions are checked; a failure of either is reported with
@@ -314,7 +319,7 @@ def check_abstractly_higman(m: MonoidalQO, max_tuple: int = 3) -> Report:
     leq_rows = m.order.leq.tolist()
     M = m.mult
     ps = sorted(monoid_primes(m))
-    if len(ps) ** max_tuple > 200_000:
+    if len(ps) ** _MAX_TUPLE > 200_000:
         raise ScaleExceededError("too many prime tuples")
     idem = {p for p in ps if m.order.equiv(int(M[p, p]), p)}
 
@@ -325,7 +330,7 @@ def check_abstractly_higman(m: MonoidalQO, max_tuple: int = 3) -> Report:
         return acc
 
     tuples: list[tuple[int, ...]] = [()]
-    for length in range(1, max_tuple + 1):
+    for length in range(1, _MAX_TUPLE + 1):
         tuples.extend(itertools.product(ps, repeat=length))
     prods = [prod(t) for t in tuples]
 
@@ -422,6 +427,9 @@ def dp_agreement_sweep(
     """
     from .qo import _canonical_relation_key
 
+    if max_atoms < 1:
+        # no alphabet to sweep, and an empty sweep must not read as passed
+        raise ValueError(f"max_atoms must be at least 1, got {max_atoms}")
     disagreement = None
     systems = 0
     pairs = 0

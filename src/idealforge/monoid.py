@@ -16,6 +16,9 @@ from .errors import EmptyCarrierError, NoFactorizationError, SchemaError, Unknow
 from .qo import FiniteQO, equiv_classes, from_json as qo_from_json, to_json as qo_to_json
 from .report import CheckResult, Report
 
+# longest factor product check_prime_product_lemma tries
+_MAX_TUPLE = 3
+
 
 class MonoidalQO:
     """A finite quasi-order with a total multiplication table and a unit.
@@ -291,14 +294,14 @@ def prime_factorization(m: MonoidalQO, q: int) -> list[int]:
     return go(q)
 
 
-def check_prime_product_lemma(m: MonoidalQO, max_tuple: int = 3) -> Report:
-    'A prime below a product of at most max_tuple factors is below some factor.'
+def check_prime_product_lemma(m: MonoidalQO) -> Report:
+    'A prime below a product of at most three factors is below some factor.'
     leq = m.order.leq
     M = m.mult
     ps = sorted(primes(m))
     counterexample = None
     checked = 0
-    for length in range(1, max_tuple + 1):
+    for length in range(1, _MAX_TUPLE + 1):
         for factors in itertools.product(range(m.n), repeat=length):
             prod = factors[0]
             for f in factors[1:]:

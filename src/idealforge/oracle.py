@@ -117,16 +117,16 @@ class DenotationContext:
 
     __slots__ = ("base", "maxlen", "seqs", "index", "splits", "_atom_masks", "_word_masks")
 
-    def __init__(self, p: FiniteQO, maxlen: int, max_universe: int = _SEQ_UNIVERSE_CAP):
+    def __init__(self, p: FiniteQO, maxlen: int):
         if maxlen < 1:
             # a letter denotes one-letter sequences, so the universe needs them
             raise ValueError(f"maxlen must be at least 1, got {maxlen}")
         self.base = p
         self.maxlen = maxlen
         self.seqs = all_sequences(p, maxlen)
-        if len(self.seqs) > max_universe:
+        if len(self.seqs) > _SEQ_UNIVERSE_CAP:
             raise ScaleExceededError(
-                f"{len(self.seqs)} sequences exceed the cap of {max_universe}"
+                f"{len(self.seqs)} sequences exceed the cap of {_SEQ_UNIVERSE_CAP}"
             )
         self.index = {s: i for i, s in enumerate(self.seqs)}
         # splits[i] lists (prefix, suffix) index pairs over every cut of
@@ -137,9 +137,6 @@ class DenotationContext:
         )
         self._atom_masks: dict[Atom, int] = {}
         self._word_masks: dict[tuple[int, ...], int] = {}
-
-    def universe_mask(self) -> int:
-        return (1 << len(self.seqs)) - 1
 
     def members(self, mask: int) -> list[tuple[int, ...]]:
         return [s for i, s in enumerate(self.seqs) if mask >> i & 1]
@@ -260,7 +257,6 @@ def check_containment_agreement(
     alpha: int,
     maxlen: int = 4,
     max_word_len: int = 3,
-    level_cap: int = 3,
 ) -> Report:
     """Pit the word-order decision against raw denotation containment.
 
@@ -271,7 +267,7 @@ def check_containment_agreement(
     """
     if alpha > 2 or maxlen > 5:
         raise ScaleExceededError("containment sweep is sized for alpha <= 2, maxlen <= 5")
-    system = build_atoms(p, alpha, level_cap=level_cap)
+    system = build_atoms(p, alpha)
     ctx = DenotationContext(p, maxlen)
     words = _atom_words(system, max_word_len)
     hwords = [system.word(t) for t in words]
@@ -323,7 +319,7 @@ def check_containment_agreement(
 
 
 def check_two_forms(
-    p: FiniteQO, maxlen: int = 4, max_word_len: int = 3, level_cap: int = 3
+    p: FiniteQO, maxlen: int = 4, max_word_len: int = 3
 ) -> Report:
     """Every level-1 prime ideal must denote a star set or a down set.
 
@@ -334,7 +330,7 @@ def check_two_forms(
     """
     if maxlen > 4:
         raise ScaleExceededError("two-forms sweep is sized for maxlen <= 4")
-    system = build_atoms(p, 1, level_cap=level_cap)
+    system = build_atoms(p, 1)
     primes = hword_primes_check(system.alphabet, maxlen=max_word_len)
     ctx = DenotationContext(p, maxlen)
 
@@ -468,7 +464,7 @@ def _intern(rows: list[list]) -> tuple[list[list[int]], list]:
 
 
 def check_xy_wz(
-    p: FiniteQO, maxlen: int = 4, max_word_len: int = 2, level_cap: int = 3
+    p: FiniteQO, maxlen: int = 4, max_word_len: int = 2
 ) -> Report:
     """Containment of denotation products forces a factorwise containment.
 
@@ -490,7 +486,7 @@ def check_xy_wz(
     """
     if maxlen > 4:
         raise ScaleExceededError("product sweep is sized for maxlen <= 4")
-    system = build_atoms(p, 1, level_cap=level_cap)
+    system = build_atoms(p, 1)
     ctx = DenotationContext(p, maxlen)
     words = _atom_words(system, max_word_len)
     atoms = [tuple(system.atoms[i] for i in t) for t in words]

@@ -123,14 +123,19 @@ def validate(elements: Iterable[str], order: Iterable[tuple[str, str]], close: b
     return FiniteQO(elements, table)
 
 
+def _is_label(x) -> bool:
+    # a JSON escape can spell a lone surrogate, which no UTF-8 output can hold
+    return isinstance(x, str) and not any("\ud800" <= c <= "\udfff" for c in x)
+
+
 def from_json(obj: dict) -> FiniteQO:
     'Read the {"elements": [...], "order": [[a,b],...], "close": bool} form.'
     if not isinstance(obj, dict):
         raise SchemaError("a quasi-order must be a JSON object")
     elements, order = obj.get("elements"), obj.get("order")
     close = obj.get("close", False)
-    if not isinstance(elements, list) or not all(isinstance(x, str) for x in elements):
-        raise SchemaError('"elements" must be a list of strings')
+    if not isinstance(elements, list) or not all(_is_label(x) for x in elements):
+        raise SchemaError('"elements" must be a list of strings without lone surrogates')
     if not isinstance(order, list) or not all(
         isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p)
         for p in order

@@ -47,9 +47,9 @@ class ReflectionTable:
         return self.entries[atom]
 
 
-def build_reflection(p: FiniteQO, alpha: int, level_cap: int = 3) -> ReflectionTable:
+def build_reflection(p: FiniteQO, alpha: int) -> ReflectionTable:
     'Build the atom system at the given level and translate every atom.'
-    system = build_atoms(p, alpha, level_cap=level_cap)
+    system = build_atoms(p, alpha)
     star_qo = disjoint_union_with_star(p)
     star = star_qo.n - 1
     entries: dict[Atom, HSet | None] = {}

@@ -1,6 +1,15 @@
+import io
+import itertools
 import json
+import os
+import re
+import shlex
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idealforge.cli import main
 from idealforge.fixtures import squaring_to_unit
@@ -58,6 +67,68 @@ def test_malformed_qo_is_a_usage_error(capsys, tmp_path, doc):
     assert out == ""
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_deeply_nested_json_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run(capsys, "qo", "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+# Arbitrary JSON, well-shaped carrier and alphabet objects (which reach the
+# library), and such objects with one field replaced by arbitrary JSON.  A
+# JSON escape can spell a lone surrogate, which no UTF-8 output can hold.
+_LABELS = st.sampled_from(["a", "b", "t", "\ud800"])
+_ANY = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _LABELS | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+def _carrier(elements):
+    label = st.sampled_from(elements)
+    return st.fixed_dictionaries(
+        {
+            "elements": st.just(elements),
+            "order": st.lists(st.lists(label, min_size=2, max_size=2), max_size=4),
+            "close": st.booleans(),
+            "idem": st.lists(label, max_size=2, unique=True),
+        }
+    )
+
+
+_CARRIER = st.lists(_LABELS, min_size=1, max_size=3, unique=True).flatmap(_carrier)
+_JSON = _ANY | _CARRIER | st.builds(
+    lambda doc, key, value: {**doc, key: value},
+    _CARRIER,
+    st.sampled_from(["elements", "order", "close", "idem"]),
+    _ANY,
+)
+_FUZZED = [
+    ("qo", "validate"),
+    ("downsets",),
+    ("ideals",),
+    ("higman", "leq", "--lhs", "a", "--rhs", "b,t", "--alphabet"),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_FUZZED), _JSON)
+def test_arbitrary_json_keeps_the_exit_contract(command, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main([*command, path])
+    assert code in (0, 2)
+    out.getvalue().encode("utf-8")
 
 
 ONE = {"elements": ["a"], "order": [["a", "a"]]}
@@ -278,6 +349,7 @@ def test_verify_containment_fails_on_undecided_pairs(capsys):
     [
         (("hier", "build", "--qo", str(DATA / "a2.json"), "--alpha", "-1"), "level"),
         (("verify", "xywz", "--qo", str(DATA / "a2.json"), "--maxlen", "0"), "maxlen"),
+        (("verify", "higman-dp", "--max-atoms", "0"), "max_atoms"),
     ],
 )
 def test_out_of_domain_level_or_bound_is_a_usage_error(capsys, argv, what):
@@ -295,3 +367,29 @@ def test_seed_is_recorded(capsys):
     )
     assert code == 0
     assert doc["seed"] == 9
+
+
+def _readme_commands():
+    'The argument lists of every idealforge line in the sh blocks of README.md.'
+    text = (DATA.parent / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["idealforge"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_examples_run(capsys, monkeypatch):
+    monkeypatch.chdir(DATA.parent)
+    commands = _readme_commands()
+    assert commands
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        if out.startswith("{"):
+            words = itertools.takewhile(
+                lambda w: not w.startswith("-") and not w.endswith(".json"), argv
+            )
+            assert json.loads(out)["command"] == " ".join(words)

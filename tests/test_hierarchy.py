@@ -181,14 +181,6 @@ def test_level_guards(a2, antichain3):
         build_level(antichain3, 3, "vstar", max_members=40)
 
 
-def test_max_members_env_fallback(a2, antichain3, monkeypatch):
-    monkeypatch.setenv("IDEALFORGE_MAX_MEMBERS", "40")
-    with pytest.raises(CombinatorialBlowupError):
-        build_level(antichain3, 3, "vstar")
-    # an explicit argument wins over the environment
-    build_level(a2, 2, "vstar", max_members=1000)
-
-
 def test_atom_interning_and_validation(a2, chain2):
     p = non_idem_atom(a2, 0)
     assert p is non_idem_atom(a2, 0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idealforge.errors import AlphabetMismatchError
+from idealforge.errors import AlphabetMismatchError, TooLargeError
 from idealforge.higman import (
     AtomAlphabet,
     HWord,
@@ -164,7 +164,7 @@ def test_bounded_word_monoid_satisfies_axioms():
 
 
 def test_abstract_matching_against_capped_addition():
-    report = check_abstractly_higman(capped_addition(4), max_tuple=3)
+    report = check_abstractly_higman(capped_addition(4))
     assert report.passed
     assert report.checks[0].stats["prime_count"] == 1
 
@@ -172,7 +172,7 @@ def test_abstract_matching_against_capped_addition():
 def test_abstract_matching_fails_on_commuting_primes():
     # a1*a2 and a2*a1 are both the top, yet no weakly increasing map matches
     # a1.a2 letterwise into a2.a1
-    report = check_abstractly_higman(flat(2), max_tuple=3)
+    report = check_abstractly_higman(flat(2))
     assert not report.passed
     check = report.checks[0]
     assert check.counterexample == {
@@ -192,5 +192,5 @@ def test_upward_closed_subsets(chain2):
 def test_brute_force_cap():
     al = classical(2)
     long = HWord(al, [0] * 9)
-    with pytest.raises(Exception):
-        leq_H_bruteforce(long, long, max_len=8)
+    with pytest.raises(TooLargeError):
+        leq_H_bruteforce(long, long)
