@@ -11,12 +11,10 @@ from idealforge.hierarchy import (
     build_atoms,
     build_level,
     compare_atoms,
-    hat_mult,
     hset,
     lesssim_star,
     ur_elem,
 )
-from idealforge.fixtures import capped_addition
 from idealforge.qo import FiniteQO, validate
 
 a2 = FiniteQO(["a", "b"], np.eye(2, dtype=bool))
@@ -31,12 +29,6 @@ print("vstar stage 2:", [x.serial for x in lv.members])
 # hereditary sets compare by the forall-exists rule
 x = hset([ur_elem(0), ur_elem(1)])
 print("{u0,u1} ~< {u0}:", lesssim_star(x, hset([ur_elem(0)]), a2), " rank:", x.rank)
-
-# stage multiplication picks the least-level representative of the product
-m = capped_addition(2)
-lv = build_level(m, 1, kind="istar")
-one = lv.members[1]
-print("1 times 1 lands on:", hat_mult(one, one, lv, m))
 
 # the atom alphabet for A2 at level 1: two plain letters, three star letters
 system = build_atoms(a2, 1)

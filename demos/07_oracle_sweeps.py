@@ -13,16 +13,12 @@ from idealforge.oracle import (
     check_xy_wz,
     denote_member,
     higman_embed,
-    truncated_seq_qo,
 )
 from idealforge.qo import FiniteQO
 
 a2 = FiniteQO(["a", "b"], np.eye(2, dtype=bool))
 
 print("embedding (a,b) into (a,a,b):", higman_embed((0, 1), (0, 0, 1), a2))
-
-t = truncated_seq_qo(a2, 3)
-print("sequence universe at maxlen 3:", t.qo.n, "members")
 
 system = build_atoms(a2, 1)
 star_a = system.atoms[3]

@@ -30,7 +30,6 @@ from .hierarchy import (
     build_atoms,
     build_level,
     compare_atoms,
-    hat_mult,
     hset,
     hset_mult,
     lesssim_star,
@@ -60,13 +59,11 @@ from .monoid import (
 )
 from .oracle import (
     DenotationContext,
-    TruncatedSeqQO,
     check_containment_agreement,
     check_two_forms,
     check_xy_wz,
     denote_member,
     higman_embed,
-    truncated_seq_qo,
 )
 from .qo import FiniteQO, from_json, quotient, to_json, validate
 from .reflect import ReflectionTable, build_reflection, verify_reflection

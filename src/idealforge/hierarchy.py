@@ -231,42 +231,13 @@ def build_level(
     if q.n == 0:
         raise EmptyCarrierError("no hierarchy over the empty carrier")
 
-    members = _canonical_reps(
-        (ur_elem(cls[0]) for cls in equiv_classes(q)), q
-    )
-    level = HierLevel(0, kind, q, members, None)
-    for stage in range(1, alpha + 1):
-        prev = level.members
-        k = len(prev)
-        new_sets: list[HSet] = []
-        if kind == "ihat":
-            for x in prev:
-                closure = [y for y in prev if lesssim_star(y, x, q)]
-                new_sets.append(hset(closure))
-        else:
-            if k > _SUBSET_CAP:
-                raise CombinatorialBlowupError(
-                    f"subset enumeration over {k} members"
-                )
-            up_bits = [0] * k
-            for i in range(k):
-                for j in range(k):
-                    if lesssim_star(prev[i], prev[j], q):
-                        up_bits[i] |= 1 << j
-            for mask in range(1, 1 << k):
-                chosen = [i for i in range(k) if mask >> i & 1]
-                if kind == "istar" and not all(
-                    up_bits[i] & up_bits[j] & mask
-                    for i in chosen
-                    for j in chosen
-                ):
-                    continue
-                new_sets.append(hset(prev[i] for i in chosen))
-                if len(new_sets) > max_members:
-                    raise CombinatorialBlowupError(
-                        f"stage {stage} exceeds {max_members} candidate members"
-                    )
-        candidates = list(prev) + new_sets
+    level = None
+    candidates = [ur_elem(cls[0]) for cls in equiv_classes(q)]
+    for stage in range(alpha + 1):
+        if stage:
+            candidates = list(level.members) + _adjoined_sets(
+                level.members, kind, q, stage, max_members
+            )
         if len(candidates) > max_members:
             raise CombinatorialBlowupError(
                 f"stage {stage} exceeds {max_members} candidate members"
@@ -275,18 +246,36 @@ def build_level(
     return level
 
 
-def hat_mult(x: HSet, y: HSet, level: HierLevel, m: MonoidalQO) -> HSet | None:
-    """The representative of x*y at the lowest stage holding one, or None.
-
-    None is a value here, not an error: a truncated hierarchy need not be
-    closed under products, and callers decide what absence means.
-    """
-    prod = hset_mult(x, y, m)
-    for stage in level.chain():
-        for member in stage.members:
-            if sim_star(member, prod, level.base):
-                return member
-    return None
+def _adjoined_sets(
+    prev: tuple[HSet, ...], kind: str, q: FiniteQO, stage: int, max_members: int
+) -> list[HSet]:
+    'The sets one stage of the given kind adjoins to the previous members.'
+    k = len(prev)
+    new_sets: list[HSet] = []
+    if kind == "ihat":
+        for x in prev:
+            closure = [y for y in prev if lesssim_star(y, x, q)]
+            new_sets.append(hset(closure))
+        return new_sets
+    if k > _SUBSET_CAP:
+        raise CombinatorialBlowupError(f"subset enumeration over {k} members")
+    up_bits = [0] * k
+    for i in range(k):
+        for j in range(k):
+            if lesssim_star(prev[i], prev[j], q):
+                up_bits[i] |= 1 << j
+    for mask in range(1, 1 << k):
+        chosen = [i for i in range(k) if mask >> i & 1]
+        if kind == "istar" and not all(
+            up_bits[i] & up_bits[j] & mask for i in chosen for j in chosen
+        ):
+            continue
+        new_sets.append(hset(prev[i] for i in chosen))
+        if len(new_sets) > max_members:
+            raise CombinatorialBlowupError(
+                f"stage {stage} exceeds {max_members} candidate members"
+            )
+    return new_sets
 
 
 class Atom:
@@ -392,6 +381,16 @@ def _letter_leq(x: Atom, y: Atom) -> bool:
     return out
 
 
+def _letter_table(atoms: list[Atom]) -> np.ndarray:
+    'The compare_atoms table over the given letters, by index.'
+    k = len(atoms)
+    table = np.zeros((k, k), dtype=bool)
+    for i in range(k):
+        for j in range(k):
+            table[i, j] = compare_atoms(atoms[i], atoms[j])
+    return table
+
+
 @dataclass(eq=False)
 class AtomSystem:
     """The symbolic prime alphabet of a carrier at one level.
@@ -406,9 +405,6 @@ class AtomSystem:
     atoms: tuple[Atom, ...]
     alphabet: AtomAlphabet
     level_counts: tuple[int, ...]
-
-    def atom_index(self, atom: Atom) -> int:
-        return self.atoms.index(atom)
 
     def word(self, letters: Iterable[Atom | int]) -> HWord:
         'An alphabet word from atoms or atom indices.'
@@ -440,32 +436,21 @@ def build_atoms(
 
     atoms: list[Atom] = [non_idem_atom(p, cls[0]) for cls in equiv_classes(p)]
     present = set(atoms)
-    counts = [len(atoms)]
-    for _ in range(1, alpha + 1):
-        k = len(atoms)
-        table = np.zeros((k, k), dtype=bool)
-        for i in range(k):
-            for j in range(k):
-                table[i, j] = compare_atoms(atoms[i], atoms[j])
-        for ds in all_downsets_of_poset(table, max_count=max_members):
-            if not ds:
-                continue
-            atom = idem_atom(p, (atoms[i] for i in ds))
-            if atom not in present:
-                present.add(atom)
-                atoms.append(atom)
+    counts = []
+    for stage in range(alpha + 1):
+        if stage:
+            for ds in all_downsets_of_poset(_letter_table(atoms), max_count=max_members):
+                if not ds:
+                    continue
+                atom = idem_atom(p, (atoms[i] for i in ds))
+                if atom not in present:
+                    present.add(atom)
+                    atoms.append(atom)
         if len(atoms) > max_members:
-            raise CombinatorialBlowupError(
-                f"alphabet exceeds {max_members} letters"
-            )
+            raise CombinatorialBlowupError(f"alphabet exceeds {max_members} letters")
         counts.append(len(atoms))
 
     atoms.sort(key=lambda a: (a.level, a.serial))
-    k = len(atoms)
-    table = np.zeros((k, k), dtype=bool)
-    for i in range(k):
-        for j in range(k):
-            table[i, j] = compare_atoms(atoms[i], atoms[j])
-    order = FiniteQO(tuple(a.serial for a in atoms), table)
+    order = FiniteQO(tuple(a.serial for a in atoms), _letter_table(atoms))
     alphabet = AtomAlphabet(order, (i for i, a in enumerate(atoms) if a.is_idem))
     return AtomSystem(p, alpha, tuple(atoms), alphabet, tuple(counts))

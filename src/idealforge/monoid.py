@@ -333,18 +333,6 @@ def check_prime_product_lemma(m: MonoidalQO) -> Report:
     )
 
 
-def neutral_elements(m: MonoidalQO) -> list[int]:
-    'Every element acting neutrally on both sides, up to equivalence.'
-    eq = _eq_table(m)
-    M = m.mult
-    idx = np.arange(m.n)
-    return [
-        e
-        for e in range(m.n)
-        if eq[M[e, :], idx].all() and eq[M[:, e], idx].all()
-    ]
-
-
 def ideal_monoid(m: MonoidalQO) -> MonoidalQO:
     """The monoid of ideals of the carrier under the pointwise product and
     inclusion.  Element i is enumerate_ideals(m.order)[i]; labels list the
@@ -374,7 +362,6 @@ __all__ = [
     "ideal_monoid",
     "monoid_from_json",
     "monoid_to_json",
-    "neutral_elements",
     "primes",
     "prime_factorization",
     "equiv_classes",

@@ -3,21 +3,20 @@
 The semantic side here is deliberately primitive: sequences over the carrier
 compare by a greedy classical embedding, symbolic letters denote explicit
 sets of short sequences, and the theorem checks compare those sets bit by
-bit.  None of it consults the word-embedding decision procedure or the
-letter-order rules, so agreement between the two routes is evidence rather
-than wiring.  The check_* drivers are the only places both routes meet.
+bit.  Products of level-1 denotations are also decided with no length
+bound, by greedy inclusion of factor products, and the bounded bitmasks
+guard that decision.  None of it consults the word-embedding decision
+procedure or the letter-order rules, so agreement between the two routes is
+evidence rather than wiring.  The check_* drivers are the only places both
+routes meet.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ScaleExceededError
 from .higman import HWord, hword_primes_check, leq_H
 from .hierarchy import Atom, AtomSystem, build_atoms
-from .monoid import MonoidalQO
 from .qo import FiniteQO
 from .report import CheckResult, Report
 
@@ -52,60 +51,6 @@ def higman_embed(s: tuple[int, ...], t: tuple[int, ...], p: FiniteQO) -> bool:
     return i == len(s)
 
 
-@dataclass(eq=False)
-class TruncatedSeqQO:
-    'All sequences up to maxlen, quasi-ordered by classical embedding.'
-
-    base: FiniteQO
-    maxlen: int
-    seqs: tuple[tuple[int, ...], ...]
-    qo: FiniteQO
-
-    def index(self, s: tuple[int, ...]) -> int:
-        return self.seqs.index(s)
-
-
-def truncated_seq_qo(p: FiniteQO, maxlen: int, max_universe: int = 20_000) -> TruncatedSeqQO:
-    seqs = all_sequences(p, maxlen)
-    if len(seqs) > max_universe:
-        raise ScaleExceededError(
-            f"{len(seqs)} sequences exceed the cap of {max_universe}"
-        )
-    n = len(seqs)
-    table = np.zeros((n, n), dtype=bool)
-    for i, s in enumerate(seqs):
-        for j, t in enumerate(seqs):
-            table[i, j] = higman_embed(s, t, p)
-    labels = [seq_label(p, s) for s in seqs]
-    return TruncatedSeqQO(p, maxlen, seqs, FiniteQO(labels, table))
-
-
-def truncated_seq_monoid(
-    p: FiniteQO, maxlen: int, max_universe: int = 2_000
-) -> tuple[TruncatedSeqQO, MonoidalQO]:
-    """Concatenation on the truncated universe, overflow absorbed by a top.
-
-    The top sits above everything and is idempotent, which keeps the
-    multiplicative axioms intact after truncation.
-    """
-    t = truncated_seq_qo(p, maxlen, max_universe)
-    n = len(t.seqs)
-    top = n
-    order = np.zeros((n + 1, n + 1), dtype=bool)
-    order[:n, :n] = t.qo.leq
-    order[:, top] = True
-    order[top, :top] = False
-    order[top, top] = True
-    index = {s: i for i, s in enumerate(t.seqs)}
-    mult = np.full((n + 1, n + 1), top, dtype=np.int64)
-    for i, a in enumerate(t.seqs):
-        for j, b in enumerate(t.seqs):
-            mult[i, j] = index.get(a + b, top)
-    labels = [seq_label(p, s) for s in t.seqs] + ["⊤"]
-    qo = FiniteQO(labels, order)
-    return t, MonoidalQO(qo, mult, index[()])
-
-
 class DenotationContext:
     """Explicit denotations over the sequence universe up to maxlen.
 
@@ -123,11 +68,10 @@ class DenotationContext:
             raise ValueError(f"maxlen must be at least 1, got {maxlen}")
         self.base = p
         self.maxlen = maxlen
+        size = sum(p.n**k for k in range(maxlen + 1))
+        if size > _SEQ_UNIVERSE_CAP:
+            raise ScaleExceededError(f"{size} sequences exceed the cap of {_SEQ_UNIVERSE_CAP}")
         self.seqs = all_sequences(p, maxlen)
-        if len(self.seqs) > _SEQ_UNIVERSE_CAP:
-            raise ScaleExceededError(
-                f"{len(self.seqs)} sequences exceed the cap of {_SEQ_UNIVERSE_CAP}"
-            )
         self.index = {s: i for i, s in enumerate(self.seqs)}
         # splits[i] lists (prefix, suffix) index pairs over every cut of
         # seqs[i], the empty-prefix cut first.
@@ -411,48 +355,29 @@ def _concat(
     return tuple(out)
 
 
-def _step_table(factors: tuple[tuple[str, int], ...], n: int) -> list[list[int]]:
-    """Greedy position automaton: from the earliest usable factor, a letter
-    either loops on a star or moves past an optional letter; -1 is dead.
-    Earliest-position determinism is sound because every factor is optional,
-    so the reachable positions always form an upward interval.
-    """
-    k = len(factors)
-    tbl = [[-1] * n for _ in range(k + 1)]
-    for c in range(n):
-        for m in range(k - 1, -1, -1):
-            kind, letters = factors[m]
-            if letters >> c & 1:
-                tbl[m][c] = m if kind == "s" else m + 1
-            else:
-                tbl[m][c] = tbl[m + 1][c]
-    return tbl
-
-
 def _product_contained(
-    fu: tuple[tuple[str, int], ...], fv: tuple[tuple[str, int], ...], n: int
+    fu: tuple[tuple[str, int], ...], fv: tuple[tuple[str, int], ...]
 ) -> bool:
-    'Exact inclusion of two factor-product languages, no length bound.'
-    tu, tv = _step_table(fu, n), _step_table(fv, n)
-    width = len(fv) + 2
-    start = 0
-    seen = {start}
-    frontier = [(0, 0)]
-    while frontier:
-        nxt = []
-        for mu, mv in frontier:
-            for c in range(n):
-                u2 = tu[mu][c]
-                if u2 < 0:
-                    continue
-                v2 = tv[mv][c]
-                if v2 < 0:
-                    return False
-                key = u2 * width + v2
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append((u2, v2))
-        frontier = nxt
+    """Exact inclusion of two factor-product languages, no length bound.
+
+    The greedy scan for simple regular expressions (Abdulla,
+    Collomb-Annichini, Bouajjani and Jonsson, FMSD 2004): each factor of fu
+    takes the first factor of fv at or after the cursor whose letters cover
+    its own, and a star needs a star.  The cursor moves past an
+    optional-letter target and stays on a star.  The scan relies on the
+    shape of the factors: every letter set is a downset, and every
+    optional-letter set is a principal downset, because plain letters are
+    carrier classes.  So one covering factor exists whenever the top letter
+    fits.
+    """
+    j = 0
+    for kind, letters in fu:
+        while j < len(fv) and (letters & ~fv[j][1] or kind == "s" and fv[j][0] == "d"):
+            j += 1
+        if j == len(fv):
+            return False
+        if fv[j][0] == "d":
+            j += 1
     return True
 
 
@@ -476,9 +401,10 @@ def check_xy_wz(
     letters), so the bounded universe serves here as a consistency guard on
     the exact decision rather than as the decision itself.
 
-    Containment is decided at most once per distinct pair of normalised
-    factor products and bounded inclusion once per distinct pair of product
-    masks; the quadruple sweep reads both tables.  A word is its product
+    The exact decision is greedy inclusion of normalised factor products
+    (_product_contained), made at most once per distinct pair of lists;
+    bounded inclusion is decided once per distinct pair of product masks.
+    The quadruple sweep reads both tables.  A word is its product
     with the empty word, so single-word containment reads the same table.
     The single-word cells are decided up front, since the exact table and
     its guard read all of them; every other containment cell is decided on
@@ -493,7 +419,6 @@ def check_xy_wz(
     masks = [ctx.word_mask(t) for t in atoms]
     factors = [_factor_list(t, p) for t in atoms]
     k = len(words)
-    n = p.n
 
     list_id, lists = _intern([[_concat(fa, fb) for fb in factors] for fa in factors])
     mask_id, pair_masks = _intern([[ctx.product(ma, mb) for mb in masks] for ma in masks])
@@ -504,7 +429,7 @@ def check_xy_wz(
     single = [row[0] for row in list_id]
     for a in set(single):
         for b in set(single):
-            contained[a][b] = _product_contained(lists[a], lists[b], n)
+            contained[a][b] = _product_contained(lists[a], lists[b])
     exact = [[contained[a][b] for b in single] for a in single]
     guard_bad = None
     for a in range(k):
@@ -530,7 +455,7 @@ def check_xy_wz(
                         continue
                     held_here = crow[lw[z]]
                     if held_here is None:
-                        held_here = crow[lw[z]] = _product_contained(fu, lists[lw[z]], n)
+                        held_here = crow[lw[z]] = _product_contained(fu, lists[lw[z]])
                     if not held_here:
                         saturated += 1
                         continue

@@ -131,6 +131,72 @@ def test_arbitrary_json_keeps_the_exit_contract(command, doc):
     out.getvalue().encode("utf-8")
 
 
+# The commands that run checks, on carriers and monoids of at most two
+# points so that every sweep stays small; PATH stands for the fuzzed file.
+def _monoid(elements):
+    label = st.sampled_from(elements)
+    cells = list(itertools.product(elements, repeat=2))
+    return st.fixed_dictionaries(
+        {
+            "elements": st.just(elements),
+            "order": st.lists(st.lists(label, min_size=2, max_size=2), max_size=3),
+            "close": st.booleans(),
+            "mult": st.lists(label, min_size=len(cells), max_size=len(cells)).map(
+                lambda products: [[a, b, c] for (a, b), c in zip(cells, products)]
+            ),
+            "unit": label,
+        }
+    )
+
+
+_SMALL = st.lists(_LABELS, min_size=1, max_size=2, unique=True)
+_CHECKED_JSON = (
+    _ANY
+    | _SMALL.flatmap(_carrier)
+    | _SMALL.flatmap(_monoid)
+    | st.builds(
+        lambda doc, key, value: {**doc, key: value},
+        _SMALL.flatmap(_monoid),
+        st.sampled_from(["order", "close", "mult", "unit"]),
+        _ANY,
+    )
+)
+_ALPHA = st.sampled_from(["-1", "0", "1"])
+_CHECKED = st.one_of(
+    st.just(["verify", "two-forms", "--maxlen", "2", "--qo", "PATH"]),
+    st.just(["verify", "xywz", "--maxlen", "2", "--qo", "PATH"]),
+    _ALPHA.map(lambda a: ["verify", "containment", "--alpha", a, "--maxlen", "2", "--qo", "PATH"]),
+    _ALPHA.map(lambda a: ["verify", "reflect", "--alpha", a, "--qo", "PATH"]),
+    st.just(["verify", "axioms", "--monoid", "PATH"]),
+    st.sampled_from(["0", "1"]).map(
+        lambda m: ["verify", "higman-dp", "--max-atoms", m, "--maxlen", "2"]
+    ),
+    st.just(["monoid", "check", "PATH"]),
+    st.tuples(st.sampled_from(["build", "atoms"]), _ALPHA, st.sampled_from(["1", "3", "20"])).map(
+        lambda t: ["hier", t[0], "--alpha", t[1], "--max-members", t[2], "--qo", "PATH"]
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_CHECKED, _CHECKED_JSON)
+def test_check_commands_keep_the_exit_contract(command, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main([path if word == "PATH" else word for word in command])
+    assert code in (0, 1, 2)
+    out.getvalue().encode("utf-8")
+    if code == 1:
+        # a failure is reported, never raised: the envelope names the check
+        report = json.loads(out.getvalue())["report"]
+        assert report["passed"] is False
+        assert any(not c["passed"] for r in report["reports"] for c in r["checks"])
+
+
 ONE = {"elements": ["a"], "order": [["a", "a"]]}
 
 
@@ -350,6 +416,11 @@ def test_verify_containment_fails_on_undecided_pairs(capsys):
         (("hier", "build", "--qo", str(DATA / "a2.json"), "--alpha", "-1"), "level"),
         (("verify", "xywz", "--qo", str(DATA / "a2.json"), "--maxlen", "0"), "maxlen"),
         (("verify", "higman-dp", "--max-atoms", "0"), "max_atoms"),
+        # the member bound covers stage 0 too: three classes, bound 1
+        (("hier", "build", "--qo", str(DATA / "antichain3.json"), "--alpha", "0",
+          "--max-members", "1"), "exceeds 1"),
+        (("hier", "atoms", "--qo", str(DATA / "antichain3.json"), "--alpha", "0",
+          "--max-members", "1"), "exceeds 1"),
     ],
 )
 def test_out_of_domain_level_or_bound_is_a_usage_error(capsys, argv, what):

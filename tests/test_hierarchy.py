@@ -15,7 +15,6 @@ from idealforge.hierarchy import (
     build_atoms,
     build_level,
     compare_atoms,
-    hat_mult,
     hset,
     hset_mult,
     idem_atom,
@@ -157,19 +156,6 @@ def test_istar_members_have_principal_twins(a2, singleton, chain2, chain3, antic
             assert any(sim_star(x, y, q) for y in ihat.members)
 
 
-def test_hat_mult_finds_lowest_stage_or_nothing():
-    m = capped_addition(2)
-    ist = build_level(m, 1, "istar")
-    got = hat_mult(ur_elem(1), ur_elem(1), ist, m)
-    assert got is ur_elem(2)
-    f = flat(2)
-    pair = hset([ur_elem(1), ur_elem(2)])
-    # the undirected pair has no class among the urelements
-    assert hat_mult(pair, ur_elem(0), build_level(f, 0, "istar"), f) is None
-    got = hat_mult(pair, ur_elem(0), build_level(f, 1, "vstar"), f)
-    assert got is not None and got.serial == "{u0,u1,u2}"
-
-
 def test_level_guards(a2, antichain3):
     with pytest.raises(LevelCapExceededError):
         build_level(a2, 4)
@@ -242,7 +228,6 @@ def test_atom_system_helpers(a2):
     system = build_atoms(a2, 1)
     w = system.word([0, system.atoms[2]])
     assert w.labels == ("a", "*{a,b}")
-    assert system.atom_index(system.atoms[2]) == 2
 
 
 def test_atom_guards(a2):

@@ -18,7 +18,6 @@ from idealforge.monoid import (
     ideal_monoid,
     monoid_from_json,
     monoid_to_json,
-    neutral_elements,
     prime_factorization,
     primes,
 )
@@ -84,11 +83,6 @@ def test_prime_product_lemma_on_good_fixtures():
     for fx in (capped_addition(3), flat(2), idem_pair()):
         report = check_prime_product_lemma(fx)
         assert report.passed
-
-
-def test_neutral_elements():
-    assert neutral_elements(capped_addition(2)) == [0]
-    assert neutral_elements(flat(2)) == [0]
 
 
 def test_ideal_monoid_of_a_chain_is_a_chain():

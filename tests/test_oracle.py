@@ -9,9 +9,10 @@ from idealforge.errors import ScaleExceededError
 from idealforge.fixtures import capped_addition
 from idealforge.hierarchy import build_atoms
 from idealforge.higman import AtomAlphabet, HWord, leq_H
-from idealforge.monoid import check_axioms, check_plus_property
 from idealforge.oracle import (
     DenotationContext,
+    _atom_words,
+    _concat,
     _factor_list,
     _product_contained,
     _single_letters,
@@ -22,9 +23,8 @@ from idealforge.oracle import (
     denote_member,
     higman_embed,
     seq_label,
-    truncated_seq_monoid,
-    truncated_seq_qo,
 )
+from idealforge.qo import all_quasi_orders
 
 
 def test_embedding_matches_word_order_on_plain_alphabets(a2, chain2):
@@ -40,36 +40,27 @@ def test_embedding_matches_word_order_on_plain_alphabets(a2, chain2):
             )
 
 
-def test_truncated_universe_shape(a2):
-    t = truncated_seq_qo(a2, 3)
-    assert len(t.seqs) == 1 + 2 + 4 + 8
-    assert t.qo.n == 15
-    assert t.seqs[t.index(())] == ()
+def test_truncated_universe_shape(a2, antichain3):
+    seqs = all_sequences(a2, 3)
+    assert len(seqs) == 1 + 2 + 4 + 8
+    assert seqs[0] == ()
     assert seq_label(a2, ()) == "ε"
     assert seq_label(a2, (0, 1)) == "a.b"
-    leq = t.qo.leq
-    assert leq[t.index((0,)), t.index((1, 0))]
-    assert not leq[t.index((0, 0)), t.index((0,))]
+    assert higman_embed((0,), (1, 0), a2)
+    assert not higman_embed((0, 0), (0,), a2)
+    # 265,720 sequences of length at most 11 over three letters
     with pytest.raises(ScaleExceededError):
-        truncated_seq_qo(a2, 3, max_universe=10)
+        DenotationContext(antichain3, 11)
 
 
-def test_truncated_ideals_have_tops(chain2):
-    t = truncated_seq_qo(chain2, 2)
-    for ideal in enumerate_ideals(t.qo):
-        members = sorted(ideal.members)
-        assert any(
-            all(t.qo.leq[x, m] for x in members) for m in members
-        )
-
-
-def test_truncated_monoid_keeps_the_laws(a2, singleton):
-    _, m = truncated_seq_monoid(a2, 2)
-    assert check_axioms(m).passed
-    # overflow absorbs both factors, so splitting survives truncation
-    _, sm = truncated_seq_monoid(singleton, 3)
-    assert check_axioms(sm).passed
-    assert check_plus_property(sm).passed
+def test_truncated_ideals_have_tops():
+    for n in (1, 2, 3):
+        for q in all_quasi_orders(n):
+            for ideal in enumerate_ideals(q):
+                members = sorted(ideal.members)
+                assert any(
+                    all(q.leq[x, m] for x in members) for m in members
+                )
 
 
 def test_denote_member_frozen_cases(a2):
@@ -115,16 +106,15 @@ def test_block_recursion_agrees_with_mask_route(a2):
 def test_denotations_are_downward_closed(a2):
     system = build_atoms(a2, 1)
     ctx = DenotationContext(a2, 3)
-    t = truncated_seq_qo(a2, 3)
     rng = random.Random(7)
     words = [tuple(rng.randrange(5) for _ in range(rng.randrange(3))) for _ in range(30)]
     for word in words:
         mask = ctx.word_mask(tuple(system.atoms[i] for i in word))
-        for j in range(t.qo.n):
+        for j, t in enumerate(ctx.seqs):
             if not mask >> j & 1:
                 continue
-            for i in range(t.qo.n):
-                if t.qo.leq[i, j]:
+            for i, s in enumerate(ctx.seqs):
+                if higman_embed(s, t, a2):
                     assert mask >> i & 1
 
 
@@ -188,14 +178,84 @@ def test_exact_product_containment(a2):
         system.atoms[3],
     )
     f = lambda *atoms: _factor_list(tuple(atoms), a2)
-    assert _product_contained(f(star_a), f(star_ab), 2)
-    assert not _product_contained(f(star_ab), f(star_a), 2)
-    assert _product_contained(f(a, a), f(star_a), 2)
+    assert _product_contained(f(star_a), f(star_ab))
+    assert not _product_contained(f(star_ab), f(star_a))
+    assert _product_contained(f(a, a), f(star_a))
     # the unbounded star never fits inside a finite product of optionals
-    assert not _product_contained(f(star_a), f(a, a), 2)
-    assert _product_contained(f(a), f(a, b), 2)
-    assert not _product_contained(f(a, b), f(b, a), 2)
-    assert _product_contained(f(a, b), f(star_ab), 2)
+    assert not _product_contained(f(star_a), f(a, a))
+    assert _product_contained(f(a), f(a, b))
+    assert not _product_contained(f(a, b), f(b, a))
+    assert _product_contained(f(a, b), f(star_ab))
+
+
+def _step_table(factors: tuple[tuple[str, int], ...], n: int) -> list[list[int]]:
+    """Greedy position automaton: from the earliest usable factor, a letter
+    either loops on a star or moves past an optional letter; -1 is dead.
+    Earliest-position determinism is sound because every factor is optional,
+    so the reachable positions always form an upward interval.
+    """
+    k = len(factors)
+    tbl = [[-1] * n for _ in range(k + 1)]
+    for c in range(n):
+        for m in range(k - 1, -1, -1):
+            kind, letters = factors[m]
+            if letters >> c & 1:
+                tbl[m][c] = m if kind == "s" else m + 1
+            else:
+                tbl[m][c] = tbl[m + 1][c]
+    return tbl
+
+
+def _automaton_contained(
+    fu: tuple[tuple[str, int], ...], fv: tuple[tuple[str, int], ...], n: int
+) -> bool:
+    'Exact inclusion of two factor-product languages, no length bound.'
+    tu, tv = _step_table(fu, n), _step_table(fv, n)
+    width = len(fv) + 2
+    start = 0
+    seen = {start}
+    frontier = [(0, 0)]
+    while frontier:
+        nxt = []
+        for mu, mv in frontier:
+            for c in range(n):
+                u2 = tu[mu][c]
+                if u2 < 0:
+                    continue
+                v2 = tv[mv][c]
+                if v2 < 0:
+                    return False
+                key = u2 * width + v2
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append((u2, v2))
+        frontier = nxt
+    return True
+
+
+def test_greedy_inclusion_matches_the_position_automaton():
+    # The reference is a breadth-first search over the product of two
+    # position automata, an independent exact decision.  Compared on every
+    # distinct pair list check_xy_wz builds, all pairs up to 20,000 and a
+    # seeded sample of 20,000 beyond that.
+    rng = random.Random(5)
+    compared = 0
+    for n in (1, 2, 3):
+        for q in all_quasi_orders(n):
+            system = build_atoms(q, 1)
+            factors = [
+                _factor_list(tuple(system.atoms[i] for i in t), q)
+                for t in _atom_words(system, 2)
+            ]
+            lists = list(dict.fromkeys(_concat(fa, fb) for fa in factors for fb in factors))
+            if len(lists) ** 2 <= 20_000:
+                pairs = list(itertools.product(lists, repeat=2))
+            else:
+                pairs = [(rng.choice(lists), rng.choice(lists)) for _ in range(20_000)]
+            for fu, fv in pairs:
+                assert _product_contained(fu, fv) == _automaton_contained(fu, fv, q.n), (fu, fv)
+            compared += len(pairs)
+    assert compared > 100_000
 
 
 def test_product_sweep_frozen(singleton, chain2, a2):
@@ -219,7 +279,7 @@ def test_product_sweep_frozen(singleton, chain2, a2):
 def test_product_sweep_guard_sees_a_lying_decision(monkeypatch, a2):
     # the containment tables must come from the live exact decision, and the
     # bounded guard must catch a decision that claims too much
-    monkeypatch.setattr(oracle, "_product_contained", lambda fu, fv, n: True)
+    monkeypatch.setattr(oracle, "_product_contained", lambda fu, fv: True)
     report = check_xy_wz(a2)
     assert not report.check("exact-implies-bounded").passed
     assert not report.passed
