@@ -13,6 +13,8 @@ from typing import TYPE_CHECKING, Iterable
 from .errors import EmptyCarrierError
 from .qo import (
     FiniteQO,
+    _bits,
+    _element_masks,
     all_downsets_of_poset,
     down_closure,
     equiv_classes,
@@ -37,8 +39,15 @@ class Downset:
         members = frozenset(members)
         if not members:
             raise ValueError("downsets are nonempty by convention")
-        if down_closure(base, members) != members:
-            missing = sorted(down_closure(base, members) - members)
+        if min(members) < 0:
+            raise ValueError("element indices are nonnegative")
+        own, down, _ = _element_masks(base)
+        mask = closed = 0
+        for i in members:
+            mask |= own[i]
+            closed |= down[i]
+        if closed != mask:
+            missing = _bits(closed & ~mask)
             raise ValueError(
                 f"not downward closed, missing {[base.elements[i] for i in missing]}"
             )
@@ -93,19 +102,20 @@ def enumerate_downsets(q: FiniteQO, max_count: int | None = 100_000) -> list[Dow
     """All nonempty downsets, canonically ordered by (size, member tuple).
 
     Downsets are unions of equivalence classes, so the enumeration runs on the
-    quotient and expands back.
+    quotient and expands back.  max_count bounds how many are returned.
     """
     if q.n == 0:
         raise EmptyCarrierError("no downsets over the empty carrier")
     qm = quotient(q)
-    out = []
-    for class_set in all_downsets_of_poset(qm.classes.leq, max_count):
-        if not class_set:
-            continue
-        members = frozenset(i for c in class_set for i in qm.members[c])
-        out.append(Downset(q, members))
-    out.sort(key=lambda d: (len(d.members), d.sorted_members))
-    return out
+    bound = None if max_count is None else max_count + 1  # the empty set is dropped
+    rows = []
+    for class_set in all_downsets_of_poset(qm.classes.leq, bound):
+        if class_set:
+            members = [i for c in _bits(class_set) for i in qm.members[c]]
+            members.sort()
+            rows.append((len(members), members))
+    rows.sort()
+    return [Downset(q, members) for _, members in rows]
 
 
 def enumerate_ideals(q: FiniteQO) -> list[Ideal]:

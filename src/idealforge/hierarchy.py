@@ -19,7 +19,7 @@ import numpy as np
 from .errors import CombinatorialBlowupError, EmptyCarrierError, LevelCapExceededError
 from .higman import AtomAlphabet, HWord
 from .monoid import MonoidalQO
-from .qo import FiniteQO, all_downsets_of_poset, equiv_classes
+from .qo import FiniteQO, _bits, all_downsets_of_poset, equiv_classes
 
 # The paper's hierarchy runs through every ordinal; this package stops here.
 LEVEL_CAP = 3
@@ -442,7 +442,7 @@ def build_atoms(
             for ds in all_downsets_of_poset(_letter_table(atoms), max_count=max_members):
                 if not ds:
                     continue
-                atom = idem_atom(p, (atoms[i] for i in ds))
+                atom = idem_atom(p, (atoms[i] for i in _bits(ds)))
                 if atom not in present:
                     present.add(atom)
                     atoms.append(atom)

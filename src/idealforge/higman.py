@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import AlphabetMismatchError, ScaleExceededError, TooLargeError
 from .monoid import MonoidalQO, primes as monoid_primes
-from .qo import FiniteQO, all_downsets_of_poset, all_quasi_orders, quotient
+from .qo import FiniteQO, _bits, all_downsets_of_poset, all_quasi_orders, quotient
 from .report import CheckResult, Report
 
 # longest word the explicit witness search accepts
@@ -402,13 +402,14 @@ def bounded_word_monoid(
 def upward_closed_subsets(q: FiniteQO) -> list[frozenset[int]]:
     'All upward-closed subsets, empty and full included.'
     qm = quotient(q)
-    out = []
+    full = (1 << qm.classes.n) - 1
+    rows = []
     for class_set in all_downsets_of_poset(qm.classes.leq):
-        members = frozenset(
-            i for c in range(qm.classes.n) if c not in class_set for i in qm.members[c]
-        )
-        out.append(members)
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+        members = [i for c in _bits(full & ~class_set) for i in qm.members[c]]
+        members.sort()
+        rows.append((len(members), members))
+    rows.sort()
+    return [frozenset(members) for _, members in rows]
 
 
 def dp_agreement_sweep(

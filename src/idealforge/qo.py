@@ -33,9 +33,13 @@ class FiniteQO:
     leq : array-like of bool, shape (n, n)
         leq[i, j] means element i is below element j.  The table is copied
         and frozen; instances are immutable and compare by identity.
+
+    Closures, downsets and their enumeration work on int bitmasks, bit i
+    standing for element i.  Each element's own bit, down-mask and up-mask
+    are computed from leq on first use and kept on the carrier.
     """
 
-    __slots__ = ("elements", "leq", "_index", "_classes", "_hset_leq_cache")
+    __slots__ = ("elements", "leq", "_index", "_classes", "_masks", "_hset_leq_cache")
 
     def __init__(self, elements: Iterable[str], leq) -> None:
         elements = tuple(elements)
@@ -50,6 +54,7 @@ class FiniteQO:
         self.leq = table
         self._index = {lab: i for i, lab in enumerate(elements)}
         self._classes: tuple[tuple[int, ...], ...] | None = None
+        self._masks: tuple[list[int], list[int], list[int]] | None = None
         # memo for hereditary-set comparisons keyed on interned node pairs
         self._hset_leq_cache: dict = {}
 
@@ -202,25 +207,44 @@ def quotient(q: FiniteQO) -> QuotientMap:
     return QuotientMap(q, tuple(class_of), FiniteQO(labels, table), classes)
 
 
+def _row_masks(table: np.ndarray) -> list[int]:
+    'Bit j of entry i is table[i, j].'
+    packed = np.packbits(table, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _element_masks(q: FiniteQO) -> tuple[list[int], list[int], list[int]]:
+    'Per element: its own bit, the mask of everything below it and of everything above it.'
+    if q._masks is None:
+        q._masks = ([1 << i for i in range(q.n)], _row_masks(q.leq.T), _row_masks(q.leq))
+    return q._masks
+
+
+def _union_mask(masks: list[int], s: Iterable[int]) -> int:
+    'The union of masks[i] over i in s.'
+    out = 0
+    for i in s:
+        out |= masks[i]
+    return out
+
+
+def _bits(mask: int) -> list[int]:
+    'The set bits of a mask, ascending.'
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+
+
 def down_closure(q: FiniteQO, s: Iterable[int]) -> frozenset[int]:
     'Least downward-closed superset of s.'
-    s = list(s)
-    if not s:
-        return frozenset()
-    mask = q.leq[:, s].any(axis=1)
-    return frozenset(np.flatnonzero(mask).tolist())
+    return frozenset(_bits(_union_mask(_element_masks(q)[1], s)))
 
 
 def up_closure(q: FiniteQO, s: Iterable[int]) -> frozenset[int]:
-    s = list(s)
-    if not s:
-        return frozenset()
-    mask = q.leq[s, :].any(axis=0)
-    return frozenset(np.flatnonzero(mask).tolist())
+    return frozenset(_bits(_union_mask(_element_masks(q)[2], s)))
 
 
 def is_downward_closed(q: FiniteQO, s: frozenset[int]) -> bool:
-    return down_closure(q, s) == s
+    own, down, _ = _element_masks(q)
+    return _union_mask(down, s) == _union_mask(own, s)
 
 
 def is_directed(q: FiniteQO, s: Iterable[int]) -> bool:
@@ -232,10 +256,12 @@ def is_directed(q: FiniteQO, s: Iterable[int]) -> bool:
     s = sorted(set(s))
     if not s:
         return False
-    sub = q.leq[np.ix_(s, s)]
+    own, _, up = _element_masks(q)
+    within = _union_mask(own, s)
+    above = [up[a] & within for a in s]
     for a in range(len(s)):
         for b in range(a, len(s)):
-            if not (sub[a] & sub[b]).any():
+            if not above[a] & above[b]:
                 return False
     return True
 
@@ -256,26 +282,29 @@ def disjoint_union_with_star(q: FiniteQO) -> FiniteQO:
     return FiniteQO(q.elements + (label,), table)
 
 
-def all_downsets_of_poset(leq: np.ndarray, max_count: int | None = None) -> list[frozenset[int]]:
+def all_downsets_of_poset(leq: np.ndarray, max_count: int | None = None) -> list[int]:
     """Every downward-closed subset (including the empty one) of a finite
-    partial order, via a linear extension.
+    partial order, as bitmasks with bit i standing for element i, via a
+    linear extension.
 
     Output-sensitive: the work is proportional to the number of downsets, so
-    antichain-heavy orders are the only expensive case, bounded by max_count.
+    antichain-heavy orders are the only expensive case, bounded by max_count,
+    which counts the empty set too.
     """
-    n = leq.shape[0]
-    order = sorted(range(n), key=lambda i: (int(leq[:, i].sum()), i))
-    downs: list[frozenset[int]] = [frozenset()]
+    below = _row_masks(leq.T)
+    order = sorted(range(leq.shape[0]), key=lambda i: (below[i].bit_count(), i))
+    downs = [0]
     for x in order:
-        preds = frozenset(j for j in range(n) if leq[j, x] and j != x)
-        grown: list[frozenset[int]] = []
+        bit = 1 << x
+        preds = below[x] & ~bit
+        grown: list[int] = []
         for d in downs:
             grown.append(d)
-            if preds <= d:
-                grown.append(d | {x})
+            if not preds & ~d:
+                grown.append(d | bit)
         if max_count is not None and len(grown) > max_count:
             raise CombinatorialBlowupError(
-                f"more than {max_count} downward-closed subsets"
+                f"more than {max_count} downward-closed subsets, the empty one included"
             )
         downs = grown
     return downs

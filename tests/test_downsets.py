@@ -12,14 +12,20 @@ from idealforge.downsets import (
     product_decomposition,
     unit_downset,
 )
+from idealforge.errors import CombinatorialBlowupError
 from idealforge.fixtures import capped_addition, flat
+from idealforge.higman import AtomAlphabet, bounded_word_monoid, upward_closed_subsets
+from idealforge.qo import all_quasi_orders, down_closure, up_closure, validate
 
 
-def test_downset_requires_downward_closure(n_shape):
+def test_downset_requires_downward_closure(n_shape, antichain3):
     with pytest.raises(ValueError):
         Downset(n_shape, {n_shape.index("c")})
     with pytest.raises(ValueError):
         Downset(n_shape, set())
+    # a negative index is no element, though it would wrap round to the last
+    with pytest.raises(ValueError):
+        Downset(antichain3, {-1})
 
 
 def test_extensional_equality(n_shape):
@@ -45,6 +51,69 @@ def test_enumerations(chain3, a2, n_shape):
         ["b"],
         ["b", "d"],
         ["a", "b", "c"],
+    ]
+
+
+def test_max_count_bounds_the_returned_downsets(chain3):
+    # chain3 has exactly three nonempty downsets; the empty one is not counted
+    assert len(enumerate_downsets(chain3, max_count=3)) == 3
+    with pytest.raises(CombinatorialBlowupError):
+        enumerate_downsets(chain3, max_count=2)
+
+
+def test_enumerations_match_brute_force():
+    # every subset of every quasi-order on at most four points, filtered by
+    # the definitions and sorted by (size, members)
+    for n in (1, 2, 3, 4):
+        for q in all_quasi_orders(n):
+            subsets = [
+                tuple(i for i in range(n) if bits >> i & 1) for bits in range(1 << n)
+            ]
+            subsets.sort(key=lambda s: (len(s), s))
+            downs = [
+                s for s in subsets
+                if s and all(j in s for i in s for j in range(n) if q.le(j, i))
+            ]
+            assert [d.sorted_members for d in enumerate_downsets(q)] == downs
+            ideals = [
+                s for s in downs
+                if all(any(q.le(a, c) and q.le(b, c) for c in s) for a in s for b in s)
+            ]
+            assert [i.sorted_members for i in enumerate_ideals(q)] == ideals
+            ups = [s for s in subsets if all(j in s for i in s for j in range(n) if q.le(i, j))]
+            assert [tuple(sorted(u)) for u in upward_closed_subsets(q)] == ups
+
+
+def test_masks_span_several_machine_words():
+    labels = [f"x{i}" for i in range(70)]
+    chain = validate(labels, list(zip(labels, labels[1:])), close=True)
+    assert down_closure(chain, [69]) == frozenset(range(70))
+    assert up_closure(chain, [0]) == frozenset(range(70))
+    assert Downset(chain, range(70)).sorted_members == tuple(range(70))
+    with pytest.raises(ValueError, match="not downward closed"):
+        Downset(chain, {69})
+    # a 64-point antichain below two incomparable tops at indices 64 and 65
+    base = [f"y{i}" for i in range(64)]
+    vee = validate(base + ["s", "t"], [(b, top) for b in base for top in "st"], close=True)
+    assert principal(vee, 65).sorted_members == tuple(range(64)) + (65,)
+    assert Downset(vee, range(66)).sorted_members == tuple(range(66))
+    with pytest.raises(ValueError, match="not directed"):
+        Ideal(vee, range(66))
+
+
+def test_bounded_word_downsets_keep_their_frozen_values():
+    # words of length <= 3 over two incomparable letters below a third; the
+    # values were read off the frozenset enumeration that the bitmask one
+    # replaced, and are not to be edited
+    vee = validate(["a", "b", "c"], [("a", "c"), ("b", "c")], close=True)
+    order = bounded_word_monoid(AtomAlphabet(vee, ()), 3).order
+    downs = enumerate_downsets(order, max_count=None)
+    assert len(downs) == 41_267
+    assert [d.sorted_members for d in downs[:3]] == [(0,), (0, 1), (0, 2)]
+    assert [d.sorted_members for d in downs[-3:]] == [
+        tuple(range(39)),
+        tuple(range(40)),
+        tuple(range(41)),
     ]
 
 

@@ -87,6 +87,29 @@ def test_closures_and_directedness(n_shape):
     assert not is_directed(n_shape, set())
 
 
+def test_mask_primitives_match_matrix_and_definition_references():
+    # every subset of every quasi-order on at most four points: closures
+    # against numpy over the comparison table, predicates against their
+    # definitions
+    for n in (1, 2, 3, 4):
+        for q in all_quasi_orders(n):
+            for bits in range(1 << n):
+                s = frozenset(i for i in range(n) if bits >> i & 1)
+                idx = sorted(s)
+                assert down_closure(q, s) == frozenset(
+                    np.flatnonzero(q.leq[:, idx].any(axis=1)).tolist()
+                )
+                assert up_closure(q, s) == frozenset(
+                    np.flatnonzero(q.leq[idx, :].any(axis=0)).tolist()
+                )
+                closed = all(j in s for i in s for j in range(n) if q.le(j, i))
+                assert is_downward_closed(q, s) == closed
+                directed = bool(s) and all(
+                    any(q.le(a, c) and q.le(b, c) for c in s) for a in s for b in s
+                )
+                assert is_directed(q, s) == directed
+
+
 def test_star_extension(a2):
     star = disjoint_union_with_star(a2)
     assert star.elements == ("a", "b", "⋆")
