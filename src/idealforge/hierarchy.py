@@ -282,7 +282,9 @@ class Atom:
     """A symbolic prime letter: plain (one carrier class) or idempotent
     (a downward-closed set of lower letters).
 
-    Hash-consed per base carrier; build through non_idem_atom and idem_atom.
+    Hash-consed in the base carrier's own pool (FiniteQO._atom_pool), so
+    letters live exactly as long as their carrier; build through
+    non_idem_atom and idem_atom.
     The level is the stage where the letter first appears: 0 for plain
     letters, one past the deepest payload letter otherwise.  leq_memo maps a
     letter y to the verdict of compare_atoms(self, y), filled as the
@@ -311,16 +313,14 @@ class Atom:
         return f"Atom({self.serial})"
 
 
-_ATOM_POOL: dict[tuple, Atom] = {}
-
-
 def non_idem_atom(base: FiniteQO, class_rep: int) -> Atom:
     'The plain letter for the carrier class of class_rep.'
-    key = (id(base), int(class_rep))
-    atom = _ATOM_POOL.get(key)
+    pool = base._atom_pool
+    key = int(class_rep)
+    atom = pool.get(key)
     if atom is None:
-        atom = Atom(base, int(class_rep), None, 0, base.elements[class_rep])
-        _ATOM_POOL[key] = atom
+        atom = Atom(base, key, None, 0, base.elements[key])
+        pool[key] = atom
     return atom
 
 
@@ -332,13 +332,13 @@ def idem_atom(base: FiniteQO, downset: Iterable[Atom]) -> Atom:
     for a in downset:
         if a.base is not base:
             raise ValueError("payload letters must share the base carrier")
-    key = (id(base), downset)
-    atom = _ATOM_POOL.get(key)
+    pool = base._atom_pool
+    atom = pool.get(downset)
     if atom is None:
         kids = sorted(downset, key=lambda a: a.serial)
         serial = "*{" + ",".join(a.serial for a in kids) + "}"
         atom = Atom(base, None, downset, 1 + max(a.level for a in kids), serial)
-        _ATOM_POOL[key] = atom
+        pool[downset] = atom
     return atom
 
 

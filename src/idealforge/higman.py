@@ -424,17 +424,43 @@ def dp_agreement_sweep(
     idempotent subset, both deduplicated up to isomorphism; within each
     alphabet, every word pair with combined length at most max_pair_len, and
     for alphabets of at most full_atom_cap letters additionally every pair
-    with each side up to full_len.
+    with each side up to full_len.  Pairs run by length of the left word,
+    then of the right, each length's words in shortlex order (as all_words
+    lists them); the first disagreement is reported.
+
+    Words are raw letter tuples, built once per carrier size, and every pair
+    goes straight to _leq_letters and _witness_exists on the alphabet's
+    table.  The longest word must fit the witness search, which is checked
+    before the first pair: the pair of a longest word and the empty word is
+    always swept.
     """
     from .qo import _canonical_relation_key
 
     if max_atoms < 1:
         # no alphabet to sweep, and an empty sweep must not read as passed
         raise ValueError(f"max_atoms must be at least 1, got {max_atoms}")
+    if max_pair_len < 0 or full_len < 0:
+        raise ValueError(
+            f"word lengths must be at least 0, got max_pair_len={max_pair_len}, "
+            f"full_len={full_len}"
+        )
+    # no carrier size sweeps longer words than size 1 does
+    if max(max_pair_len, full_len if full_atom_cap >= 1 else 0) > _BRUTEFORCE_MAX_LEN:
+        raise TooLargeError(f"witness search is capped at length {_BRUTEFORCE_MAX_LEN}")
+    leq, witness = _leq_letters, _witness_exists
     disagreement = None
     systems = 0
     pairs = 0
     for n in range(1, max_atoms + 1):
+        full = n <= full_atom_cap
+        cap = max(max_pair_len, full_len if full else 0)
+        words = [list(itertools.product(range(n), repeat=k)) for k in range(cap + 1)]
+        blocks = [
+            (words[a], words[b])
+            for a in range(cap + 1)
+            for b in range(cap + 1)
+            if a + b <= max_pair_len or (full and a <= full_len and b <= full_len)
+        ]
         for q in all_quasi_orders(n):
             seen: set[bytes] = set()
             for idem in upward_closed_subsets(q):
@@ -443,32 +469,23 @@ def dp_agreement_sweep(
                     continue
                 seen.add(key)
                 alphabet = AtomAlphabet(q, idem)
+                rows, idem_set = alphabet._leq_rows, alphabet.idem
                 systems += 1
-                cap = max(max_pair_len, full_len if n <= full_atom_cap else 0)
-                words = all_words(alphabet, cap)
-                by_len: dict[int, list[HWord]] = {}
-                for w in words:
-                    by_len.setdefault(len(w), []).append(w)
-                for a in sorted(by_len):
-                    for b in sorted(by_len):
-                        joint = a + b <= max_pair_len
-                        full = n <= full_atom_cap and a <= full_len and b <= full_len
-                        if not joint and not full:
-                            continue
-                        for u in by_len[a]:
-                            for v in by_len[b]:
-                                pairs += 1
-                                fast = leq_H(u, v)
-                                slow = leq_H_bruteforce(u, v)
-                                if fast != slow and disagreement is None:
-                                    disagreement = {
-                                        "alphabet": list(q.elements),
-                                        "idem": sorted(q.elements[i] for i in idem),
-                                        "lhs": list(u.labels),
-                                        "rhs": list(v.labels),
-                                        "dp": fast,
-                                        "witness-search": slow,
-                                    }
+                for lhs, rhs in blocks:
+                    pairs += len(lhs) * len(rhs)
+                    for lu in lhs:
+                        for lv in rhs:
+                            fast = leq(lu, lv, rows, idem_set)
+                            slow = witness(lu, lv, rows, idem_set)
+                            if fast != slow and disagreement is None:
+                                disagreement = {
+                                    "alphabet": list(q.elements),
+                                    "idem": sorted(q.elements[i] for i in idem),
+                                    "lhs": [q.elements[i] for i in lu],
+                                    "rhs": [q.elements[i] for i in lv],
+                                    "dp": fast,
+                                    "witness-search": slow,
+                                }
             if disagreement:
                 break
         if disagreement:

@@ -8,7 +8,9 @@ equivalence and its quotient partial order are first-class citizens.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -39,7 +41,9 @@ class FiniteQO:
     are computed from leq on first use and kept on the carrier.
     """
 
-    __slots__ = ("elements", "leq", "_index", "_classes", "_masks", "_hset_leq_cache")
+    __slots__ = (
+        "elements", "leq", "_index", "_classes", "_masks", "_hset_leq_cache", "_atom_pool",
+    )
 
     def __init__(self, elements: Iterable[str], leq) -> None:
         elements = tuple(elements)
@@ -57,6 +61,8 @@ class FiniteQO:
         self._masks: tuple[list[int], list[int], list[int]] | None = None
         # memo for hereditary-set comparisons keyed on interned node pairs
         self._hset_leq_cache: dict = {}
+        # hierarchy letters over this carrier, hash-consed on their payload
+        self._atom_pool: dict = {}
 
     @property
     def n(self) -> int:
@@ -310,47 +316,75 @@ def all_downsets_of_poset(leq: np.ndarray, max_count: int | None = None) -> list
     return downs
 
 
+@lru_cache(maxsize=None)
+def _permutations(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every permutation p of range(n), in itertools order, one per row, and
+    per row the flat indices that relabel an n x n table by p in C order:
+    cell (i, j) of the relabelled table is cell (p[i], p[j]) of the original."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    perms = perms.reshape(math.factorial(n), n)
+    cells = perms[:, :, None] * n + perms[:, None, :]
+    return perms, cells.reshape(len(perms), n * n)
+
+
 def _canonical_relation_key(table: np.ndarray, extra: tuple[int, ...] = ()) -> bytes:
     """Least byte encoding of (table, extra-subset) over all permutations.
 
-    Used to deduplicate small structures up to isomorphism; factorial cost,
-    intended for carriers of at most ~6 elements.
+    A permutation p encodes as the bytes of the relabelled table (cell (i, j)
+    read from (p[i], p[j])) followed by one byte per position i, 1 when p[i]
+    lies in extra, a tuple of element indices.  All n! encodings are built
+    at once from a cached index array and the least is taken row-wise.  Used
+    to deduplicate small structures up to isomorphism; factorial memory and
+    time, intended for carriers of at most ~6 elements.
     """
     n = table.shape[0]
-    best = None
-    for perm in itertools.permutations(range(n)):
-        arr = table[np.ix_(perm, perm)]
-        mask = bytes(1 if perm[i] in extra else 0 for i in range(n))
-        key = arr.tobytes() + mask
-        if best is None or key < best:
-            best = key
-    return best if best is not None else b""
+    perms, cells = _permutations(n)
+    relabelled = np.ascontiguousarray(table).ravel()[cells].view(np.uint8)
+    member = np.zeros(n, dtype=np.uint8)
+    member[list(extra)] = 1
+    keys = np.concatenate([relabelled, member[perms]], axis=1)
+    if not keys.size:
+        # n == 0: the one encoding is empty, and lexsort needs a key
+        return b""
+    return keys[np.lexsort(keys.T[::-1])[0]].tobytes()
+
+
+# candidate tables per stacked transitivity test; bounded because n = 5 has
+# 2^20 candidates, and one stack of all 4,096 at n = 4 costs about 1 MiB of
+# peak memory more than stacks of 256
+_BATCH = 256
 
 
 def all_quasi_orders(n: int) -> list[FiniteQO]:
     """All quasi-orders on n labelled elements, deduplicated up to isomorphism.
 
-    Enumerates every relation extending the diagonal, keeps the transitive
-    ones.  Meant for exhaustive sweeps at n <= 4.
+    Enumerates every relation extending the diagonal, in the order of the
+    integer whose bit k sets the k-th off-diagonal cell (row-major), and
+    keeps the transitive ones, the first of each isomorphism class.
+    Candidates are stacked _BATCH at a time and tested for transitivity by
+    one batched matmul each.  Meant for exhaustive sweeps at n <= 4.
     """
     if n > 5:
         raise CombinatorialBlowupError("quasi-order enumeration is capped at n = 5")
     labels = tuple(chr(ord("a") + i) for i in range(n))
-    off_diag = [(i, j) for i in range(n) for j in range(n) if i != j]
+    off_diag = [i * n + j for i in range(n) for j in range(n) if i != j]
+    shifts = np.arange(len(off_diag))
+    total = 1 << len(off_diag)
     seen: set[bytes] = set()
     out: list[FiniteQO] = []
-    for bits in range(1 << len(off_diag)):
-        table = np.eye(n, dtype=bool)
-        for k, (i, j) in enumerate(off_diag):
-            if bits >> k & 1:
-                table[i, j] = True
-        if not np.array_equal(table | (table @ table), table):
-            continue
-        key = _canonical_relation_key(table)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(FiniteQO(labels, table))
+    for start in range(0, total, _BATCH):
+        bits = np.arange(start, min(start + _BATCH, total))
+        flat = np.zeros((len(bits), n * n), dtype=bool)
+        flat[:, :: n + 1] = True
+        flat[:, off_diag] = (bits[:, None] >> shifts) & 1
+        tables = flat.reshape(len(bits), n, n)
+        transitive = ~(tables @ tables & ~tables).any(axis=(1, 2))
+        for table in tables[transitive]:
+            key = _canonical_relation_key(table)
+            if key in seen:
+                continue
+            seen.add(key)
+            out.append(FiniteQO(labels, table))
     return out
 
 

@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import numpy as np
@@ -180,6 +181,24 @@ def test_atom_interning_and_validation(a2, chain2):
         idem_atom(chain2, [p])
     with pytest.raises(ValueError):
         compare_atoms(p, non_idem_atom(chain2, 0))
+
+
+def _live_atoms():
+    return sum(isinstance(o, Atom) for o in gc.get_objects())
+
+
+def test_letters_are_freed_with_their_carrier(a2):
+    # the letter pool lives on the carrier, so no module table keeps letters
+    # (or their carriers and memos) alive once the carrier is dropped
+    gc.collect()
+    before = _live_atoms()
+    for _ in range(300):
+        system = build_atoms(FiniteQO(a2.elements, a2.leq), 2)
+    assert len(system.atoms) == 11
+    assert _live_atoms() >= before + 11
+    del system
+    gc.collect()
+    assert _live_atoms() == before
 
 
 def test_atom_order_frozen(a2, singleton):

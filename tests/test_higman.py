@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idealforge import higman
 from idealforge.errors import AlphabetMismatchError, TooLargeError
 from idealforge.higman import (
     AtomAlphabet,
@@ -114,6 +115,44 @@ def test_dp_agrees_with_witness_search_smoke():
     report = dp_agreement_sweep(max_atoms=2, max_pair_len=4, full_len=4, full_atom_cap=2)
     assert report.passed
     assert report.checks[0].stats["pairs"] > 1000
+
+
+def test_sweep_catches_a_wrong_decision(monkeypatch):
+    def classical_rule(lu, lv, leq_rows, idem):
+        # the cursor always advances, so no idempotent target absorbs twice
+        j, m = 0, len(lv)
+        for a in lu:
+            while j < m and not leq_rows[a][lv[j]]:
+                j += 1
+            if j == m:
+                return False
+            j += 1
+        return True
+
+    monkeypatch.setattr(higman, "_leq_letters", classical_rule)
+    report = dp_agreement_sweep(max_atoms=2, max_pair_len=4, full_len=4, full_atom_cap=2)
+    (check,) = report.checks
+    assert not check.passed
+    assert check.counterexample == {
+        "alphabet": ["a"],
+        "idem": ["a"],
+        "lhs": ["a", "a"],
+        "rhs": ["a"],
+        "dp": False,
+        "witness-search": True,
+    }
+    assert check.stats["pairs"] == 50
+
+
+def test_sweep_rejects_negative_lengths_and_overlong_words():
+    for bad in ({"max_pair_len": -1}, {"full_len": -1}):
+        with pytest.raises(ValueError):
+            dp_agreement_sweep(max_atoms=1, **bad)
+    # a full-length pass over one letter reaches the cap even when joint pairs do not
+    with pytest.raises(TooLargeError):
+        dp_agreement_sweep(max_atoms=2, max_pair_len=2, full_len=9, full_atom_cap=1)
+    report = dp_agreement_sweep(max_atoms=2, max_pair_len=2, full_len=9, full_atom_cap=0)
+    assert report.passed and report.checks[0].stats == {"systems": 10, "pairs": 148}
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from idealforge.errors import (
 )
 from idealforge.qo import (
     FiniteQO,
+    _canonical_relation_key,
     all_downsets_of_poset,
     all_quasi_orders,
     disjoint_union_with_star,
@@ -153,6 +156,69 @@ def test_all_quasi_orders_counts():
     assert [len(all_quasi_orders(n)) for n in (1, 2, 3, 4)] == [1, 3, 9, 33]
     for q in all_quasi_orders(3):
         assert np.array_equal(transitive_closure(q.leq), q.leq)
+
+
+def _reference_relation_key(table, extra=()):
+    # one np.ix_ relabelling per permutation, least encoding kept
+    n = table.shape[0]
+    best = None
+    for perm in itertools.permutations(range(n)):
+        arr = table[np.ix_(perm, perm)]
+        mask = bytes(1 if perm[i] in extra else 0 for i in range(n))
+        key = arr.tobytes() + mask
+        if best is None or key < best:
+            best = key
+    return best if best is not None else b""
+
+
+def _reference_quasi_order_tables(n):
+    # one candidate table at a time, first of each isomorphism class kept
+    off_diag = [(i, j) for i in range(n) for j in range(n) if i != j]
+    seen = set()
+    out = []
+    for bits in range(1 << len(off_diag)):
+        table = np.eye(n, dtype=bool)
+        for k, (i, j) in enumerate(off_diag):
+            if bits >> k & 1:
+                table[i, j] = True
+        if not np.array_equal(table | (table @ table), table):
+            continue
+        key = _reference_relation_key(table)
+        if key not in seen:
+            seen.add(key)
+            out.append(table)
+    return out
+
+
+def test_quasi_order_enumeration_matches_loop_reference():
+    for n in range(5):
+        got = all_quasi_orders(n)
+        want = _reference_quasi_order_tables(n)
+        assert len(got) == len(want)
+        for q, table in zip(got, want):
+            assert q.elements == tuple("abcd"[:n])
+            assert np.array_equal(q.leq, table)
+
+
+def test_canonical_keys_match_loop_reference():
+    rng = np.random.default_rng(5)
+    checked = 0
+    for n in range(5):
+        for q in all_quasi_orders(n):
+            table = np.asarray(q.leq)
+            # relabel: new element i is old element perm[i]
+            perm = rng.permutation(n)
+            inverse = np.argsort(perm)
+            copy = table[np.ix_(perm, perm)]
+            for size in range(n + 1):
+                for extra in itertools.combinations(range(n), size):
+                    key = _canonical_relation_key(table, extra)
+                    assert key == _reference_relation_key(table, extra)
+                    moved = tuple(sorted(int(inverse[i]) for i in extra))
+                    assert _canonical_relation_key(copy, moved) == key
+                    assert _reference_relation_key(copy, moved) == key
+                    checked += 1
+    assert checked == 615
 
 
 def test_hasse_dot_is_covering_only(chain3):
