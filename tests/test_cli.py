@@ -416,13 +416,13 @@ def test_verify_containment_fails_on_undecided_pairs(capsys):
         (("hier", "build", "--qo", str(DATA / "a2.json"), "--alpha", "-1"), "level"),
         (("verify", "xywz", "--qo", str(DATA / "a2.json"), "--maxlen", "0"), "maxlen"),
         (("verify", "higman-dp", "--max-atoms", "0"), "max_atoms"),
-        (("verify", "higman-dp", "--maxlen", "-1"), "max_pair_len"),
-        (("verify", "higman-dp", "--maxlen", "9"), "witness search is capped at length 8"),
         # the member bound covers stage 0 too: three classes, bound 1
         (("hier", "build", "--qo", str(DATA / "antichain3.json"), "--alpha", "0",
           "--max-members", "1"), "exceeds 1"),
         (("hier", "atoms", "--qo", str(DATA / "antichain3.json"), "--alpha", "0",
           "--max-members", "1"), "exceeds 1"),
+        (("verify", "higman-dp", "--maxlen", "-1"), "max_pair_len"),
+        (("verify", "higman-dp", "--maxlen", "9"), "witness search is capped at length 8"),
     ],
 )
 def test_out_of_domain_level_or_bound_is_a_usage_error(capsys, argv, what):
