@@ -219,7 +219,9 @@ def build_level(
     upward-directed ones, ihat only the directed downward-closed ones (on a
     finite stage those are the principal down-closures).  Every stage is
     quotiented to canonical representatives and keeps the urelements, so
-    stages are cumulative.
+    stages are cumulative.  A stage with more than max_members candidates
+    raises CombinatorialBlowupError; a vstar stage over k members has exactly
+    k + 2^k - 1 candidates, so that count is checked before any set is built.
     """
     q = base.order if isinstance(base, MonoidalQO) else base
     if kind not in _KINDS:
@@ -249,26 +251,32 @@ def build_level(
 def _adjoined_sets(
     prev: tuple[HSet, ...], kind: str, q: FiniteQO, stage: int, max_members: int
 ) -> list[HSet]:
-    'The sets one stage of the given kind adjoins to the previous members.'
+    """The sets one stage of the given kind adjoins to the previous members.
+
+    vstar checks its candidate count against max_members before the
+    enumeration, so a doomed stage interns no set; istar counts as it goes.
+    """
     k = len(prev)
-    new_sets: list[HSet] = []
     if kind == "ihat":
-        for x in prev:
-            closure = [y for y in prev if lesssim_star(y, x, q)]
-            new_sets.append(hset(closure))
-        return new_sets
+        return [hset(y for y in prev if lesssim_star(y, x, q)) for x in prev]
     if k > _SUBSET_CAP:
         raise CombinatorialBlowupError(f"subset enumeration over {k} members")
+    if kind == "vstar":
+        # every nonempty subset is adjoined, so the count is known up front
+        if k + (1 << k) - 1 > max_members:
+            raise CombinatorialBlowupError(
+                f"stage {stage} exceeds {max_members} candidate members"
+            )
+        return [hset(prev[i] for i in _bits(mask)) for mask in range(1, 1 << k)]
     up_bits = [0] * k
     for i in range(k):
         for j in range(k):
             if lesssim_star(prev[i], prev[j], q):
                 up_bits[i] |= 1 << j
+    new_sets: list[HSet] = []
     for mask in range(1, 1 << k):
-        chosen = [i for i in range(k) if mask >> i & 1]
-        if kind == "istar" and not all(
-            up_bits[i] & up_bits[j] & mask for i in chosen for j in chosen
-        ):
+        chosen = _bits(mask)
+        if not all(up_bits[i] & up_bits[j] & mask for i in chosen for j in chosen):
             continue
         new_sets.append(hset(prev[i] for i in chosen))
         if len(new_sets) > max_members:
@@ -364,6 +372,8 @@ def compare_atoms(x: Atom, y: Atom) -> bool:
 
 
 def _letter_leq(x: Atom, y: Atom) -> bool:
+    # the idempotent case reads each payload letter's memo before recursing,
+    # as lesssim_star does, so a known pair costs one dict lookup
     memo = x.leq_memo
     hit = memo.get(y)
     if hit is not None:
@@ -376,7 +386,18 @@ def _letter_leq(x: Atom, y: Atom) -> bool:
     elif y.downset is None:
         out = False
     else:
-        out = all(any(_letter_leq(d, e) for e in y.downset) for d in x.downset)
+        out = True
+        for d in x.downset:
+            below_memo = d.leq_memo
+            for e in y.downset:
+                below = below_memo.get(e)
+                if below is None:
+                    below = _letter_leq(d, e)
+                if below:
+                    break
+            else:
+                out = False
+                break
     memo[y] = out
     return out
 

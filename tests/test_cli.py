@@ -423,6 +423,9 @@ def test_verify_containment_fails_on_undecided_pairs(capsys):
           "--max-members", "1"), "exceeds 1"),
         (("verify", "higman-dp", "--maxlen", "-1"), "max_pair_len"),
         (("verify", "higman-dp", "--maxlen", "9"), "witness search is capped at length 8"),
+        # 18 stage-2 members give 18 + 2^18 - 1 vstar candidates at stage 3
+        (("hier", "build", "--qo", str(DATA / "antichain3.json"), "--alpha", "3",
+          "--kind", "vstar"), "stage 3 exceeds 20000 candidate members"),
     ],
 )
 def test_out_of_domain_level_or_bound_is_a_usage_error(capsys, argv, what):

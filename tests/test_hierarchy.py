@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from idealforge import hierarchy
 from idealforge.errors import (
     CombinatorialBlowupError,
     EmptyCarrierError,
@@ -168,6 +169,27 @@ def test_level_guards(a2, antichain3):
         build_level(antichain3, 3, "vstar", max_members=40)
 
 
+def test_vstar_member_bound_is_exact(a2):
+    # stage 2 over a2's three stage-1 members has 3 + 2^3 - 1 = 10 candidates
+    lev = build_level(a2, 2, "vstar", max_members=10)
+    assert [s.cardinality for s in lev.chain()] == [2, 3, 4]
+    for bound in (9, 7, 6):
+        with pytest.raises(
+            CombinatorialBlowupError, match=f"stage 2 exceeds {bound} candidate members"
+        ):
+            build_level(a2, 2, "vstar", max_members=bound)
+
+
+def test_doomed_vstar_stage_interns_almost_nothing():
+    # stage 1 over four incomparable points adjoins their 15 subsets; stage 2
+    # would need 19 + 2^19 - 1 candidates, and raises before building a set
+    antichain4 = FiniteQO(tuple("abcd"), np.eye(4, dtype=bool))
+    before = len(hierarchy._SET_POOL)
+    with pytest.raises(CombinatorialBlowupError, match="stage 2 exceeds"):
+        build_level(antichain4, 2, "vstar")
+    assert len(hierarchy._SET_POOL) - before <= 15
+
+
 def test_atom_interning_and_validation(a2, chain2):
     p = non_idem_atom(a2, 0)
     assert p is non_idem_atom(a2, 0)
@@ -290,18 +312,20 @@ def _plain_hereditary_leq(x, y, q):
 
 
 def test_memoized_orders_match_bare_recursions():
-    # every quasi-order on at most 3 points, on fresh carriers at level 2
-    for n in range(1, 4):
+    # every quasi-order on at most 3 points at level 2 and on 4 points at
+    # level 1, on fresh carriers
+    for n, alpha in ((1, 2), (2, 2), (3, 2), (4, 1)):
         for q in all_quasi_orders(n):
-            system = build_atoms(q, 2)
+            system = build_atoms(q, alpha)
             leq = system.alphabet.order.leq
             for (i, x), (j, y) in itertools.product(enumerate(system.atoms), repeat=2):
                 assert leq[i, j] == _plain_letter_leq(x, y), (q.leq.tolist(), x, y)
             try:
-                members = build_level(q, 2, "vstar").members
+                members = build_level(q, alpha, "vstar").members
             except CombinatorialBlowupError:
                 continue
             for x, y in itertools.product(members, repeat=2):
                 assert lesssim_star(x, y, q) == _plain_hereditary_leq(x, y, q), (
                     q.leq.tolist(), x, y,
                 )
+

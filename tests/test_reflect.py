@@ -80,8 +80,8 @@ def test_corrupted_comparison_rule_is_reported(a2, monkeypatch):
 
 def test_translation_verifies_at_level_three_on_three_points():
     # The discrete order on three points is left out: its 1,962 letters take
-    # about 80 s to order at level 3.  The letter order as matrix products
-    # (ROADMAP.md item 2) is what would bring it in.
+    # about 23 s to order at level 3.  The letter order as matrix products
+    # (ROADMAP.md item 1) is what would bring it in.
     discrete = np.eye(3, dtype=bool)
     carriers = [q for q in all_quasi_orders(3) if (q.leq != discrete).any()]
     assert len(carriers) == 8
