@@ -11,8 +11,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from . import hierarchy, oracle
 from .downsets import enumerate_downsets, enumerate_ideals
@@ -58,16 +56,6 @@ def _word(alpha: AtomAlphabet, text: str) -> HWord:
     return HWord(alpha, [alpha.order.index(lab) for lab in text.split(",")])
 
 
-def _json_default(x):
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.bool_,)):
-        return bool(x)
-    if isinstance(x, (set, frozenset)):
-        return sorted(x)
-    raise TypeError(f"not JSON serializable: {type(x).__name__}")
-
-
 def _envelope(ns: argparse.Namespace, payload) -> str:
     sub = getattr(ns, "sub", None)
     doc = {
@@ -76,7 +64,7 @@ def _envelope(ns: argparse.Namespace, payload) -> str:
         "seed": ns.seed,
         "report": payload,
     }
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False, default=_json_default) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def _report_payload(reports: list[Report]) -> tuple[int, dict]:

@@ -16,6 +16,7 @@ from .qo import (
     _bits,
     _element_masks,
     all_downsets_of_poset,
+    class_unions,
     down_closure,
     equiv_classes,
     is_directed,
@@ -108,14 +109,8 @@ def enumerate_downsets(q: FiniteQO, max_count: int | None = 100_000) -> list[Dow
         raise EmptyCarrierError("no downsets over the empty carrier")
     qm = quotient(q)
     bound = None if max_count is None else max_count + 1  # the empty set is dropped
-    rows = []
-    for class_set in all_downsets_of_poset(qm.classes.leq, bound):
-        if class_set:
-            members = [i for c in _bits(class_set) for i in qm.members[c]]
-            members.sort()
-            rows.append((len(members), members))
-    rows.sort()
-    return [Downset(q, members) for _, members in rows]
+    rows = class_unions(qm, all_downsets_of_poset(qm.classes.leq, bound))
+    return [Downset(q, members) for members in rows if members]
 
 
 def enumerate_ideals(q: FiniteQO) -> list[Ideal]:
@@ -123,19 +118,14 @@ def enumerate_ideals(q: FiniteQO) -> list[Ideal]:
 
     Principal down-closures, one per equivalence class; on a finite carrier
     every directed set contains an element above all of it, so nothing else
-    can be directed and downward closed.
+    can be directed and downward closed.  Distinct classes give distinct
+    ideals: elements with the same down-closure lie below each other.
     """
     if q.n == 0:
         raise EmptyCarrierError("no ideals over the empty carrier")
     out = [Ideal(q, down_closure(q, [members[0]])) for members in equiv_classes(q)]
-    seen: set[frozenset[int]] = set()
-    unique = []
-    for ideal in out:
-        if ideal.members not in seen:
-            seen.add(ideal.members)
-            unique.append(ideal)
-    unique.sort(key=lambda d: (len(d.members), d.sorted_members))
-    return unique
+    out.sort(key=lambda d: (len(d.members), d.sorted_members))
+    return out
 
 
 def ideal_decomposition(d: Downset) -> list[Ideal]:

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import CombinatorialBlowupError, EmptyCarrierError, LevelCapExceededError
 from .higman import AtomAlphabet, HWord
 from .monoid import MonoidalQO
-from .qo import FiniteQO, _bits, all_downsets_of_poset, equiv_classes
+from .qo import FiniteQO, _bits, all_downsets_of_poset, equiv_classes, first_of_each_class
 
 # The paper's hierarchy runs through every ordinal; this package stops here.
 LEVEL_CAP = 3
@@ -195,16 +195,17 @@ class HierLevel:
         yield self
 
 
-def _canonical_reps(candidates: Iterable[HSet], q: FiniteQO) -> tuple[HSet, ...]:
-    'One representative per class: the member with the least serial.'
-    reps: list[HSet] = []
-    for x in sorted(set(candidates), key=lambda h: h.serial):
-        if not any(sim_star(x, r, q) for r in reps):
-            reps.append(x)
-    return tuple(reps)
-
-
 _KINDS = ("vstar", "istar", "ihat")
+
+
+def _check_level(alpha: int, q: FiniteQO) -> None:
+    'Reject a level below 0 or above LEVEL_CAP, and the empty carrier.'
+    if alpha < 0:
+        raise ValueError(f"level must be at least 0, got {alpha}")
+    if alpha > LEVEL_CAP:
+        raise LevelCapExceededError(f"level {alpha} exceeds the cap of {LEVEL_CAP}")
+    if q.n == 0:
+        raise EmptyCarrierError("no hierarchy over the empty carrier")
 
 
 def build_level(
@@ -226,12 +227,7 @@ def build_level(
     q = base.order if isinstance(base, MonoidalQO) else base
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    if alpha < 0:
-        raise ValueError(f"level must be at least 0, got {alpha}")
-    if alpha > LEVEL_CAP:
-        raise LevelCapExceededError(f"level {alpha} exceeds the cap of {LEVEL_CAP}")
-    if q.n == 0:
-        raise EmptyCarrierError("no hierarchy over the empty carrier")
+    _check_level(alpha, q)
 
     level = None
     candidates = [ur_elem(cls[0]) for cls in equiv_classes(q)]
@@ -244,7 +240,9 @@ def build_level(
             raise CombinatorialBlowupError(
                 f"stage {stage} exceeds {max_members} candidate members"
             )
-        level = HierLevel(stage, kind, q, _canonical_reps(candidates, q), level)
+        # one representative per class: the member with the least serial
+        reps = first_of_each_class(sorted(set(candidates), key=lambda h: h.serial), sim_star, q)
+        level = HierLevel(stage, kind, q, tuple(reps), level)
     return level
 
 
@@ -312,10 +310,6 @@ class Atom:
     @property
     def is_idem(self) -> bool:
         return self.downset is not None
-
-    @property
-    def downset_sorted(self) -> tuple["Atom", ...]:
-        return tuple(sorted(self.downset, key=lambda a: a.serial))
 
     def __repr__(self) -> str:
         return f"Atom({self.serial})"
@@ -417,7 +411,7 @@ class AtomSystem:
     """The symbolic prime alphabet of a carrier at one level.
 
     atoms are sorted by (level, serial); alphabet is the same carrier as a
-    word alphabet, plain letters nonidem and idempotent letters idem;
+    word alphabet, with the idempotent letters as its idem;
     level_counts[k] is how many atoms exist at levels <= k.
     """
 
@@ -448,12 +442,7 @@ def build_atoms(
     rejects construction if any idempotent letter lands below a plain one,
     which is how a corrupted comparison rule gets caught early.
     """
-    if alpha < 0:
-        raise ValueError(f"level must be at least 0, got {alpha}")
-    if alpha > LEVEL_CAP:
-        raise LevelCapExceededError(f"level {alpha} exceeds the cap of {LEVEL_CAP}")
-    if p.n == 0:
-        raise EmptyCarrierError("no letters over the empty carrier")
+    _check_level(alpha, p)
 
     atoms: list[Atom] = [non_idem_atom(p, cls[0]) for cls in equiv_classes(p)]
     present = set(atoms)

@@ -21,7 +21,15 @@ import numpy as np
 
 from .errors import AlphabetMismatchError, ScaleExceededError, TooLargeError
 from .monoid import MonoidalQO, primes as monoid_primes
-from .qo import FiniteQO, _bits, all_downsets_of_poset, all_quasi_orders, quotient
+from .qo import (
+    FiniteQO,
+    all_downsets_of_poset,
+    all_quasi_orders,
+    all_tuples,
+    class_unions,
+    first_of_each_class,
+    quotient,
+)
 from .report import CheckResult, Report
 
 # longest word the explicit witness search accepts
@@ -55,13 +63,6 @@ class AtomAlphabet:
         self.order = order
         self.idem = idem
         self._leq_rows = order.leq.tolist()
-
-    @property
-    def nonidem(self) -> frozenset[int]:
-        return frozenset(range(self.order.n)) - self.idem
-
-    def letter(self, label: str) -> int:
-        return self.order.index(label)
 
     def __repr__(self) -> str:
         return (
@@ -211,29 +212,7 @@ def canonical_word(w: HWord) -> HWord:
 
 def all_words(alphabet: AtomAlphabet, maxlen: int) -> list[HWord]:
     'Every word up to maxlen, ordered by length then letter indices.'
-    out = [HWord(alphabet, ())]
-    frontier: list[tuple[int, ...]] = [()]
-    for _ in range(maxlen):
-        frontier = [
-            w + (i,) for w in frontier for i in range(alphabet.order.n)
-        ]
-        out.extend(HWord(alphabet, w) for w in frontier)
-    return out
-
-
-def _word_classes(words: Sequence[HWord]) -> tuple[list[HWord], list[int]]:
-    'Representatives (first in list order) and the class index of every word.'
-    reps: list[HWord] = []
-    cls: list[int] = []
-    for w in words:
-        for k, r in enumerate(reps):
-            if equiv_H(w, r):
-                cls.append(k)
-                break
-        else:
-            cls.append(len(reps))
-            reps.append(w)
-    return reps, cls
+    return [HWord(alphabet, t) for t in all_tuples(alphabet.order.n, maxlen)]
 
 
 def hword_primes_check(alphabet: AtomAlphabet, maxlen: int = 4) -> Report:
@@ -250,7 +229,7 @@ def hword_primes_check(alphabet: AtomAlphabet, maxlen: int = 4) -> Report:
     if maxlen > 6:
         raise TooLargeError("prime scan is capped at words of length 6")
     words = all_words(alphabet, maxlen)
-    reps, _ = _word_classes(words)
+    reps = first_of_each_class(words, equiv_H)
     letters = [HWord(alphabet, (i,)) for i in range(alphabet.order.n)]
     empty = HWord(alphabet, ())
 
@@ -329,9 +308,7 @@ def check_abstractly_higman(m: MonoidalQO) -> Report:
             acc = int(M[acc, x])
         return acc
 
-    tuples: list[tuple[int, ...]] = [()]
-    for length in range(1, _MAX_TUPLE + 1):
-        tuples.extend(itertools.product(ps, repeat=length))
+    tuples = [tuple(ps[i] for i in t) for t in all_tuples(len(ps), _MAX_TUPLE)]
     prods = [prod(t) for t in tuples]
 
     bad = None
@@ -400,16 +377,10 @@ def bounded_word_monoid(
 
 
 def upward_closed_subsets(q: FiniteQO) -> list[frozenset[int]]:
-    'All upward-closed subsets, empty and full included.'
+    """All upward-closed subsets, empty and full included, ordered by
+    (size, members): the downsets of the reversed quotient order."""
     qm = quotient(q)
-    full = (1 << qm.classes.n) - 1
-    rows = []
-    for class_set in all_downsets_of_poset(qm.classes.leq):
-        members = [i for c in _bits(full & ~class_set) for i in qm.members[c]]
-        members.sort()
-        rows.append((len(members), members))
-    rows.sort()
-    return [frozenset(members) for _, members in rows]
+    return [frozenset(m) for m in class_unions(qm, all_downsets_of_poset(qm.classes.leq.T))]
 
 
 def dp_agreement_sweep(
@@ -454,7 +425,9 @@ def dp_agreement_sweep(
     for n in range(1, max_atoms + 1):
         full = n <= full_atom_cap
         cap = max(max_pair_len, full_len if full else 0)
-        words = [list(itertools.product(range(n), repeat=k)) for k in range(cap + 1)]
+        words: list[list[tuple[int, ...]]] = [[] for _ in range(cap + 1)]
+        for t in all_tuples(n, cap):
+            words[len(t)].append(t)
         blocks = [
             (words[a], words[b])
             for a in range(cap + 1)

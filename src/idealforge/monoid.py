@@ -13,7 +13,7 @@ import numpy as np
 
 from .downsets import downset_product, enumerate_ideals, unit_downset
 from .errors import EmptyCarrierError, NoFactorizationError, SchemaError, UnknownLabelError
-from .qo import FiniteQO, equiv_classes, from_json as qo_from_json, to_json as qo_to_json
+from .qo import FiniteQO, from_json as qo_from_json, to_json as qo_to_json
 from .report import CheckResult, Report
 
 # longest factor product check_prime_product_lemma tries
@@ -364,5 +364,4 @@ __all__ = [
     "monoid_to_json",
     "primes",
     "prime_factorization",
-    "equiv_classes",
 ]

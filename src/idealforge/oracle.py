@@ -12,25 +12,13 @@ routes meet.
 """
 from __future__ import annotations
 
-import itertools
-
 from .errors import ScaleExceededError
 from .higman import HWord, hword_primes_check, leq_H
 from .hierarchy import Atom, AtomSystem, build_atoms
-from .qo import FiniteQO
+from .qo import FiniteQO, all_tuples
 from .report import CheckResult, Report
 
 _SEQ_UNIVERSE_CAP = 200_000
-
-
-def all_sequences(p: FiniteQO, maxlen: int) -> tuple[tuple[int, ...], ...]:
-    'Sequences of carrier indices, shortest first, lexicographic within a length.'
-    out: list[tuple[int, ...]] = []
-    frontier: list[tuple[int, ...]] = [()]
-    for _ in range(maxlen + 1):
-        out.extend(frontier)
-        frontier = [s + (i,) for s in frontier for i in range(p.n)]
-    return tuple(out)
 
 
 def seq_label(p: FiniteQO, s: tuple[int, ...]) -> str:
@@ -71,7 +59,7 @@ class DenotationContext:
         size = sum(p.n**k for k in range(maxlen + 1))
         if size > _SEQ_UNIVERSE_CAP:
             raise ScaleExceededError(f"{size} sequences exceed the cap of {_SEQ_UNIVERSE_CAP}")
-        self.seqs = all_sequences(p, maxlen)
+        self.seqs = all_tuples(p.n, maxlen)
         self.index = {s: i for i, s in enumerate(self.seqs)}
         # splits[i] lists (prefix, suffix) index pairs over every cut of
         # seqs[i], the empty-prefix cut first.
@@ -188,14 +176,6 @@ def denote_member(system: AtomSystem, w: HWord, s) -> bool:
     return blocks(0, 0)
 
 
-def _atom_words(system: AtomSystem, max_word_len: int) -> list[tuple[int, ...]]:
-    k = len(system.atoms)
-    out: list[tuple[int, ...]] = []
-    for length in range(max_word_len + 1):
-        out.extend(itertools.product(range(k), repeat=length))
-    return out
-
-
 def check_containment_agreement(
     p: FiniteQO,
     alpha: int,
@@ -213,7 +193,7 @@ def check_containment_agreement(
         raise ScaleExceededError("containment sweep is sized for alpha <= 2, maxlen <= 5")
     system = build_atoms(p, alpha)
     ctx = DenotationContext(p, maxlen)
-    words = _atom_words(system, max_word_len)
+    words = all_tuples(len(system.atoms), max_word_len)
     hwords = [system.word(t) for t in words]
     masks = [ctx.word_mask(tuple(system.atoms[i] for i in t)) for t in words]
 
@@ -414,7 +394,7 @@ def check_xy_wz(
         raise ScaleExceededError("product sweep is sized for maxlen <= 4")
     system = build_atoms(p, 1)
     ctx = DenotationContext(p, maxlen)
-    words = _atom_words(system, max_word_len)
+    words = all_tuples(len(system.atoms), max_word_len)
     atoms = [tuple(system.atoms[i] for i in t) for t in words]
     masks = [ctx.word_mask(t) for t in atoms]
     factors = [_factor_list(t, p) for t in atoms]

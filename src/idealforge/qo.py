@@ -213,6 +213,38 @@ def quotient(q: FiniteQO) -> QuotientMap:
     return QuotientMap(q, tuple(class_of), FiniteQO(labels, table), classes)
 
 
+def class_unions(qm: QuotientMap, class_masks: list[int]) -> list[list[int]]:
+    """The carrier members of each union of quotient classes, one list per
+    class mask (bit c standing for class c), each sorted, and the lists
+    ordered by (size, members)."""
+    rows = []
+    for mask in class_masks:
+        members = [i for c in _bits(mask) for i in qm.members[c]]
+        members.sort()
+        rows.append(members)
+    rows.sort()
+    rows.sort(key=len)
+    return rows
+
+
+def first_of_each_class(items: Iterable, equiv, *args) -> list:
+    """The first item of each equivalence class, in input order: an item is
+    kept unless equiv(item, kept, *args) holds for some item kept before it."""
+    reps: list = []
+    for x in items:
+        for r in reps:
+            if equiv(x, r, *args):
+                break
+        else:
+            reps.append(x)
+    return reps
+
+
+def all_tuples(n: int, maxlen: int) -> list[tuple[int, ...]]:
+    'Tuples over range(n) up to length maxlen, shortest first, lexicographic within a length.'
+    return [t for k in range(maxlen + 1) for t in itertools.product(range(n), repeat=k)]
+
+
 def _row_masks(table: np.ndarray) -> list[int]:
     'Bit j of entry i is table[i, j].'
     packed = np.packbits(table, axis=1, bitorder="little")

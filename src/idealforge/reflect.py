@@ -27,23 +27,18 @@ from .report import CheckResult, Report
 
 @dataclass(eq=False)
 class ReflectionTable:
-    """Images of every atom of a system, over the extended carrier.
-
-    An entry of None is the undefined marker.  It can only arise by
-    propagation from an undefined payload image, never at a plain letter,
-    and verify_reflection asserts it is absent for finite carriers.
-    """
+    'Images of every atom of a system, over the extended carrier.'
 
     system: AtomSystem
     star_qo: FiniteQO
     star: int
-    entries: dict[Atom, HSet | None]
+    entries: dict[Atom, HSet]
 
     @property
     def alpha(self) -> int:
         return self.system.alpha
 
-    def image(self, atom: Atom) -> HSet | None:
+    def image(self, atom: Atom) -> HSet:
         return self.entries[atom]
 
 
@@ -52,19 +47,15 @@ def build_reflection(p: FiniteQO, alpha: int) -> ReflectionTable:
     system = build_atoms(p, alpha)
     star_qo = disjoint_union_with_star(p)
     star = star_qo.n - 1
-    entries: dict[Atom, HSet | None] = {}
+    entries: dict[Atom, HSet] = {}
 
-    def image(a: Atom) -> HSet | None:
+    def image(a: Atom) -> HSet:
         if a in entries:
             return entries[a]
         if not a.is_idem:
-            out: HSet | None = ur_elem(a.base_class)
+            out = ur_elem(a.base_class)
         else:
-            kids = [image(d) for d in a.downset_sorted]
-            if any(k is None for k in kids):
-                out = None
-            else:
-                out = hset([*kids, ur_elem(star)])
+            out = hset([*(image(d) for d in a.downset), ur_elem(star)])
         entries[a] = out
         return out
 
@@ -94,15 +85,12 @@ def verify_reflection(table: ReflectionTable) -> Report:
     sq = table.star_qo
     star_ur = ur_elem(table.star)
 
-    undefined = [a.serial for a in atoms if table.entries[a] is None]
-    defined = [a for a in atoms if table.entries[a] is not None]
-
     preserve_bad = None
     reflect_bad = None
     pairs = 0
-    for x in defined:
+    for x in atoms:
         fx = table.entries[x]
-        for y in defined:
+        for y in atoms:
             fy = table.entries[y]
             pairs += 1
             src = hierarchy.compare_atoms(x, y)
@@ -113,7 +101,7 @@ def verify_reflection(table: ReflectionTable) -> Report:
                 reflect_bad = {"x": x.serial, "y": y.serial}
 
     star_bad = None
-    for a in defined:
+    for a in atoms:
         fa = table.entries[a]
         has_star = fa.children is not None and star_ur in fa.children
         if a.is_idem != has_star:
@@ -123,7 +111,7 @@ def verify_reflection(table: ReflectionTable) -> Report:
     # A level-l letter should land exactly at rank l - 1, hence below alpha,
     # and mention no urelement outside the extended carrier.
     rank_bad = None
-    for a in defined:
+    for a in atoms:
         fa = table.entries[a]
         if fa.rank != a.level - 1 or fa.rank >= table.alpha:
             rank_bad = {"atom": a.serial, "rank": fa.rank}
@@ -136,12 +124,11 @@ def verify_reflection(table: ReflectionTable) -> Report:
         "reflection",
         (
             CheckResult(
-                "defined-everywhere",
-                not undefined,
-                undefined or None,
-                {"atoms": len(atoms)},
+                "order-preserving",
+                preserve_bad is None,
+                preserve_bad,
+                {"atoms": len(atoms), "pairs": pairs},
             ),
-            CheckResult("order-preserving", preserve_bad is None, preserve_bad, {"pairs": pairs}),
             CheckResult("order-reflecting", reflect_bad is None, reflect_bad),
             CheckResult("star-membership", star_bad is None, star_bad),
             CheckResult("image-bounds", rank_bad is None, rank_bad),

@@ -115,10 +115,22 @@ def test_unit_is_neutral_up_to_equivalence():
 
 
 def test_directed_members_stay_directed_under_mult():
+    # The stage-1 directed sets before the quotient: a finite directed set
+    # is equivalent to its top, so built levels hold only urelements and
+    # would never reach the set case of is_hereditarily_directed.
+    products = 0
     for m in (capped_addition(3), flat(2), idem_pair()):
-        lev = build_level(m, 2, "istar")
-        for x, y in itertools.product(lev.members, repeat=2):
-            assert is_hereditarily_directed(hset_mult(x, y, m), m.order)
+        urs = tuple(ur_elem(cls[0]) for cls in equiv_classes(m.order))
+        members = urs + tuple(
+            hierarchy._adjoined_sets(urs, "istar", m.order, 1, hierarchy.DEFAULT_MAX_MEMBERS)
+        )
+        for x, y in itertools.product(members, repeat=2):
+            xy = hset_mult(x, y, m)
+            assert is_hereditarily_directed(xy, m.order)
+            products += xy.children is not None
+    assert products == 639
+    # {a1, a2} over flat(2): the two middle points have no upper bound inside
+    assert not is_hereditarily_directed(hset([ur_elem(1), ur_elem(2)]), flat(2).order)
 
 
 def test_frozen_cardinalities(a2, singleton, chain3):

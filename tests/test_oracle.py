@@ -11,12 +11,10 @@ from idealforge.hierarchy import build_atoms
 from idealforge.higman import AtomAlphabet, HWord, leq_H
 from idealforge.oracle import (
     DenotationContext,
-    _atom_words,
     _concat,
     _factor_list,
     _product_contained,
     _single_letters,
-    all_sequences,
     check_containment_agreement,
     check_two_forms,
     check_xy_wz,
@@ -24,7 +22,7 @@ from idealforge.oracle import (
     higman_embed,
     seq_label,
 )
-from idealforge.qo import all_quasi_orders
+from idealforge.qo import all_quasi_orders, all_tuples
 
 
 def test_embedding_matches_word_order_on_plain_alphabets(a2, chain2):
@@ -33,7 +31,7 @@ def test_embedding_matches_word_order_on_plain_alphabets(a2, chain2):
     # alphabet wrapping the same carrier
     for p in (a2, chain2):
         alphabet = AtomAlphabet(p, ())
-        seqs = all_sequences(p, 3)
+        seqs = all_tuples(p.n, 3)
         for s, t in itertools.product(seqs, repeat=2):
             assert higman_embed(s, t, p) == leq_H(
                 HWord(alphabet, s), HWord(alphabet, t)
@@ -41,7 +39,7 @@ def test_embedding_matches_word_order_on_plain_alphabets(a2, chain2):
 
 
 def test_truncated_universe_shape(a2, antichain3):
-    seqs = all_sequences(a2, 3)
+    seqs = all_tuples(a2.n, 3)
     assert len(seqs) == 1 + 2 + 4 + 8
     assert seqs[0] == ()
     assert seq_label(a2, ()) == "ε"
@@ -245,7 +243,7 @@ def test_greedy_inclusion_matches_the_position_automaton():
             system = build_atoms(q, 1)
             factors = [
                 _factor_list(tuple(system.atoms[i] for i in t), q)
-                for t in _atom_words(system, 2)
+                for t in all_tuples(len(system.atoms), 2)
             ]
             lists = list(dict.fromkeys(_concat(fa, fb) for fa in factors for fb in factors))
             if len(lists) ** 2 <= 20_000:

@@ -1,0 +1,53 @@
+"""Every definition in the package is used somewhere in the repository.
+
+A top-level function or class, or a method that is not a dunder, counts as
+used when some module under src, tests, demos or perfbench names it: as a
+bare name, as an attribute, or in an import.  `main` is used through the
+console script in pyproject.toml.
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "idealforge"
+
+
+def _definitions(tree: ast.Module) -> list[str]:
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            out += [
+                f.name
+                for f in node.body
+                if isinstance(f, ast.FunctionDef)
+                and not (f.name.startswith("__") and f.name.endswith("__"))
+            ]
+    return out
+
+
+def _references(tree: ast.Module) -> set[str]:
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+    return out
+
+
+def test_every_package_definition_is_referenced():
+    used = {"main"}
+    for folder in ("src", "tests", "demos", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            used |= _references(ast.parse(path.read_text(encoding="utf-8")))
+    unused = sorted(
+        f"{path.name}:{name}"
+        for path in PACKAGE.glob("*.py")
+        for name in _definitions(ast.parse(path.read_text(encoding="utf-8")))
+        if name not in used
+    )
+    assert unused == []
