@@ -1,4 +1,5 @@
-"""Downward-closed sets and ideals of a finite quasi-order.
+"""Downward-closed sets and ideals of a finite quasi-order, each one int mask
+over its carrier (bit i for element i) that members are decoded from on demand.
 
 Ideals are the directed downward-closed sets; on a finite carrier each one is
 the down-closure of a single equivalence class, which the enumeration exploits
@@ -8,15 +9,22 @@ down-closure of the unit as neutral element.
 """
 from __future__ import annotations
 
+import operator
+from functools import reduce
 from typing import TYPE_CHECKING, Iterable
+
+import numpy as np
 
 from .errors import EmptyCarrierError
 from .qo import (
     FiniteQO,
     _bits,
+    _byte_image,
+    _byte_tables,
+    _down_mask,
     _element_masks,
+    _union_mask,
     all_downsets_of_poset,
-    class_unions,
     down_closure,
     equiv_classes,
     is_directed,
@@ -30,56 +38,71 @@ if TYPE_CHECKING:  # pragma: no cover
 class Downset:
     """A nonempty downward-closed subset of a finite quasi-order.
 
-    Stored extensionally; the constructor rejects anything empty or not
-    closed downward.  Equality is extensional over the same carrier.
+    Stored as one int mask over the carrier.  Both constructors, from member
+    indices and from a mask, reject anything empty, outside the carrier or
+    not closed downward.  Equality is extensional over the same carrier.
     """
 
-    __slots__ = ("base", "members")
+    __slots__ = ("base", "mask")
 
     def __init__(self, base: FiniteQO, members: Iterable[int]) -> None:
-        members = frozenset(members)
-        if not members:
+        mask = 0
+        for i in map(operator.index, members):
+            if not 0 <= i < base.n:
+                raise ValueError(f"element index {i} is outside range({base.n})")
+            mask |= 1 << i
+        self._init(base, mask)
+
+    @classmethod
+    def from_mask(cls, base: FiniteQO, mask: int) -> "Downset":
+        'The downset whose members are the set bits of mask.'
+        if mask < 0 or mask >> base.n:
+            raise ValueError(f"mask has bits outside range({base.n})")
+        d = cls.__new__(cls)
+        d._init(base, mask)
+        return d
+
+    def _init(self, base: FiniteQO, mask: int) -> None:
+        if not mask:
             raise ValueError("downsets are nonempty by convention")
-        if min(members) < 0:
-            raise ValueError("element indices are nonnegative")
-        own, down, _ = _element_masks(base)
-        mask = closed = 0
-        for i in members:
-            mask |= own[i]
-            closed |= down[i]
+        closed = _down_mask(base, mask)
         if closed != mask:
             missing = _bits(closed & ~mask)
             raise ValueError(
                 f"not downward closed, missing {[base.elements[i] for i in missing]}"
             )
         self.base = base
-        self.members = members
+        self.mask = mask
+
+    @property
+    def members(self) -> frozenset[int]:
+        return frozenset(_bits(self.mask))
 
     @property
     def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
+        return tuple(_bits(self.mask))
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(self.base.elements[i] for i in self.sorted_members)
+        return tuple(self.base.elements[i] for i in _bits(self.mask))
 
     def __contains__(self, i: int) -> bool:
-        return i in self.members
+        return i in range(self.base.n) and bool(self.mask >> int(i) & 1)
 
     def __le__(self, other: "Downset") -> bool:
         if self.base is not other.base:
             raise ValueError("downsets over different carriers")
-        return self.members <= other.members
+        return not self.mask & ~other.mask
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Downset)
             and self.base is other.base
-            and self.members == other.members
+            and self.mask == other.mask
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.base), self.members))
+        return hash((id(self.base), self.mask))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({{{', '.join(self.labels)}}})"
@@ -88,10 +111,18 @@ class Downset:
 class Ideal(Downset):
     'A directed downset.'
 
-    def __init__(self, base: FiniteQO, members: Iterable[int]) -> None:
-        super().__init__(base, members)
-        if not is_directed(base, self.members):
+    def _init(self, base: FiniteQO, mask: int) -> None:
+        super()._init(base, mask)
+        if not is_directed(base, _bits(mask)):
             raise ValueError("not directed")
+
+
+def _size_then_members(d: Downset) -> tuple[int, int]:
+    """The (size, sorted member tuple) order read off the mask: among sets of
+    one size, the one holding the least element of the symmetric difference
+    comes first, so element i is read at bit n-1-i, largest first."""
+    mask = d.mask
+    return mask.bit_count(), -int(bin(mask)[:1:-1].ljust(d.base.n, "0"), 2)
 
 
 def principal(q: FiniteQO, i: int) -> Ideal:
@@ -103,14 +134,21 @@ def enumerate_downsets(q: FiniteQO, max_count: int | None = 100_000) -> list[Dow
     """All nonempty downsets, canonically ordered by (size, member tuple).
 
     Downsets are unions of equivalence classes, so the enumeration runs on the
-    quotient and expands back.  max_count bounds how many are returned.
+    quotient and maps each class mask to its element mask, one table lookup
+    per byte.  max_count bounds how many are returned.
     """
     if q.n == 0:
         raise EmptyCarrierError("no downsets over the empty carrier")
     qm = quotient(q)
     bound = None if max_count is None else max_count + 1  # the empty set is dropped
-    rows = class_unions(qm, all_downsets_of_poset(qm.classes.leq, bound))
-    return [Downset(q, members) for members in rows if members]
+    expand = _byte_tables([sum(1 << i for i in members) for members in qm.members])
+    out = [
+        Downset.from_mask(q, _byte_image(expand, mask))
+        for mask in all_downsets_of_poset(qm.classes.leq, bound)
+        if mask
+    ]
+    out.sort(key=_size_then_members)
+    return out
 
 
 def enumerate_ideals(q: FiniteQO) -> list[Ideal]:
@@ -123,8 +161,8 @@ def enumerate_ideals(q: FiniteQO) -> list[Ideal]:
     """
     if q.n == 0:
         raise EmptyCarrierError("no ideals over the empty carrier")
-    out = [Ideal(q, down_closure(q, [members[0]])) for members in equiv_classes(q)]
-    out.sort(key=lambda d: (len(d.members), d.sorted_members))
+    out = [Ideal.from_mask(q, _element_masks(q)[1][c[0]]) for c in equiv_classes(q)]
+    out.sort(key=_size_then_members)
     return out
 
 
@@ -136,15 +174,16 @@ def ideal_decomposition(d: Downset) -> list[Ideal]:
     which contains the other.
     """
     q = d.base
-    maximal: list[int] = []
-    for i in sorted(d.members):
-        if any(q.le(i, j) and not q.le(j, i) for j in d.members):
-            continue
-        if any(q.equiv(i, j) for j in maximal):
-            continue
-        maximal.append(i)
-    parts = [Ideal(q, down_closure(q, [i])) for i in maximal]
-    parts.sort(key=lambda p: (len(p.members), p.sorted_members))
+    _, down, up = _element_masks(q)
+    parts: list[Ideal] = []
+    taken = 0
+    for i in _bits(d.mask):
+        same = down[i] & up[i]
+        # keep i unless something in d lies strictly above it or its class is taken
+        if not (up[i] & d.mask & ~same or same & taken):
+            taken |= same
+            parts.append(Ideal.from_mask(q, down[i]))
+    parts.sort(key=_size_then_members)
     return parts
 
 
@@ -154,20 +193,17 @@ def downset_product(x: Downset, y: Downset, m: "MonoidalQO") -> Downset:
     downsets is directed whenever the multiplication satisfies its axioms)."""
     if x.base is not m.order or y.base is not m.order:
         raise ValueError("downsets must live over the monoid's carrier")
-    products = {int(m.mult[a, b]) for a in x.members for b in y.members}
-    members = down_closure(m.order, products)
-    if isinstance(x, Ideal) and isinstance(y, Ideal):
-        return Ideal(m.order, members)
-    return Downset(m.order, members)
+    products = m.mult[np.ix_(_bits(x.mask), _bits(y.mask))]
+    mask = _union_mask(_element_masks(m.order)[1], set(products.ravel().tolist()))
+    kind = Ideal if isinstance(x, Ideal) and isinstance(y, Ideal) else Downset
+    return kind.from_mask(m.order, mask)
 
 
 def downset_union(parts: Iterable[Downset]) -> Downset:
     parts = list(parts)
     if not parts:
         raise ValueError("union of no downsets")
-    base = parts[0].base
-    members = frozenset().union(*(p.members for p in parts))
-    return Downset(base, members)
+    return Downset.from_mask(parts[0].base, reduce(operator.or_, (p.mask for p in parts)))
 
 
 def unit_downset(m: "MonoidalQO") -> Ideal:
@@ -181,24 +217,21 @@ def product_decomposition(
     """Split c <= a*b into finitely many boxed products.
 
     For each a' in a, collect the fiber {b' in b : a'b' in c}; for each
-    distinct nonempty fiber F, pair it with {a' in a : a'F <= c}.  When the
-    multiplication admits witness splitting, the union of the boxed products
-    recovers c exactly, which is what the tests assert.
+    distinct nonempty fiber F, pair it with {a' in a : a'F <= c}, the members
+    of a whose fiber contains F.  When the multiplication admits witness
+    splitting, the union of the boxed products recovers c exactly, which is
+    what the tests assert.
     """
     prod = downset_product(a, b, m)
-    if not c.members <= prod.members:
+    if c.mask & ~prod.mask:
         raise ValueError("c must be contained in the product of a and b")
-    fibers: dict[frozenset[int], None] = {}
-    for aa in sorted(a.members):
-        fiber = frozenset(bb for bb in b.members if int(m.mult[aa, bb]) in c.members)
-        if fiber:
-            fibers.setdefault(fiber, None)
+    lefts, rights = _bits(a.mask), _bits(b.mask)
+    fibers = [
+        sum(1 << bb for bb, p in zip(rights, row) if c.mask >> p & 1)
+        for row in m.mult[np.ix_(lefts, rights)].tolist()
+    ]
     out: list[tuple[Downset, Downset]] = []
-    for fiber in fibers:
-        left = frozenset(
-            aa
-            for aa in a.members
-            if all(int(m.mult[aa, bb]) in c.members for bb in fiber)
-        )
-        out.append((Downset(m.order, left), Downset(m.order, fiber)))
+    for fiber in dict.fromkeys(f for f in fibers if f):
+        left = sum(1 << aa for aa, f in zip(lefts, fibers) if not fiber & ~f)
+        out.append((Downset.from_mask(m.order, left), Downset.from_mask(m.order, fiber)))
     return out

@@ -23,10 +23,10 @@ from .errors import AlphabetMismatchError, ScaleExceededError, TooLargeError
 from .monoid import MonoidalQO, primes as monoid_primes
 from .qo import (
     FiniteQO,
+    _bits,
     all_downsets_of_poset,
     all_quasi_orders,
     all_tuples,
-    class_unions,
     first_of_each_class,
     quotient,
 )
@@ -380,7 +380,9 @@ def upward_closed_subsets(q: FiniteQO) -> list[frozenset[int]]:
     """All upward-closed subsets, empty and full included, ordered by
     (size, members): the downsets of the reversed quotient order."""
     qm = quotient(q)
-    return [frozenset(m) for m in class_unions(qm, all_downsets_of_poset(qm.classes.leq.T))]
+    masks = all_downsets_of_poset(qm.classes.leq.T)
+    rows = sorted(sorted(i for c in _bits(mask) for i in qm.members[c]) for mask in masks)
+    return [frozenset(m) for m in sorted(rows, key=len)]
 
 
 def dp_agreement_sweep(

@@ -338,19 +338,19 @@ def ideal_monoid(m: MonoidalQO) -> MonoidalQO:
     inclusion.  Element i is enumerate_ideals(m.order)[i]; labels list the
     members.  The unit is the down-closure of the unit element."""
     ideals = enumerate_ideals(m.order)
-    index = {ideal.members: i for i, ideal in enumerate(ideals)}
+    index = {ideal.mask: i for i, ideal in enumerate(ideals)}
     k = len(ideals)
     table = np.zeros((k, k), dtype=bool)
     for i in range(k):
         for j in range(k):
-            table[i, j] = ideals[i].members <= ideals[j].members
+            table[i, j] = ideals[i] <= ideals[j]
     mult = np.zeros((k, k), dtype=np.int64)
     for i in range(k):
         for j in range(k):
             prod = downset_product(ideals[i], ideals[j], m)
-            mult[i, j] = index[prod.members]
+            mult[i, j] = index[prod.mask]
     labels = tuple("{" + ",".join(ideal.labels) + "}" for ideal in ideals)
-    unit = index[unit_downset(m).members]
+    unit = index[unit_downset(m).mask]
     return MonoidalQO(FiniteQO(labels, table), mult, unit)
 
 

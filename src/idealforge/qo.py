@@ -38,11 +38,13 @@ class FiniteQO:
 
     Closures, downsets and their enumeration work on int bitmasks, bit i
     standing for element i.  Each element's own bit, down-mask and up-mask
-    are computed from leq on first use and kept on the carrier.
+    are computed from leq on first use and kept on the carrier, as are the
+    per-byte down-mask tables that close a whole mask one byte at a time.
     """
 
     __slots__ = (
-        "elements", "leq", "_index", "_classes", "_masks", "_hset_leq_cache", "_atom_pool",
+        "elements", "leq", "_index", "_classes", "_masks", "_down_bytes",
+        "_hset_leq_cache", "_atom_pool",
     )
 
     def __init__(self, elements: Iterable[str], leq) -> None:
@@ -59,6 +61,7 @@ class FiniteQO:
         self._index = {lab: i for i, lab in enumerate(elements)}
         self._classes: tuple[tuple[int, ...], ...] | None = None
         self._masks: tuple[list[int], list[int], list[int]] | None = None
+        self._down_bytes: list[list[int]] | None = None
         # memo for hereditary-set comparisons keyed on interned node pairs
         self._hset_leq_cache: dict = {}
         # hierarchy letters over this carrier, hash-consed on their payload
@@ -213,20 +216,6 @@ def quotient(q: FiniteQO) -> QuotientMap:
     return QuotientMap(q, tuple(class_of), FiniteQO(labels, table), classes)
 
 
-def class_unions(qm: QuotientMap, class_masks: list[int]) -> list[list[int]]:
-    """The carrier members of each union of quotient classes, one list per
-    class mask (bit c standing for class c), each sorted, and the lists
-    ordered by (size, members)."""
-    rows = []
-    for mask in class_masks:
-        members = [i for c in _bits(mask) for i in qm.members[c]]
-        members.sort()
-        rows.append(members)
-    rows.sort()
-    rows.sort(key=len)
-    return rows
-
-
 def first_of_each_class(items: Iterable, equiv, *args) -> list:
     """The first item of each equivalence class, in input order: an item is
     kept unless equiv(item, kept, *args) holds for some item kept before it."""
@@ -264,6 +253,34 @@ def _union_mask(masks: list[int], s: Iterable[int]) -> int:
     for i in s:
         out |= masks[i]
     return out
+
+
+def _byte_tables(masks: list[int]) -> list[list[int]]:
+    """One 256-entry table per byte of an index mask: entry b of table k is
+    the union of masks[8k + j] over the set bits j of b."""
+    tables = []
+    for start in range(0, len(masks), 8):
+        chunk = masks[start : start + 8] + [0] * 7
+        table = [0] * 256
+        for b in range(1, 256):
+            table[b] = table[b & (b - 1)] | chunk[(b & -b).bit_length() - 1]
+        tables.append(table)
+    return tables
+
+
+def _byte_image(tables: list[list[int]], mask: int) -> int:
+    'The union of the masks behind each set bit of mask, one lookup per byte.'
+    out = 0
+    for table, b in zip(tables, mask.to_bytes(len(tables), "little")):
+        out |= table[b]
+    return out
+
+
+def _down_mask(q: FiniteQO, mask: int) -> int:
+    'The down-closure of the elements of a mask within range(q.n), as a mask.'
+    if q._down_bytes is None:
+        q._down_bytes = _byte_tables(_element_masks(q)[1])
+    return _byte_image(q._down_bytes, mask)
 
 
 def _bits(mask: int) -> list[int]:
