@@ -21,6 +21,7 @@ from .qo import (
     _bits,
     _byte_image,
     _byte_tables,
+    _checked_indices,
     _down_mask,
     _element_masks,
     _union_mask,
@@ -47,9 +48,7 @@ class Downset:
 
     def __init__(self, base: FiniteQO, members: Iterable[int]) -> None:
         mask = 0
-        for i in map(operator.index, members):
-            if not 0 <= i < base.n:
-                raise ValueError(f"element index {i} is outside range({base.n})")
+        for i in _checked_indices(base, members):
             mask |= 1 << i
         self._init(base, mask)
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import CombinatorialBlowupError, EmptyCarrierError, LevelCapExceededError
 from .higman import AtomAlphabet, HWord
 from .monoid import MonoidalQO
-from .qo import FiniteQO, _bits, all_downsets_of_poset, equiv_classes, first_of_each_class
+from .qo import FiniteQO, _bits, _element_masks, all_downsets_of_poset, equiv_classes
 
 # The paper's hierarchy runs through every ordinal; this package stops here.
 LEVEL_CAP = 3
@@ -219,9 +219,12 @@ def build_level(
     vstar adjoins every nonempty subset of the previous stage, istar only the
     upward-directed ones, ihat only the directed downward-closed ones (on a
     finite stage those are the principal down-closures).  Every stage is
-    quotiented to canonical representatives and keeps the urelements, so
-    stages are cumulative.  A stage with more than max_members candidates
-    raises CombinatorialBlowupError; a vstar stage over k members has exactly
+    quotiented to canonical representatives, the least serial of each class,
+    and keeps the urelements, so stages are cumulative.  Classes and their
+    order come from one for-all-exists pass on int down-masks per stage
+    (_stage_classes), audited in full against sim_star and lesssim_star.  A
+    stage with more than max_members candidates raises
+    CombinatorialBlowupError; a vstar stage over k members has exactly
     k + 2^k - 1 candidates, so that count is checked before any set is built.
     """
     q = base.order if isinstance(base, MonoidalQO) else base
@@ -231,32 +234,90 @@ def build_level(
 
     level = None
     candidates = [ur_elem(cls[0]) for cls in equiv_classes(q)]
+    # stage 0 keys its urelements by their down-masks over the carrier itself
+    bit = {u: u.ur for u in candidates}
+    down = _element_masks(q)[1]
     for stage in range(alpha + 1):
+        prev = ()
         if stage:
-            candidates = list(level.members) + _adjoined_sets(
-                level.members, kind, q, stage, max_members
-            )
+            prev = level.members
+            candidates = list(prev) + _adjoined_sets(prev, down, kind, stage, max_members)
         if len(candidates) > max_members:
             raise CombinatorialBlowupError(
                 f"stage {stage} exceeds {max_members} candidate members"
             )
-        # one representative per class: the member with the least serial
-        reps = first_of_each_class(sorted(set(candidates), key=lambda h: h.serial), sim_star, q)
+        ordered = sorted(set(candidates), key=lambda h: h.serial)
+        reps, bit, down = _stage_classes(ordered, prev, bit, down, q)
         level = HierLevel(stage, kind, q, tuple(reps), level)
     return level
 
 
+def _stage_classes(
+    candidates: list[HSet],
+    prev: tuple[HSet, ...],
+    bit: dict[HSet, int],
+    down: list[int],
+    q: FiniteQO,
+) -> tuple[list[HSet], dict[HSet, int], list[int]]:
+    """One stage's representatives, class index map and down-masks.
+
+    bit maps every earlier candidate to its class index in the stage below
+    (representatives prev), whose down[i] masks the classes below class i.
+    A payload is an urelement itself or a set's members, and x is below y
+    exactly when x's payload lies in the down-closure of y's; so a
+    candidate's key, the OR of down over its payload, decides both: equal
+    keys make one class, represented by its first candidate, and key
+    inclusion is the order.  Audited in full through the live rules,
+    sim_star on each merged candidate and lesssim_star on every pair of
+    representatives; a disagreement raises ValueError naming the pair.
+    """
+    reps: list[HSet] = []
+    keys: list[int] = []
+    index: dict[int, int] = {}
+    new_bit: dict[HSet, int] = {}
+    for c in candidates:
+        key = 0
+        for p in (c,) if c.ur is not None else c.children:
+            key |= down[bit[p]]
+        j = index.setdefault(key, len(reps))
+        if j == len(reps):
+            reps.append(c)
+            keys.append(key)
+        elif not sim_star(c, reps[j], q):
+            raise ValueError(
+                f"{c.serial} and {reps[j].serial} share a down-closure but sim_star separates them"
+            )
+        new_bit[c] = j
+    for y, i in bit.items():
+        # a candidate merged in an earlier stage follows its representative
+        if y not in new_bit:
+            new_bit[y] = new_bit[prev[i]]
+    new_down = [0] * len(reps)
+    for j, y in enumerate(reps):
+        for k, x in enumerate(reps):
+            below = not keys[k] & ~keys[j]
+            if below != lesssim_star(x, y, q):
+                raise ValueError(
+                    f"down-closures put {x.serial} {'below' if below else 'not below'} "
+                    f"{y.serial}, lesssim_star disagrees"
+                )
+            if below:
+                new_down[j] |= 1 << k
+    return reps, new_bit, new_down
+
+
 def _adjoined_sets(
-    prev: tuple[HSet, ...], kind: str, q: FiniteQO, stage: int, max_members: int
+    prev: tuple[HSet, ...], down: list[int], kind: str, stage: int, max_members: int
 ) -> list[HSet]:
-    """The sets one stage of the given kind adjoins to the previous members.
+    """The sets one stage of the given kind adjoins to the previous members,
+    where down[j] is the mask of the members below prev[j].
 
     vstar checks its candidate count against max_members before the
     enumeration, so a doomed stage interns no set; istar counts as it goes.
     """
     k = len(prev)
     if kind == "ihat":
-        return [hset(y for y in prev if lesssim_star(y, x, q)) for x in prev]
+        return [hset(prev[i] for i in _bits(mask)) for mask in down]
     if k > _SUBSET_CAP:
         raise CombinatorialBlowupError(f"subset enumeration over {k} members")
     if kind == "vstar":
@@ -267,10 +328,9 @@ def _adjoined_sets(
             )
         return [hset(prev[i] for i in _bits(mask)) for mask in range(1, 1 << k)]
     up_bits = [0] * k
-    for i in range(k):
-        for j in range(k):
-            if lesssim_star(prev[i], prev[j], q):
-                up_bits[i] |= 1 << j
+    for j, mask in enumerate(down):
+        for i in _bits(mask):
+            up_bits[i] |= 1 << j
     new_sets: list[HSet] = []
     for mask in range(1, 1 << k):
         chosen = _bits(mask)
@@ -291,6 +351,9 @@ class Atom:
     Hash-consed in the base carrier's own pool (FiniteQO._atom_pool), so
     letters live exactly as long as their carrier; build through
     non_idem_atom and idem_atom.
+    downset is None for a plain letter and the payload letters, sorted by
+    serial, for an idempotent one, so every walk over a payload visits it in
+    the same order on every run.
     The level is the stage where the letter first appears: 0 for plain
     letters, one past the deepest payload letter otherwise.  leq_memo maps a
     letter y to the verdict of compare_atoms(self, y), filled as the
@@ -337,9 +400,9 @@ def idem_atom(base: FiniteQO, downset: Iterable[Atom]) -> Atom:
     pool = base._atom_pool
     atom = pool.get(downset)
     if atom is None:
-        kids = sorted(downset, key=lambda a: a.serial)
+        kids = tuple(sorted(downset, key=lambda a: a.serial))
         serial = "*{" + ",".join(a.serial for a in kids) + "}"
-        atom = Atom(base, None, downset, 1 + max(a.level for a in kids), serial)
+        atom = Atom(base, None, kids, 1 + max(a.level for a in kids), serial)
         pool[downset] = atom
     return atom
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -288,13 +289,22 @@ def _bits(mask: int) -> list[int]:
     return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
+def _checked_indices(q: FiniteQO, s: Iterable[int]) -> list[int]:
+    'The element indices in s as ints, rejecting any outside range(q.n).'
+    out = [operator.index(i) for i in s]
+    for i in out:
+        if not 0 <= i < q.n:
+            raise ValueError(f"element index {i} is outside range({q.n})")
+    return out
+
+
 def down_closure(q: FiniteQO, s: Iterable[int]) -> frozenset[int]:
     'Least downward-closed superset of s.'
-    return frozenset(_bits(_union_mask(_element_masks(q)[1], s)))
+    return frozenset(_bits(_union_mask(_element_masks(q)[1], _checked_indices(q, s))))
 
 
 def up_closure(q: FiniteQO, s: Iterable[int]) -> frozenset[int]:
-    return frozenset(_bits(_union_mask(_element_masks(q)[2], s)))
+    return frozenset(_bits(_union_mask(_element_masks(q)[2], _checked_indices(q, s))))
 
 
 def is_downward_closed(q: FiniteQO, s: frozenset[int]) -> bool:

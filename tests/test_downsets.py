@@ -39,6 +39,17 @@ def test_indices_outside_the_carrier_are_rejected():
         Downset.from_mask(two, 1 << 5)
     with pytest.raises(ValueError, match="outside range"):
         Downset.from_mask(two, -1)
+    # the public entry points that take element indices reject the same way,
+    # though a negative index would wrap round and a large one overrun
+    for call in (
+        lambda: principal(two, -1),
+        lambda: principal(two, 5),
+        lambda: down_closure(two, [-2]),
+        lambda: down_closure(two, [7]),
+        lambda: up_closure(two, [0, 2]),
+    ):
+        with pytest.raises(ValueError, match=r"element index -?\d+ is outside range\(2\)"):
+            call()
     d = Downset(two, {0, 1})
     assert [i in d for i in (-1, 0, 1, 2, 5, 64)] == [False, True, True, False, False, False]
 

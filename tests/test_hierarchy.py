@@ -26,7 +26,14 @@ from idealforge.hierarchy import (
     sim_star,
     ur_elem,
 )
-from idealforge.qo import FiniteQO, all_quasi_orders, equiv_classes, validate
+from idealforge.qo import (
+    FiniteQO,
+    _bits,
+    all_quasi_orders,
+    equiv_classes,
+    first_of_each_class,
+    validate,
+)
 
 
 def test_interning_gives_identity():
@@ -121,8 +128,11 @@ def test_directed_members_stay_directed_under_mult():
     products = 0
     for m in (capped_addition(3), flat(2), idem_pair()):
         urs = tuple(ur_elem(cls[0]) for cls in equiv_classes(m.order))
+        down = [
+            sum(1 << i for i, x in enumerate(urs) if lesssim_star(x, y, m.order)) for y in urs
+        ]
         members = urs + tuple(
-            hierarchy._adjoined_sets(urs, "istar", m.order, 1, hierarchy.DEFAULT_MAX_MEMBERS)
+            hierarchy._adjoined_sets(urs, down, "istar", 1, hierarchy.DEFAULT_MAX_MEMBERS)
         )
         for x, y in itertools.product(members, repeat=2):
             xy = hset_mult(x, y, m)
@@ -202,6 +212,79 @@ def test_doomed_vstar_stage_interns_almost_nothing():
     assert len(hierarchy._SET_POOL) - before <= 15
 
 
+def _scanned_stages(q, alpha, kind):
+    """build_level's stages by the quadratic scan it replaced: the adjoined
+    sets chosen by lesssim_star, and each candidate, in serial order, kept
+    unless sim_star ties it to one kept before it."""
+    members = [ur_elem(cls[0]) for cls in equiv_classes(q)]
+    stages = []
+    for stage in range(alpha + 1):
+        candidates = list(members)
+        if stage:
+            below = [[lesssim_star(x, y, q) for y in members] for x in members]
+            if kind == "ihat":
+                candidates += [
+                    hset(x for i, x in enumerate(members) if below[i][j])
+                    for j in range(len(members))
+                ]
+            else:
+                for mask in range(1, 1 << len(members)):
+                    chosen = _bits(mask)
+                    if kind == "vstar" or all(
+                        any(below[i][k] and below[j][k] for k in chosen)
+                        for i in chosen
+                        for j in chosen
+                    ):
+                        candidates.append(hset(members[i] for i in chosen))
+        ordered = sorted(set(candidates), key=lambda h: h.serial)
+        members = first_of_each_class(ordered, sim_star, q)
+        stages.append(tuple(members))
+    return stages
+
+
+def test_stage_classes_match_the_quadratic_scan():
+    # every quasi-order on at most 4 points at levels 0 to 2 and on at most
+    # 3 points at level 3, in all three kinds; the scan runs on a fresh copy
+    # of the carrier, so it reads no memo entry build_level wrote
+    cases = [(n, alpha) for n in range(1, 5) for alpha in range(3)]
+    cases += [(n, 3) for n in range(1, 4)]
+    compared = 0
+    for n, alpha in cases:
+        for q in all_quasi_orders(n):
+            for kind in ("vstar", "istar", "ihat"):
+                try:
+                    level = build_level(q, alpha, kind)
+                except CombinatorialBlowupError:
+                    continue
+                fresh = FiniteQO(q.elements, q.leq)
+                stages = [s.members for s in level.chain()]
+                assert stages == _scanned_stages(fresh, alpha, kind), (q.leq.tolist(), alpha, kind)
+                compared += 1
+    assert compared == 451
+
+
+@pytest.mark.parametrize(
+    "verdict, caught_by",
+    [
+        # every set below every urelement: the order audit sees it
+        (True, "lesssim_star disagrees"),
+        # no set below any urelement: the merged {a} is no longer tied to a
+        (False, "sim_star separates"),
+    ],
+)
+def test_corrupted_set_rule_is_caught(monkeypatch, verdict, caught_by):
+    honest = hierarchy.lesssim_star
+
+    def corrupted(x, y, q):
+        if x.ur is None and y.ur is not None:
+            return verdict
+        return honest(x, y, q)
+
+    monkeypatch.setattr(hierarchy, "lesssim_star", corrupted)
+    with pytest.raises(ValueError, match=caught_by):
+        build_level(validate(["a", "b"], [], close=True), 1, "vstar")
+
+
 def test_atom_interning_and_validation(a2, chain2):
     p = non_idem_atom(a2, 0)
     assert p is non_idem_atom(a2, 0)
@@ -251,6 +334,27 @@ def test_atom_order_frozen(a2, singleton):
     ssys = build_atoms(singleton, 1)
     assert [a.serial for a in ssys.atoms] == ["a", "*{a}"]
     assert ssys.alphabet.order.leq.tolist() == [[True, True], [False, True]]
+
+
+def test_letter_order_work_is_frozen(n_shape, monkeypatch):
+    # payloads are walked in serial order, so the memo and the recursion
+    # do the same work on every run, whatever the letters' addresses
+    calls = 0
+    honest = hierarchy._letter_leq
+
+    def counted(x, y):
+        nonlocal calls
+        calls += 1
+        return honest(x, y)
+
+    monkeypatch.setattr(hierarchy, "_letter_leq", counted)
+    system = build_atoms(n_shape, 2)
+    assert len(system.atoms) == 44
+    assert sum(len(a.leq_memo) for a in system.atoms) == 1936
+    assert calls == 2478
+    for a in system.atoms:
+        if a.is_idem:
+            assert list(a.downset) == sorted(a.downset, key=lambda d: d.serial)
 
 
 def test_atom_counts_grow_as_downsets(a2, antichain3):
