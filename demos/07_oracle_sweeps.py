@@ -8,21 +8,20 @@ import numpy as np
 
 from idealforge.hierarchy import build_atoms
 from idealforge.oracle import (
+    DenotationContext,
     check_containment_agreement,
     check_two_forms,
     check_xy_wz,
-    denote_member,
-    higman_embed,
 )
 from idealforge.qo import FiniteQO
 
 a2 = FiniteQO(["a", "b"], np.eye(2, dtype=bool))
 
-print("embedding (a,b) into (a,a,b):", higman_embed((0, 1), (0, 0, 1), a2))
-
 system = build_atoms(a2, 1)
 star_a = system.atoms[3]
-print("aaaa inside *{a}:", denote_member(system, system.word([star_a]), "aaaa"))
+ctx = DenotationContext(a2, 4)
+star_a_mask = ctx.word_mask((star_a,))
+print("aaaa inside *{a}:", bool(star_a_mask >> ctx.index[(0, 0, 0, 0)] & 1))
 
 r = check_two_forms(a2)
 shapes = r.check("prime-ideal-shapes").stats

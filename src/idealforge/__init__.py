@@ -62,8 +62,6 @@ from .oracle import (
     check_containment_agreement,
     check_two_forms,
     check_xy_wz,
-    denote_member,
-    higman_embed,
 )
 from .qo import FiniteQO, from_json, quotient, to_json, validate
 from .reflect import ReflectionTable, build_reflection, verify_reflection

@@ -146,33 +146,6 @@ def hset_mult(x: HSet, y: HSet, m: MonoidalQO) -> HSet:
     return out
 
 
-def is_hereditarily_directed(x: HSet, q: FiniteQO) -> bool:
-    'Urelement, or a directed set of hereditarily directed members.'
-    cache = q._hset_leq_cache
-    key = ("dir", x)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    if x.ur is not None:
-        out = True
-    else:
-        out = all(is_hereditarily_directed(c, q) for c in x.children)
-        if out:
-            kids = x.children
-            for a in kids:
-                for b in kids:
-                    if not any(
-                        lesssim_star(a, c, q) and lesssim_star(b, c, q)
-                        for c in kids
-                    ):
-                        out = False
-                        break
-                if not out:
-                    break
-    cache[key] = out
-    return out
-
-
 @dataclass(eq=False)
 class HierLevel:
     """One stage of an iterated hierarchy: canonical representatives, one per

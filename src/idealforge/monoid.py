@@ -234,27 +234,20 @@ def check_plus_property(m: MonoidalQO) -> Report:
     )
 
 
+def _loose_split(m: MonoidalQO, eq: np.ndarray, x: int) -> tuple[int, int] | None:
+    'The first pair (a, b), row by row, with x equivalent to a*b but to neither factor.'
+    row = eq[x]
+    hit = np.argwhere(row[m.mult] & ~row[:, None] & ~row)
+    return (int(hit[0, 0]), int(hit[0, 1])) if len(hit) else None
+
+
 def primes(m: MonoidalQO) -> frozenset[int]:
     """Elements not equivalent to the unit that never split: whenever such a
     p is equivalent to a*b, it is equivalent to a or to b."""
     eq = _eq_table(m)
-    M = m.mult
-    n = m.n
-    out = set()
-    for p in range(n):
-        if eq[p, m.unit]:
-            continue
-        good = True
-        for a in range(n):
-            if not good:
-                break
-            for b in range(n):
-                if eq[p, M[a, b]] and not eq[p, a] and not eq[p, b]:
-                    good = False
-                    break
-        if good:
-            out.add(p)
-    return frozenset(out)
+    return frozenset(
+        p for p in range(m.n) if not eq[p, m.unit] and _loose_split(m, eq, p) is None
+    )
 
 
 def prime_factorization(m: MonoidalQO, q: int) -> list[int]:
@@ -281,14 +274,14 @@ def prime_factorization(m: MonoidalQO, q: int) -> list[int]:
                 if eq[M[a, b], x] and strictly_below(a, x) and strictly_below(b, x):
                     return go(a) + go(b)
         # no strict split: x had better be prime
-        for a in range(m.n):
-            for b in range(m.n):
-                if eq[M[a, b], x] and not eq[a, x] and not eq[b, x]:
-                    raise NoFactorizationError(
-                        f"{m.label(x)!r} splits as "
-                        f"{m.label(a)!r}*{m.label(b)!r} but not strictly; "
-                        "the multiplication axioms cannot hold"
-                    )
+        split = _loose_split(m, eq, x)
+        if split is not None:
+            a, b = split
+            raise NoFactorizationError(
+                f"{m.label(x)!r} splits as "
+                f"{m.label(a)!r}*{m.label(b)!r} but not strictly; "
+                "the multiplication axioms cannot hold"
+            )
         return [x]
 
     return go(q)

@@ -1,9 +1,8 @@
 """Brute-force ground truth over bounded-length sequences.
 
-The semantic side here is deliberately primitive: sequences over the carrier
-compare by a greedy classical embedding, symbolic letters denote explicit
-sets of short sequences, and the theorem checks compare those sets bit by
-bit.  Products of level-1 denotations are also decided with no length
+The semantic side here is deliberately primitive: symbolic letters denote
+explicit sets of short sequences over the carrier, and the theorem checks
+compare those sets bit by bit.  Products of level-1 denotations are also decided with no length
 bound, by greedy inclusion of factor products, and the bounded bitmasks
 guard that decision.  None of it consults the word-embedding decision
 procedure or the letter-order rules, so agreement between the two routes is
@@ -12,9 +11,13 @@ routes meet.
 """
 from __future__ import annotations
 
+import itertools
+
+import numpy as np
+
 from .errors import ScaleExceededError
-from .higman import HWord, hword_primes_check, leq_H
-from .hierarchy import Atom, AtomSystem, build_atoms
+from .higman import hword_primes_check, leq_H
+from .hierarchy import Atom, build_atoms
 from .qo import FiniteQO, all_tuples
 from .report import CheckResult, Report
 
@@ -23,20 +26,6 @@ _SEQ_UNIVERSE_CAP = 200_000
 
 def seq_label(p: FiniteQO, s: tuple[int, ...]) -> str:
     return ".".join(p.elements[i] for i in s) if s else "ε"
-
-
-def higman_embed(s: tuple[int, ...], t: tuple[int, ...], p: FiniteQO) -> bool:
-    """Classical subsequence embedding: s maps into t letterwise, in order.
-
-    Greedy earliest match is complete here: skipping a usable position of t
-    never helps a later letter of s.
-    """
-    leq = p.leq
-    i = 0
-    for j in range(len(t)):
-        if i < len(s) and leq[s[i], t[j]]:
-            i += 1
-    return i == len(s)
 
 
 class DenotationContext:
@@ -122,58 +111,6 @@ class DenotationContext:
             out = self.product(self.word_mask(letters[:-1]), self.atom_mask(letters[-1]))
         self._word_masks[tuple(id(a) for a in letters)] = out
         return out
-
-
-def _seq_in_atom(atom: Atom, s: tuple[int, ...], p: FiniteQO, memo: dict) -> bool:
-    key = (id(atom), s)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    if not atom.is_idem:
-        out = len(s) == 0 or (len(s) == 1 and bool(p.leq[s[0], atom.base_class]))
-    elif not s:
-        out = True
-    else:
-        out = False
-        for k in range(1, len(s) + 1):
-            if not any(_seq_in_atom(d, s[:k], p, memo) for d in atom.downset):
-                continue
-            if _seq_in_atom(atom, s[k:], p, memo):
-                out = True
-                break
-    memo[key] = out
-    return out
-
-
-def denote_member(system: AtomSystem, w: HWord, s) -> bool:
-    """Decide membership of a carrier sequence in a symbolic word's denotation.
-
-    Standalone block recursion, no precomputed universe: the sequence must
-    split into consecutive blocks, one per letter of w, each block inside
-    that letter's denotation.  Accepts the sequence as carrier indices or
-    labels.
-    """
-    p = system.base
-    seq = tuple(x if isinstance(x, int) else p.index(x) for x in s)
-    letters = tuple(system.atoms[i] for i in w.letters)
-    memo: dict = {}
-
-    def blocks(li: int, pos: int) -> bool:
-        key = ("b", li, pos)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if li == len(letters):
-            out = pos == len(seq)
-        else:
-            out = any(
-                _seq_in_atom(letters[li], seq[pos:cut], p, memo) and blocks(li + 1, cut)
-                for cut in range(pos, len(seq) + 1)
-            )
-        memo[key] = out
-        return out
-
-    return blocks(0, 0)
 
 
 def check_containment_agreement(
@@ -381,14 +318,15 @@ def check_xy_wz(
     letters), so the bounded universe serves here as a consistency guard on
     the exact decision rather than as the decision itself.
 
-    The exact decision is greedy inclusion of normalised factor products
-    (_product_contained), made at most once per distinct pair of lists;
-    bounded inclusion is decided once per distinct pair of product masks.
-    The quadruple sweep reads both tables.  A word is its product
-    with the empty word, so single-word containment reads the same table.
-    The single-word cells are decided up front, since the exact table and
-    its guard read all of them; every other containment cell is decided on
-    its first read, which comes only after the bounded pre-filter passes.
+    Two dense tables are filled up front: exact containment by greedy
+    inclusion (_product_contained) over every pair of distinct normalised
+    factor lists, and bounded inclusion over every pair of distinct product
+    masks.  A word is its product with the empty word, so single-word
+    containment is the first column of both.  Each (x, y) row then reads
+    both tables over all (w, z) at once.  Exact containment implies bounded
+    inclusion, so only cells inside the bounded inclusion are read; an
+    exact miss there is counted as saturated at the bound.  Counts stop at
+    the first violation in (x, y, w, z) order.
     """
     if maxlen > 4:
         raise ScaleExceededError("product sweep is sized for maxlen <= 4")
@@ -402,63 +340,34 @@ def check_xy_wz(
 
     list_id, lists = _intern([[_concat(fa, fb) for fb in factors] for fa in factors])
     mask_id, pair_masks = _intern([[ctx.product(ma, mb) for mb in masks] for ma in masks])
-    bounded = [[mu & ~mv == 0 for mv in pair_masks] for mu in pair_masks]
-    # Containment cells are filled on first read; None is not yet decided.
-    contained = [[None] * len(lists) for _ in lists]
+    list_id, mask_id = np.array(list_id), np.array(mask_id)
+    contained = np.array([[_product_contained(fu, fv) for fv in lists] for fu in lists])
+    bounded = np.array([[mu & ~mv == 0 for mv in pair_masks] for mu in pair_masks])
     # words[0] is the empty word, and a list concatenated with () is itself
-    single = [row[0] for row in list_id]
-    for a in set(single):
-        for b in set(single):
-            contained[a][b] = _product_contained(lists[a], lists[b])
-    exact = [[contained[a][b] for b in single] for a in single]
-    guard_bad = None
-    for a in range(k):
-        for b in range(k):
-            if exact[a][b] and masks[a] & ~masks[b] != 0:
-                guard_bad = {"lhs": a, "rhs": b}
-                break
-        if guard_bad:
-            break
+    exact = contained[np.ix_(list_id[:, 0], list_id[:, 0])]
+    lying = np.argwhere(exact & ~bounded[np.ix_(mask_id[:, 0], mask_id[:, 0])])
+    guard_bad = {"lhs": int(lying[0, 0]), "rhs": int(lying[0, 1])} if len(lying) else None
 
     bad = None
     held = saturated = 0
     labels = [".".join(system.atoms[i].serial for i in t) or "ε" for t in words]
-    for x in range(k):
-        for y in range(k):
-            fu, crow = lists[list_id[x][y]], contained[list_id[x][y]]
-            brow = bounded[mask_id[x][y]]
-            for w in range(k):
-                xw = exact[x][w]
-                lw, mw = list_id[w], mask_id[w]
-                for z in range(k):
-                    if not brow[mw[z]]:
-                        continue
-                    held_here = crow[lw[z]]
-                    if held_here is None:
-                        held_here = crow[lw[z]] = _product_contained(fu, lists[lw[z]])
-                    if not held_here:
-                        saturated += 1
-                        continue
-                    held += 1
-                    if not (xw or exact[y][z]):
-                        bad = {
-                            "x": labels[x],
-                            "y": labels[y],
-                            "w": labels[w],
-                            "z": labels[z],
-                        }
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
+    for x, y in itertools.product(range(k), repeat=2):
+        inside = bounded[mask_id[x, y]][mask_id].ravel()
+        fits = inside & contained[list_id[x, y]][list_id].ravel()
+        misses = np.flatnonzero(fits & ~(exact[x][:, None] | exact[y]).ravel())
+        stop = misses[0] + 1 if len(misses) else k * k
+        held_here = np.count_nonzero(fits[:stop])
+        held += held_here
+        saturated += np.count_nonzero(inside[:stop]) - held_here
+        if len(misses):
+            w, z = divmod(int(misses[0]), k)
+            bad = {"x": labels[x], "y": labels[y], "w": labels[w], "z": labels[z]}
             break
     stats = {
         "words": k,
         "quadruples": k**4,
-        "containments": held,
-        "saturated_at_bound": saturated,
+        "containments": int(held),
+        "saturated_at_bound": int(saturated),
     }
     return Report(
         "product-containment",

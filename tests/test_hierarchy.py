@@ -20,7 +20,6 @@ from idealforge.hierarchy import (
     hset,
     hset_mult,
     idem_atom,
-    is_hereditarily_directed,
     lesssim_star,
     non_idem_atom,
     sim_star,
@@ -121,6 +120,24 @@ def test_unit_is_neutral_up_to_equivalence():
         assert sim_star(hset_mult(e, x, m), x, m.order)
 
 
+def is_hereditarily_directed(x, q, memo):
+    'Urelement, or a directed set of hereditarily directed members.'
+    hit = memo.get(x)
+    if hit is not None:
+        return hit
+    if x.ur is not None:
+        out = True
+    else:
+        kids = x.children
+        out = all(is_hereditarily_directed(c, q, memo) for c in kids) and all(
+            any(lesssim_star(a, c, q) and lesssim_star(b, c, q) for c in kids)
+            for a in kids
+            for b in kids
+        )
+    memo[x] = out
+    return out
+
+
 def test_directed_members_stay_directed_under_mult():
     # The stage-1 directed sets before the quotient: a finite directed set
     # is equivalent to its top, so built levels hold only urelements and
@@ -134,13 +151,14 @@ def test_directed_members_stay_directed_under_mult():
         members = urs + tuple(
             hierarchy._adjoined_sets(urs, down, "istar", 1, hierarchy.DEFAULT_MAX_MEMBERS)
         )
+        directed = {}
         for x, y in itertools.product(members, repeat=2):
             xy = hset_mult(x, y, m)
-            assert is_hereditarily_directed(xy, m.order)
+            assert is_hereditarily_directed(xy, m.order, directed)
             products += xy.children is not None
     assert products == 639
     # {a1, a2} over flat(2): the two middle points have no upper bound inside
-    assert not is_hereditarily_directed(hset([ur_elem(1), ur_elem(2)]), flat(2).order)
+    assert not is_hereditarily_directed(hset([ur_elem(1), ur_elem(2)]), flat(2).order, {})
 
 
 def test_frozen_cardinalities(a2, singleton, chain3):

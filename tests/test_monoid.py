@@ -75,7 +75,7 @@ def test_factorization_refuses_non_strict_splits():
     mult = np.array([[0, 1, 2], [1, 2, 2], [2, 2, 2]], dtype=np.int64)
     m = MonoidalQO(q, mult, 0)
     assert not check_axioms(m).passed
-    with pytest.raises(NoFactorizationError):
+    with pytest.raises(NoFactorizationError, match=r"'t' splits as 'p'\*'p'"):
         prime_factorization(m, q.index("t"))
 
 

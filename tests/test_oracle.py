@@ -8,7 +8,7 @@ from idealforge.downsets import enumerate_ideals
 from idealforge.errors import ScaleExceededError
 from idealforge.fixtures import capped_addition
 from idealforge.hierarchy import build_atoms
-from idealforge.higman import AtomAlphabet, HWord, leq_H
+from idealforge.higman import AtomAlphabet, HWord, leq_H_bruteforce
 from idealforge.oracle import (
     DenotationContext,
     _concat,
@@ -18,24 +18,9 @@ from idealforge.oracle import (
     check_containment_agreement,
     check_two_forms,
     check_xy_wz,
-    denote_member,
-    higman_embed,
     seq_label,
 )
 from idealforge.qo import all_quasi_orders, all_tuples
-
-
-def test_embedding_matches_word_order_on_plain_alphabets(a2, chain2):
-    # two routes to the same relation: greedy subsequence matching on raw
-    # index tuples, and the word-order procedure over a no-idempotent
-    # alphabet wrapping the same carrier
-    for p in (a2, chain2):
-        alphabet = AtomAlphabet(p, ())
-        seqs = all_tuples(p.n, 3)
-        for s, t in itertools.product(seqs, repeat=2):
-            assert higman_embed(s, t, p) == leq_H(
-                HWord(alphabet, s), HWord(alphabet, t)
-            )
 
 
 def test_truncated_universe_shape(a2, antichain3):
@@ -44,8 +29,6 @@ def test_truncated_universe_shape(a2, antichain3):
     assert seqs[0] == ()
     assert seq_label(a2, ()) == "ε"
     assert seq_label(a2, (0, 1)) == "a.b"
-    assert higman_embed((0,), (1, 0), a2)
-    assert not higman_embed((0, 0), (0,), a2)
     # 265,720 sequences of length at most 11 over three letters
     with pytest.raises(ScaleExceededError):
         DenotationContext(antichain3, 11)
@@ -59,6 +42,58 @@ def test_truncated_ideals_have_tops():
                 assert any(
                     all(q.leq[x, m] for x in members) for m in members
                 )
+
+
+def _seq_in_atom(atom, s, p, memo):
+    key = (id(atom), s)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    if not atom.is_idem:
+        out = len(s) == 0 or (len(s) == 1 and bool(p.leq[s[0], atom.base_class]))
+    elif not s:
+        out = True
+    else:
+        out = False
+        for k in range(1, len(s) + 1):
+            if not any(_seq_in_atom(d, s[:k], p, memo) for d in atom.downset):
+                continue
+            if _seq_in_atom(atom, s[k:], p, memo):
+                out = True
+                break
+    memo[key] = out
+    return out
+
+
+def denote_member(system, w, s):
+    """Membership of a carrier sequence in a symbolic word's denotation.
+
+    The reference for DenotationContext.word_mask: standalone block
+    recursion, no precomputed universe.  The sequence must split into
+    consecutive blocks, one per letter of w, each block inside that letter's
+    denotation.  Accepts the sequence as carrier indices or labels.
+    """
+    p = system.base
+    seq = tuple(x if isinstance(x, int) else p.index(x) for x in s)
+    letters = tuple(system.atoms[i] for i in w.letters)
+    memo = {}
+
+    def blocks(li, pos):
+        key = ("b", li, pos)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        if li == len(letters):
+            out = pos == len(seq)
+        else:
+            out = any(
+                _seq_in_atom(letters[li], seq[pos:cut], p, memo) and blocks(li + 1, cut)
+                for cut in range(pos, len(seq) + 1)
+            )
+        memo[key] = out
+        return out
+
+    return blocks(0, 0)
 
 
 def test_denote_member_frozen_cases(a2):
@@ -104,15 +139,17 @@ def test_block_recursion_agrees_with_mask_route(a2):
 def test_denotations_are_downward_closed(a2):
     system = build_atoms(a2, 1)
     ctx = DenotationContext(a2, 3)
+    plain = AtomAlphabet(a2, ())
+    hwords = [HWord(plain, s) for s in ctx.seqs]
     rng = random.Random(7)
     words = [tuple(rng.randrange(5) for _ in range(rng.randrange(3))) for _ in range(30)]
     for word in words:
         mask = ctx.word_mask(tuple(system.atoms[i] for i in word))
-        for j, t in enumerate(ctx.seqs):
+        for j in range(len(ctx.seqs)):
             if not mask >> j & 1:
                 continue
-            for i, s in enumerate(ctx.seqs):
-                if higman_embed(s, t, a2):
+            for i in range(len(ctx.seqs)):
+                if leq_H_bruteforce(hwords[i], hwords[j]):
                     assert mask >> i & 1
 
 
@@ -281,3 +318,23 @@ def test_product_sweep_guard_sees_a_lying_decision(monkeypatch, a2):
     report = check_xy_wz(a2)
     assert not report.check("exact-implies-bounded").passed
     assert not report.passed
+
+
+def test_product_sweep_pins_the_first_failure(monkeypatch, chain2, a2):
+    # a decision that refuses single-factor containments between distinct
+    # lists: the sweep stops at the first violation in (x, y, w, z) order
+    # and counts only the cells read up to it
+    orig = oracle._product_contained
+    monkeypatch.setattr(
+        oracle,
+        "_product_contained",
+        lambda fu, fv: orig(fu, fv) and not (len(fu) == 1 and len(fv) == 1 and fu != fv),
+    )
+    for p, containments, saturated in ((a2, 16_530, 5_848), (chain2, 5_608, 2_076)):
+        check = check_xy_wz(p).check("factor-containment-forced")
+        assert not check.passed
+        assert check.counterexample == {"x": "a", "y": "a", "w": "ε", "z": "*{a,b}"}
+        assert (check.stats["containments"], check.stats["saturated_at_bound"]) == (
+            containments,
+            saturated,
+        )
