@@ -24,7 +24,7 @@ from .monoid import (
     prime_factorization,
     primes,
 )
-from .qo import FiniteQO, equiv_classes, from_json, hasse_dot, quotient
+from .qo import equiv_classes, from_json, hasse_dot, quotient, to_json
 from .reflect import build_reflection, verify_reflection
 from .report import Report
 
@@ -35,10 +35,6 @@ def _load_json(path: str):
             return json.load(fh)
         except RecursionError:
             raise SchemaError("JSON nesting is too deep") from None
-
-
-def _load_qo(path: str) -> FiniteQO:
-    return from_json(_load_json(path))
 
 
 def _load_alphabet(path: str) -> AtomAlphabet:
@@ -74,7 +70,7 @@ def _report_payload(reports: list[Report]) -> tuple[int, dict]:
 
 
 def _cmd_qo(ns: argparse.Namespace) -> tuple[int, str]:
-    q = _load_qo(ns.path)
+    q = from_json(_load_json(ns.path))
     if ns.sub == "validate":
         payload = {
             "ok": True,
@@ -87,19 +83,14 @@ def _cmd_qo(ns: argparse.Namespace) -> tuple[int, str]:
         payload = {
             "classes": list(qm.classes.elements),
             "class_of": {q.elements[i]: qm.class_of[i] for i in range(q.n)},
-            "order": [
-                [qm.classes.elements[i], qm.classes.elements[j]]
-                for i in range(qm.classes.n)
-                for j in range(qm.classes.n)
-                if qm.classes.leq[i, j]
-            ],
+            "order": to_json(qm.classes)["order"],
         }
         return 0, _envelope(ns, payload)
     return 0, hasse_dot(q)
 
 
 def _cmd_downsets(ns: argparse.Namespace) -> tuple[int, str]:
-    q = _load_qo(ns.path)
+    q = from_json(_load_json(ns.path))
     rows = enumerate_downsets(q) if ns.cmd == "downsets" else enumerate_ideals(q)
     payload = {"count": len(rows), "members": [sorted(d.labels) for d in rows]}
     return 0, _envelope(ns, payload)
@@ -136,7 +127,7 @@ def _cmd_higman(ns: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_hier(ns: argparse.Namespace) -> tuple[int, str]:
-    q = _load_qo(ns.path)
+    q = from_json(_load_json(ns.path))
     if ns.sub == "build":
         level = hierarchy.build_level(q, ns.alpha, kind=ns.kind, max_members=ns.max_members)
         payload = {
@@ -158,10 +149,7 @@ def _cmd_hier(ns: argparse.Namespace) -> tuple[int, str]:
             {"serial": a.serial, "level": a.level, "idem": a.is_idem}
             for a in system.atoms
         ],
-        "order": [
-            [int(system.alphabet.order.leq[i, j]) for j in range(len(system.atoms))]
-            for i in range(len(system.atoms))
-        ],
+        "order": system.alphabet.order.leq.astype(int).tolist(),
     }
     return 0, _envelope(ns, payload)
 
@@ -173,7 +161,7 @@ def _cmd_verify(ns: argparse.Namespace) -> tuple[int, str]:
         m = monoid_from_json(_load_json(ns.path))
         reports = [check_axioms(m), check_plus_property(m), check_prime_product_lemma(m)]
     else:
-        q = _load_qo(ns.path)
+        q = from_json(_load_json(ns.path))
         if ns.sub == "two-forms":
             reports = [oracle.check_two_forms(q, maxlen=ns.maxlen)]
         elif ns.sub == "containment":

@@ -19,17 +19,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .downsets import enumerate_downsets
 from .errors import AlphabetMismatchError, ScaleExceededError, TooLargeError
 from .monoid import MonoidalQO, primes as monoid_primes
-from .qo import (
-    FiniteQO,
-    _bits,
-    all_downsets_of_poset,
-    all_quasi_orders,
-    all_tuples,
-    first_of_each_class,
-    quotient,
-)
+from .qo import FiniteQO, all_quasi_orders, all_tuples, first_of_each_class
 from .report import CheckResult, Report
 
 # longest word the explicit witness search accepts
@@ -378,11 +371,11 @@ def bounded_word_monoid(
 
 def upward_closed_subsets(q: FiniteQO) -> list[frozenset[int]]:
     """All upward-closed subsets, empty and full included, ordered by
-    (size, members): the downsets of the reversed quotient order."""
-    qm = quotient(q)
-    masks = all_downsets_of_poset(qm.classes.leq.T)
-    rows = sorted(sorted(i for c in _bits(mask) for i in qm.members[c]) for mask in masks)
-    return [frozenset(m) for m in sorted(rows, key=len)]
+    (size, members): the empty set, then the downsets of the reversed order."""
+    if q.n == 0:
+        return [frozenset()]
+    up = enumerate_downsets(FiniteQO(q.elements, q.leq.T), max_count=None)
+    return [frozenset(), *(d.members for d in up)]
 
 
 def dp_agreement_sweep(

@@ -83,7 +83,11 @@ def monoid_from_json(obj: dict) -> MonoidalQO:
         return x
 
     for a, b, c in mult:
-        table[resolve(a), resolve(b)] = resolve(c)
+        i, j = resolve(a), resolve(b)
+        if table[i, j] >= 0:
+            pair = (order.elements[i], order.elements[j])
+            raise ValueError(f"multiplication pair {pair} given twice")
+        table[i, j] = resolve(c)
     if (table < 0).any():
         i, j = np.argwhere(table < 0)[0]
         raise ValueError(
@@ -234,10 +238,9 @@ def check_plus_property(m: MonoidalQO) -> Report:
     )
 
 
-def _loose_split(m: MonoidalQO, eq: np.ndarray, x: int) -> tuple[int, int] | None:
-    'The first pair (a, b), row by row, with x equivalent to a*b but to neither factor.'
-    row = eq[x]
-    hit = np.argwhere(row[m.mult] & ~row[:, None] & ~row)
+def _split(m: MonoidalQO, eq: np.ndarray, x: int, allowed: np.ndarray) -> tuple[int, int] | None:
+    'The first pair (a, b), row by row, of allowed factors whose product is equivalent to x.'
+    hit = np.argwhere(eq[x][m.mult] & allowed[:, None] & allowed)
     return (int(hit[0, 0]), int(hit[0, 1])) if len(hit) else None
 
 
@@ -246,7 +249,7 @@ def primes(m: MonoidalQO) -> frozenset[int]:
     p is equivalent to a*b, it is equivalent to a or to b."""
     eq = _eq_table(m)
     return frozenset(
-        p for p in range(m.n) if not eq[p, m.unit] and _loose_split(m, eq, p) is None
+        p for p in range(m.n) if not eq[p, m.unit] and _split(m, eq, p, ~eq[p]) is None
     )
 
 
@@ -261,20 +264,15 @@ def prime_factorization(m: MonoidalQO, q: int) -> list[int]:
     """
     eq = _eq_table(m)
     leq = m.order.leq
-    M = m.mult
-
-    def strictly_below(a: int, b: int) -> bool:
-        return bool(leq[a, b]) and not bool(leq[b, a])
 
     def go(x: int) -> list[int]:
         if eq[x, m.unit]:
             return []
-        for a in range(m.n):
-            for b in range(m.n):
-                if eq[M[a, b], x] and strictly_below(a, x) and strictly_below(b, x):
-                    return go(a) + go(b)
+        split = _split(m, eq, x, leq[:, x] & ~leq[x])
+        if split is not None:
+            return go(split[0]) + go(split[1])
         # no strict split: x had better be prime
-        split = _loose_split(m, eq, x)
+        split = _split(m, eq, x, ~eq[x])
         if split is not None:
             a, b = split
             raise NoFactorizationError(

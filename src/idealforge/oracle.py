@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ScaleExceededError
 from .higman import hword_primes_check, leq_H
 from .hierarchy import Atom, build_atoms
-from .qo import FiniteQO, all_tuples
+from .qo import FiniteQO, _element_masks, all_tuples
 from .report import CheckResult, Report
 
 _SEQ_UNIVERSE_CAP = 200_000
@@ -57,7 +57,7 @@ class DenotationContext:
             for s in self.seqs
         )
         self._atom_masks: dict[Atom, int] = {}
-        self._word_masks: dict[tuple[int, ...], int] = {}
+        self._word_masks: dict[tuple[Atom, ...], int] = {}
 
     def members(self, mask: int) -> list[tuple[int, ...]]:
         return [s for i, s in enumerate(self.seqs) if mask >> i & 1]
@@ -67,10 +67,8 @@ class DenotationContext:
         if got is not None:
             return got
         if not atom.is_idem:
-            out = 1 << self.index[()]
-            for i in range(self.base.n):
-                if self.base.leq[i, atom.base_class]:
-                    out |= 1 << self.index[(i,)]
+            # seqs opens with ε, then the one-letter sequences in carrier order
+            out = 1 | _element_masks(self.base)[1][atom.base_class] << 1
         else:
             inner = 0
             for d in atom.downset:
@@ -80,16 +78,11 @@ class DenotationContext:
         return out
 
     def _star(self, mask: int) -> int:
-        # Shortest-first order makes every strict suffix available before
-        # the sequence that uses it.
+        # The least fixpoint of out = {ε} | mask·out; each round adds one
+        # more factor, so it settles within maxlen + 1 rounds.
         out = 1 << self.index[()]
-        for i in range(len(self.seqs)):
-            if not self.seqs[i]:
-                continue
-            for a, b in self.splits[i][1:]:
-                if mask >> a & 1 and out >> b & 1:
-                    out |= 1 << i
-                    break
+        while (grown := out | self.product(mask, out)) != out:
+            out = grown
         return out
 
     def product(self, mx: int, my: int) -> int:
@@ -102,14 +95,14 @@ class DenotationContext:
         return out
 
     def word_mask(self, letters: tuple[Atom, ...]) -> int:
-        got = self._word_masks.get(tuple(id(a) for a in letters))
+        got = self._word_masks.get(letters)
         if got is not None:
             return got
         if not letters:
             out = 1 << self.index[()]
         else:
             out = self.product(self.word_mask(letters[:-1]), self.atom_mask(letters[-1]))
-        self._word_masks[tuple(id(a) for a in letters)] = out
+        self._word_masks[letters] = out
         return out
 
 
@@ -235,11 +228,7 @@ def check_two_forms(
 def _single_letters(atom: Atom, p: FiniteQO) -> int:
     'Bitmask of carrier letters whose one-letter sequence the atom denotes.'
     if not atom.is_idem:
-        out = 0
-        for i in range(p.n):
-            if p.leq[i, atom.base_class]:
-                out |= 1 << i
-        return out
+        return _element_masks(p)[1][atom.base_class]
     out = 0
     for d in atom.downset:
         out |= _single_letters(d, p)

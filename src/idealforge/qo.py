@@ -232,6 +232,9 @@ def first_of_each_class(items: Iterable, equiv, *args) -> list:
 
 def all_tuples(n: int, maxlen: int) -> list[tuple[int, ...]]:
     'Tuples over range(n) up to length maxlen, shortest first, lexicographic within a length.'
+    if maxlen < 0:
+        # an empty list would let a sweep over it pass on nothing
+        raise ValueError(f"tuple length must be at least 0, got {maxlen}")
     return [t for k in range(maxlen + 1) for t in itertools.product(range(n), repeat=k)]
 
 

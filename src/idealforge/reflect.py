@@ -48,19 +48,12 @@ def build_reflection(p: FiniteQO, alpha: int) -> ReflectionTable:
     star_qo = disjoint_union_with_star(p)
     star = star_qo.n - 1
     entries: dict[Atom, HSet] = {}
-
-    def image(a: Atom) -> HSet:
-        if a in entries:
-            return entries[a]
-        if not a.is_idem:
-            out = ur_elem(a.base_class)
-        else:
-            out = hset([*(image(d) for d in a.downset), ur_elem(star)])
-        entries[a] = out
-        return out
-
+    # atoms run by level, and a payload lies a level below its letter
     for a in system.atoms:
-        image(a)
+        if a.is_idem:
+            entries[a] = hset([*(entries[d] for d in a.downset), ur_elem(star)])
+        else:
+            entries[a] = ur_elem(a.base_class)
     return ReflectionTable(system, star_qo, star, entries)
 
 

@@ -206,6 +206,16 @@ ONE = {"elements": ["a"], "order": [["a", "a"]]}
         (("monoid", "check"), {**ONE, "mult": 5, "unit": "a"}),
         (("monoid", "check"), {**ONE, "mult": [["a", "a", "a"]], "unit": [1]}),
         (("higman", "leq", "--lhs", "a", "--rhs", "a", "--alphabet"), {**ONE, "idem": 5}),
+        (
+            ("monoid", "check"),
+            {
+                "elements": ["e", "a"],
+                "order": [["e", "a"]],
+                "close": True,
+                "unit": "e",
+                "mult": [["e", "e", "e"], ["e", "a", "a"], ["a", "e", "a"], ["a", "a", "a"], ["a", "a", "e"]],
+            },
+        ),
     ],
 )
 def test_malformed_monoid_or_alphabet_is_a_usage_error(capsys, tmp_path, command, doc):

@@ -155,6 +155,13 @@ def test_sweep_rejects_negative_lengths_and_overlong_words():
     assert report.passed and report.checks[0].stats == {"systems": 10, "pairs": 148}
 
 
+def test_negative_word_length_is_rejected():
+    with pytest.raises(ValueError, match="at least 0"):
+        hword_primes_check(idem_top(), maxlen=-1)
+    with pytest.raises(ValueError, match="at least 0"):
+        bounded_word_monoid(idem_top(), -1)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_order_axioms_hold_on_random_words(data):

@@ -1,5 +1,9 @@
+import json
+import random
+
 import numpy as np
 import pytest
+from conftest import DATA
 
 from idealforge.downsets import enumerate_ideals
 from idealforge.errors import EmptyCarrierError, NoFactorizationError
@@ -21,7 +25,7 @@ from idealforge.monoid import (
     prime_factorization,
     primes,
 )
-from idealforge.qo import FiniteQO
+from idealforge.qo import FiniteQO, all_quasi_orders
 
 
 def test_fixture_annotations_hold():
@@ -77,6 +81,68 @@ def test_factorization_refuses_non_strict_splits():
     assert not check_axioms(m).passed
     with pytest.raises(NoFactorizationError, match=r"'t' splits as 'p'\*'p'"):
         prime_factorization(m, q.index("t"))
+
+
+def _reference_factorization(m: MonoidalQO, x: int) -> list[int]:
+    """prime_factorization by double loops: the first strict split, row by
+    row, else x is prime unless some loose split exists."""
+    leq, M = m.order.leq, m.mult
+    eq = leq & leq.T
+    pairs = [(a, b) for a in range(m.n) for b in range(m.n)]
+    if eq[x, m.unit]:
+        return []
+    for a, b in pairs:
+        if eq[M[a, b], x] and leq[a, x] and not leq[x, a] and leq[b, x] and not leq[x, b]:
+            return _reference_factorization(m, a) + _reference_factorization(m, b)
+    for a, b in pairs:
+        if eq[M[a, b], x] and not eq[a, x] and not eq[b, x]:
+            raise NoFactorizationError(
+                f"{m.label(x)!r} splits as {m.label(a)!r}*{m.label(b)!r} but not strictly; "
+                "the multiplication axioms cannot hold"
+            )
+    return [x]
+
+
+def _reference_primes(m: MonoidalQO) -> frozenset[int]:
+    eq = m.order.leq & m.order.leq.T
+    M = m.mult
+    return frozenset(
+        p
+        for p in range(m.n)
+        if not eq[p, m.unit]
+        and not any(
+            eq[M[a, b], p] and not eq[a, p] and not eq[b, p]
+            for a in range(m.n)
+            for b in range(m.n)
+        )
+    )
+
+
+def _outcome(factorize, m: MonoidalQO, x: int):
+    try:
+        return factorize(m, x)
+    except NoFactorizationError as e:
+        return str(e)
+
+
+def test_split_search_matches_the_double_loop_reference():
+    monoids = [fx.monoid for fx in shipped_fixtures()]
+    monoids.append(monoid_from_json(json.loads((DATA / "capped_addition4.monoid.json").read_text())))
+    # seeded tables that need not satisfy the axioms, so refusals occur too
+    rng = random.Random(11)
+    for n in (1, 2, 3):
+        for q in all_quasi_orders(n):
+            for _ in range(100):
+                table = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+                monoids.append(MonoidalQO(q, table, rng.randrange(n)))
+    refused = 0
+    for m in monoids:
+        assert primes(m) == _reference_primes(m)
+        for x in range(m.n):
+            got = _outcome(prime_factorization, m, x)
+            assert got == _outcome(_reference_factorization, m, x)
+            refused += isinstance(got, str)
+    assert refused > 0
 
 
 def test_prime_product_lemma_on_good_fixtures():

@@ -34,6 +34,16 @@ def test_truncated_universe_shape(a2, antichain3):
         DenotationContext(antichain3, 11)
 
 
+@pytest.mark.parametrize(
+    "check, args",
+    [(check_containment_agreement, (1,)), (check_two_forms, ()), (check_xy_wz, ())],
+)
+def test_negative_word_length_is_rejected(a2, check, args):
+    # no words at all would let the sweep pass on nothing
+    with pytest.raises(ValueError, match="at least 0"):
+        check(a2, *args, max_word_len=-1)
+
+
 def test_truncated_ideals_have_tops():
     for n in (1, 2, 3):
         for q in all_quasi_orders(n):

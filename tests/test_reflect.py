@@ -80,7 +80,7 @@ def test_corrupted_comparison_rule_is_reported(a2, monkeypatch):
 
 def test_translation_verifies_at_level_three_on_three_points():
     # The discrete order on three points is left out: its 1,962 letters take
-    # about 23 s to order at level 3.  The letter order as matrix products
+    # about 10 s to order at level 3.  The letter order as matrix products
     # (ROADMAP.md item 1) is what would bring it in.
     discrete = np.eye(3, dtype=bool)
     carriers = [q for q in all_quasi_orders(3) if (q.leq != discrete).any()]
