@@ -7,8 +7,9 @@ one source letter.  With no idempotent letters this is the classical sequence
 embedding; with all letters idempotent it is domination of supports.  The
 decision procedure is a greedy leftmost match: each letter takes the first
 remaining target above it, and only a plain target is used up.  Its ground
-truth is the explicit search over all weakly increasing maps, and the two are
-swept against each other exhaustively at small scale.
+truth is the explicit search over all weakly increasing maps, one numpy
+kernel that decides a whole block of equal-length word pairs at once, and
+the two are swept against each other exhaustively at small scale.
 """
 from __future__ import annotations
 
@@ -29,6 +30,9 @@ from .report import CheckResult, Report
 _BRUTEFORCE_MAX_LEN = 8
 # longest prime product on each side of check_abstractly_higman
 _MAX_TUPLE = 3
+# cells one slice of the witness search, or of check_abstractly_higman's
+# tuple-pair table, holds at once
+_WITNESS_CELLS = 1 << 22
 
 
 class AtomAlphabet:
@@ -144,26 +148,48 @@ def leq_H(u: HWord, v: HWord) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _weakly_increasing_maps(n: int, m: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(itertools.combinations_with_replacement(range(m), n))
+def _weakly_increasing_maps(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every weakly increasing map from range(n) into range(m), one per row in
+    lexicographic order, and the mask of positions whose target repeats the
+    previous position's."""
+    maps = list(itertools.combinations_with_replacement(range(m), n))
+    f = np.array(maps, dtype=np.intp).reshape(len(maps), n)
+    rep = np.zeros(f.shape, dtype=bool)
+    rep[:, 1:] = f[:, 1:] == f[:, :-1]
+    f.flags.writeable = rep.flags.writeable = False
+    return f, rep
 
 
-def _witness_exists(
-    lu: Sequence[int],
-    lv: Sequence[int],
-    leq_rows: Sequence[Sequence[bool]],
-    idem: frozenset[int] | set[int],
-) -> bool:
-    """Search every weakly increasing map from lu into lv for a witness: each
-    letter lands below its target, and any target hit more than once is
-    idempotent."""
-    for f in _weakly_increasing_maps(len(lu), len(lv)):
-        for i, t in enumerate(f):
-            if not leq_rows[lu[i]][lv[t]] or (i and t == f[i - 1] and lv[t] not in idem):
-                break
-        else:
-            return True
-    return False
+def _witness_table(
+    U: np.ndarray, V: np.ndarray, leq: np.ndarray, idem: np.ndarray
+) -> np.ndarray:
+    """The explicit witness search on a block of equal-length letter tuples.
+
+    U is A x a and V is B x b; entry (i, j) of the A x B result says whether
+    some weakly increasing map sends each letter of U[i] below its target in
+    V[j] with every target hit more than once idempotent.  Rows of U are taken
+    in slices so the map-by-position intermediate stays near _WITNESS_CELLS.
+    """
+    f, rep = _weakly_increasing_maps(U.shape[1], V.shape[1])
+    targets = V[:, f]
+    absorbs = ~rep | idem[targets]
+    step = max(1, _WITNESS_CELLS // max(1, targets.size))
+    return np.concatenate([
+        (leq[U[i : i + step, None, None, :], targets] & absorbs).all(-1).any(-1)
+        for i in range(0, max(1, len(U)), step)
+    ])
+
+
+def _letter_block(words: Sequence[tuple[int, ...]], length: int) -> np.ndarray:
+    'Letter tuples of one length as a len(words) x length index array.'
+    return np.array(words, dtype=np.intp).reshape(len(words), length)
+
+
+def _idem_vector(n: int, idem: Iterable[int]) -> np.ndarray:
+    'The boolean vector over range(n) that marks the letters in idem.'
+    out = np.zeros(n, dtype=bool)
+    out[list(idem)] = True
+    return out
 
 
 def leq_H_bruteforce(u: HWord, v: HWord) -> bool:
@@ -172,8 +198,9 @@ def leq_H_bruteforce(u: HWord, v: HWord) -> bool:
         raise AlphabetMismatchError("cannot compare words over different alphabets")
     if len(u) > _BRUTEFORCE_MAX_LEN or len(v) > _BRUTEFORCE_MAX_LEN:
         raise TooLargeError(f"witness search is capped at length {_BRUTEFORCE_MAX_LEN}")
-    alpha = u.alphabet
-    return _witness_exists(u.letters, v.letters, alpha._leq_rows, alpha.idem)
+    U, V = _letter_block([u.letters], len(u)), _letter_block([v.letters], len(v))
+    order = u.alphabet.order
+    return bool(_witness_table(U, V, order.leq, _idem_vector(order.n, u.alphabet.idem))[0, 0])
 
 
 def equiv_H(u: HWord, v: HWord) -> bool:
@@ -288,12 +315,12 @@ def check_abstractly_higman(m: MonoidalQO) -> Report:
     one.  Both directions are checked; a failure of either is reported with
     the offending tuples.
     """
-    leq_rows = m.order.leq.tolist()
+    leq = m.order.leq
     M = m.mult
     ps = sorted(monoid_primes(m))
     if len(ps) ** _MAX_TUPLE > 200_000:
         raise ScaleExceededError("too many prime tuples")
-    idem = {p for p in ps if m.order.equiv(int(M[p, p]), p)}
+    idem = _idem_vector(m.order.n, (p for p in ps if m.order.equiv(int(M[p, p]), p)))
 
     def prod(tup: tuple[int, ...]) -> int:
         acc = m.unit
@@ -302,25 +329,33 @@ def check_abstractly_higman(m: MonoidalQO) -> Report:
         return acc
 
     tuples = [tuple(ps[i] for i in t) for t in all_tuples(len(ps), _MAX_TUPLE)]
-    prods = [prod(t) for t in tuples]
+    prods = np.array([prod(t) for t in tuples], dtype=np.intp)
+    # all_tuples lists shorter tuples first, so the length blocks tile the
+    # table; it is decided a slice of rows at a time, up to the first failure
+    blocks = [
+        _letter_block([t for t in tuples if len(t) == k], k) for k in range(_MAX_TUPLE + 1)
+    ]
+    step = max(1, _WITNESS_CELLS // len(tuples))
+    slices = [U[s : s + step] for U in blocks for s in range(0, len(U), step)]
 
     bad = None
-    checked = 0
-    for a, ta in enumerate(tuples):
-        for b, tb in enumerate(tuples):
-            checked += 1
-            ordered = leq_rows[prods[a]][prods[b]]
-            matched = _witness_exists(ta, tb, leq_rows, idem)
-            if ordered != matched:
-                bad = {
-                    "left": [m.label(x) for x in ta],
-                    "right": [m.label(x) for x in tb],
-                    "products-ordered": ordered,
-                    "letterwise-match": matched,
-                }
-                break
-        if bad:
+    checked = len(tuples) ** 2
+    row = 0
+    for U in slices:
+        matched = np.hstack([_witness_table(U, V, leq, idem) for V in blocks])
+        ordered = leq[np.ix_(prods[row : row + len(U)], prods)]
+        wrong = np.flatnonzero(matched != ordered)
+        if wrong.size:
+            i, j = divmod(int(wrong[0]), len(tuples))
+            bad = {
+                "left": [m.label(x) for x in tuples[row + i]],
+                "right": [m.label(x) for x in tuples[j]],
+                "products-ordered": bool(ordered[i, j]),
+                "letterwise-match": bool(matched[i, j]),
+            }
+            checked = (row + i) * len(tuples) + j + 1
             break
+        row += len(U)
     return Report(
         "prime-product-matching",
         (
@@ -394,11 +429,11 @@ def dp_agreement_sweep(
     then of the right, each length's words in shortlex order (as all_words
     lists them); the first disagreement is reported.
 
-    Words are raw letter tuples, built once per carrier size, and every pair
-    goes straight to _leq_letters and _witness_exists on the alphabet's
-    table.  The longest word must fit the witness search, which is checked
-    before the first pair: the pair of a longest word and the empty word is
-    always swept.
+    Words are raw letter tuples, built once per carrier size.  Every pair
+    goes to _leq_letters on the alphabet's table, and each (left length,
+    right length) block goes to _witness_table in one call.  The longest
+    word must fit the witness search, which is checked before the first
+    pair: the pair of a longest word and the empty word is always swept.
     """
     from .qo import _canonical_relation_key
 
@@ -413,7 +448,7 @@ def dp_agreement_sweep(
     # no carrier size sweeps longer words than size 1 does
     if max(max_pair_len, full_len if full_atom_cap >= 1 else 0) > _BRUTEFORCE_MAX_LEN:
         raise TooLargeError(f"witness search is capped at length {_BRUTEFORCE_MAX_LEN}")
-    leq, witness = _leq_letters, _witness_exists
+    leq, witness = _leq_letters, _witness_table
     disagreement = None
     systems = 0
     pairs = 0
@@ -423,8 +458,9 @@ def dp_agreement_sweep(
         words: list[list[tuple[int, ...]]] = [[] for _ in range(cap + 1)]
         for t in all_tuples(n, cap):
             words[len(t)].append(t)
+        arrays = [_letter_block(ws, k) for k, ws in enumerate(words)]
         blocks = [
-            (words[a], words[b])
+            (words[a], words[b], arrays[a], arrays[b])
             for a in range(cap + 1)
             for b in range(cap + 1)
             if a + b <= max_pair_len or (full and a <= full_len and b <= full_len)
@@ -438,22 +474,23 @@ def dp_agreement_sweep(
                 seen.add(key)
                 alphabet = AtomAlphabet(q, idem)
                 rows, idem_set = alphabet._leq_rows, alphabet.idem
+                idem_vec = _idem_vector(n, idem)
                 systems += 1
-                for lhs, rhs in blocks:
+                for lhs, rhs, U, V in blocks:
                     pairs += len(lhs) * len(rhs)
-                    for lu in lhs:
-                        for lv in rhs:
-                            fast = leq(lu, lv, rows, idem_set)
-                            slow = witness(lu, lv, rows, idem_set)
-                            if fast != slow and disagreement is None:
-                                disagreement = {
-                                    "alphabet": list(q.elements),
-                                    "idem": sorted(q.elements[i] for i in idem),
-                                    "lhs": [q.elements[i] for i in lu],
-                                    "rhs": [q.elements[i] for i in lv],
-                                    "dp": fast,
-                                    "witness-search": slow,
-                                }
+                    fast = [leq(lu, lv, rows, idem_set) for lu in lhs for lv in rhs]
+                    slow = witness(U, V, q.leq, idem_vec).ravel().tolist()
+                    if fast != slow and disagreement is None:
+                        k = next(k for k, (x, y) in enumerate(zip(fast, slow)) if x != y)
+                        lu, lv = lhs[k // len(rhs)], rhs[k % len(rhs)]
+                        disagreement = {
+                            "alphabet": list(q.elements),
+                            "idem": sorted(q.elements[i] for i in idem),
+                            "lhs": [q.elements[i] for i in lu],
+                            "rhs": [q.elements[i] for i in lv],
+                            "dp": fast[k],
+                            "witness-search": slow[k],
+                        }
             if disagreement:
                 break
         if disagreement:

@@ -260,13 +260,15 @@ def _union_mask(masks: list[int], s: Iterable[int]) -> int:
 
 
 def _byte_tables(masks: list[int]) -> list[list[int]]:
-    """One 256-entry table per byte of an index mask: entry b of table k is
-    the union of masks[8k + j] over the set bits j of b."""
+    """One table per byte of an index mask within range(len(masks)): entry b
+    of table k is the union of masks[8k + j] over the set bits j of b.  The
+    last table has 2 ** (len(masks) - 8k) entries, one per value its byte
+    can take."""
     tables = []
     for start in range(0, len(masks), 8):
-        chunk = masks[start : start + 8] + [0] * 7
-        table = [0] * 256
-        for b in range(1, 256):
+        chunk = masks[start : start + 8]
+        table = [0] * (1 << len(chunk))
+        for b in range(1, len(table)):
             table[b] = table[b & (b - 1)] | chunk[(b & -b).bit_length() - 1]
         tables.append(table)
     return tables

@@ -25,7 +25,7 @@ from idealforge.higman import (
 )
 from idealforge.fixtures import capped_addition, flat
 from idealforge.monoid import check_axioms
-from idealforge.qo import FiniteQO, validate
+from idealforge.qo import FiniteQO, all_quasi_orders, all_tuples, validate
 
 
 def classical(n):
@@ -144,6 +144,68 @@ def test_sweep_catches_a_wrong_decision(monkeypatch):
     assert check.stats["pairs"] == 50
 
 
+def test_sweep_catches_a_wrong_audit(monkeypatch):
+    def any_target_absorbs(U, V, leq, idem):
+        # the idempotent-repeat condition is dropped, so plain targets absorb too
+        f, _ = higman._weakly_increasing_maps(U.shape[1], V.shape[1])
+        return leq[U[:, None, None, :], V[:, f]].all(-1).any(-1)
+
+    monkeypatch.setattr(higman, "_witness_table", any_target_absorbs)
+    report = dp_agreement_sweep(max_atoms=2, max_pair_len=4, full_len=4, full_atom_cap=2)
+    (check,) = report.checks
+    assert not check.passed
+    assert check.counterexample == {
+        "alphabet": ["a"],
+        "idem": [],
+        "lhs": ["a", "a"],
+        "rhs": ["a"],
+        "dp": False,
+        "witness-search": True,
+    }
+    assert check.stats["pairs"] == 50
+
+
+def witness_exists(lu, lv, leq_rows, idem):
+    """The scalar witness search, the reference _witness_table is compared
+    with: try every weakly increasing map from lu into lv in turn; a witness
+    sends each letter below its target, and any target hit more than once is
+    idempotent."""
+    for f in itertools.combinations_with_replacement(range(len(lv)), len(lu)):
+        for i, t in enumerate(f):
+            if not leq_rows[lu[i]][lv[t]] or (i and t == f[i - 1] and lv[t] not in idem):
+                break
+        else:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("cells", [higman._WITNESS_CELLS, 1])
+def test_witness_kernel_matches_the_scalar_reference(monkeypatch, cells):
+    # every block of words up to length 4 over every alphabet of at most 2
+    # letters, the empty alphabet, empty words and longer left sides included;
+    # one cell per slice takes the rows one at a time
+    monkeypatch.setattr(higman, "_WITNESS_CELLS", cells)
+    pairs = 0
+    for n in range(3):
+        words = [[t for t in all_tuples(n, 4) if len(t) == k] for k in range(5)]
+        for q in all_quasi_orders(n):
+            rows = q.leq.tolist()
+            for idem in upward_closed_subsets(q):
+                vec = higman._idem_vector(n, idem)
+                for a, b in itertools.product(range(5), repeat=2):
+                    U = higman._letter_block(words[a], a)
+                    V = higman._letter_block(words[b], b)
+                    table = higman._witness_table(U, V, q.leq, vec)
+                    expected = [
+                        [witness_exists(lu, lv, rows, idem) for lv in words[b]]
+                        for lu in words[a]
+                    ]
+                    assert table.shape == (len(words[a]), len(words[b]))
+                    assert table.tolist() == expected, (q, sorted(idem), a, b)
+                    pairs += table.size
+    assert pairs == 8_700
+
+
 def test_sweep_rejects_negative_lengths_and_overlong_words():
     for bad in ({"max_pair_len": -1}, {"full_len": -1}):
         with pytest.raises(ValueError):
@@ -228,6 +290,13 @@ def test_abstract_matching_fails_on_commuting_primes():
         "letterwise-match": False,
     }
     assert check.stats["tuple_pairs"] == 66
+
+
+def test_abstract_matching_reads_the_same_in_row_slices(monkeypatch):
+    whole = [check_abstractly_higman(m).to_json() for m in (capped_addition(4), flat(2), flat(3))]
+    monkeypatch.setattr(higman, "_WITNESS_CELLS", 1)
+    sliced = [check_abstractly_higman(m).to_json() for m in (capped_addition(4), flat(2), flat(3))]
+    assert sliced == whole
 
 
 def test_upward_closed_subsets(chain2):

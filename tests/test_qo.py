@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -12,7 +13,11 @@ from idealforge.errors import (
 )
 from idealforge.qo import (
     FiniteQO,
+    _bits,
+    _byte_image,
+    _byte_tables,
     _canonical_relation_key,
+    _union_mask,
     all_downsets_of_poset,
     all_quasi_orders,
     disjoint_union_with_star,
@@ -111,6 +116,18 @@ def test_mask_primitives_match_matrix_and_definition_references():
                     any(q.le(a, c) and q.le(b, c) for c in s) for a in s for b in s
                 )
                 assert is_directed(q, s) == directed
+
+
+def test_byte_tables_match_the_union_on_every_mask():
+    # carriers of 0 to 10 elements, so the last table is short, full or the
+    # second of two; each element's mask is an arbitrary seeded int
+    rng = random.Random(0)
+    for n in range(11):
+        masks = [rng.getrandbits(12) for _ in range(n)]
+        tables = _byte_tables(masks)
+        assert [len(t) for t in tables] == [1 << min(8, n - k) for k in range(0, n, 8)]
+        for mask in range(1 << n):
+            assert _byte_image(tables, mask) == _union_mask(masks, _bits(mask))
 
 
 def test_star_extension(a2):
