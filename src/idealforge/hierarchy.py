@@ -85,26 +85,22 @@ def lesssim_star(x: HSet, y: HSet, q: FiniteQO) -> bool:
 
     Urelements compare through q's table; an urelement sits below a set when
     it sits below some member; a set sits below an urelement when every
-    member does; sets compare by the for-all-exists rule on members.
-    Memoized per carrier on interned pairs; the set-vs-set case reads the
-    memo before recursing into a member pair.
+    member does; sets compare by the for-all-exists rule on members.  The
+    last three cases are one for-all-exists pass over payloads, an urelement
+    standing for itself and a set for its members.  Memoized per carrier on
+    interned pairs; the pass reads the memo before recursing into a pair.
     """
     cache = q._hset_leq_cache
     key = (x, y)
     hit = cache.get(key)
     if hit is not None:
         return hit
-    if x.ur is not None:
-        if y.ur is not None:
-            out = bool(q.leq[x.ur, y.ur])
-        else:
-            out = any(lesssim_star(x, c, q) for c in y.children)
-    elif y.ur is not None:
-        out = all(lesssim_star(c, y, q) for c in x.children)
+    if x.ur is not None and y.ur is not None:
+        out = bool(q.leq[x.ur, y.ur])
     else:
         out = True
-        for a in x.children:
-            for b in y.children:
+        for a in (x,) if x.ur is not None else x.children:
+            for b in (y,) if y.ur is not None else y.children:
                 below = cache.get((a, b))
                 if below is None:
                     below = lesssim_star(a, b, q)
@@ -323,17 +319,19 @@ class Atom:
 
     Hash-consed in the base carrier's own pool (FiniteQO._atom_pool), so
     letters live exactly as long as their carrier; build through
-    non_idem_atom and idem_atom.
+    non_idem_atom, and build idempotent letters only inside build_atoms,
+    which closes each payload downward.
     downset is None for a plain letter and the payload letters, sorted by
     serial, for an idempotent one, so every walk over a payload visits it in
     the same order on every run.
     The level is the stage where the letter first appears: 0 for plain
-    letters, one past the deepest payload letter otherwise.  leq_memo maps a
-    letter y to the verdict of compare_atoms(self, y), filled as the
-    comparison recursion answers it, and lives as long as the letter.
+    letters, one past the deepest payload letter otherwise.  bit is
+    1 << (the letter's position in its carrier's pool); mask is the OR of
+    the bits a letter covers: its own for a plain letter, its payload's for
+    an idempotent one.
     """
 
-    __slots__ = ("base", "base_class", "downset", "level", "serial", "leq_memo")
+    __slots__ = ("base", "base_class", "downset", "level", "serial", "bit", "mask")
 
     def __init__(self, base, base_class, downset, level, serial) -> None:
         self.base = base
@@ -341,7 +339,9 @@ class Atom:
         self.downset = downset
         self.level = level
         self.serial = serial
-        self.leq_memo: dict[Atom, bool] = {}
+        self.bit = 1 << len(base._atom_pool)
+        # payload letters are distinct, so the sum of their bits is their OR
+        self.mask = self.bit if downset is None else sum(d.bit for d in downset)
 
     @property
     def is_idem(self) -> bool:
@@ -362,8 +362,12 @@ def non_idem_atom(base: FiniteQO, class_rep: int) -> Atom:
     return atom
 
 
-def idem_atom(base: FiniteQO, downset: Iterable[Atom]) -> Atom:
-    'The idempotent letter over a downward-closed set of lower letters.'
+def _idem_atom(base: FiniteQO, downset: Iterable[Atom]) -> Atom:
+    """The idempotent letter over a set of lower letters.
+
+    compare_atoms is sound only when that set is downward closed in the
+    order on the letters built so far, which build_atoms guarantees.
+    """
     downset = frozenset(downset)
     if not downset:
         raise ValueError("idempotent letters carry a nonempty payload")
@@ -383,63 +387,36 @@ def idem_atom(base: FiniteQO, downset: Iterable[Atom]) -> Atom:
 def compare_atoms(x: Atom, y: Atom) -> bool:
     """The letter order: is x below y?
 
-    Plain letters compare through the carrier; a plain letter sits below an
-    idempotent one when it sits below some payload letter; idempotent letters
-    compare payload-wise by for-all-exists; an idempotent letter is never
-    below a plain one.  These rules are this package's own construction, and
-    the oracle sweeps exist to hold them to account.
+    The paper orders the idempotent letters of each new stage by inclusion
+    of their payloads, which are downsets of the letters already built.  So
+    plain letters compare through the carrier, an idempotent letter is never
+    below a plain one, and otherwise x is below the idempotent y exactly when
+    x's mask lies inside y's: a plain x when it is a payload letter of y, an
+    idempotent x when its payload is contained in y's.  That inclusion
+    already gives level(x) <= level(y).
 
-    Each verdict is memoized on the lower letter (Atom.leq_memo), and the
-    recursion into payload letters reads that memo before descending.  The
-    recursion stays inside this function's own rule, so callers that look up
-    hierarchy.compare_atoms at call time (build_atoms, verify_reflection)
-    still consult whatever rule is installed there, and a rule swapped in
-    never writes into the memo.
+    This equals the recursive definition (a plain letter is below an
+    idempotent one when it is below some payload letter; idempotent letters
+    compare payload-wise by for-all-exists) on the letters build_atoms forms:
+    - every letter of level L appears at stage L;
+    - an idempotent letter of level L is never below a letter of lower
+      level, by induction from the plain case;
+    - so every payload letter of x lies in the letter set over which y's
+      payload was closed downward, and "below some payload letter of y"
+      reduces to membership in it.
+    These rules are this package's own construction, and the oracle sweeps
+    and verify_reflection exist to hold them to account.
     """
     if x.base is not y.base:
         raise ValueError("letters over different carriers")
-    return _letter_leq(x, y)
-
-
-def _letter_leq(x: Atom, y: Atom) -> bool:
-    # the idempotent case reads each payload letter's memo before recursing,
-    # as lesssim_star does, so a known pair costs one dict lookup
-    memo = x.leq_memo
-    hit = memo.get(y)
-    if hit is not None:
-        return hit
-    if x.downset is None:
-        if y.downset is None:
-            out = bool(x.base.leq[x.base_class, y.base_class])
-        else:
-            out = any(_letter_leq(x, e) for e in y.downset)
-    elif y.downset is None:
-        out = False
-    else:
-        out = True
-        for d in x.downset:
-            below_memo = d.leq_memo
-            for e in y.downset:
-                below = below_memo.get(e)
-                if below is None:
-                    below = _letter_leq(d, e)
-                if below:
-                    break
-            else:
-                out = False
-                break
-    memo[y] = out
-    return out
+    if y.downset is None:
+        return x.downset is None and bool(x.base.leq[x.base_class, y.base_class])
+    return not x.mask & ~y.mask
 
 
 def _letter_table(atoms: list[Atom]) -> np.ndarray:
     'The compare_atoms table over the given letters, by index.'
-    k = len(atoms)
-    table = np.zeros((k, k), dtype=bool)
-    for i in range(k):
-        for j in range(k):
-            table[i, j] = compare_atoms(atoms[i], atoms[j])
-    return table
+    return np.array([[compare_atoms(x, y) for y in atoms] for x in atoms], dtype=bool)
 
 
 @dataclass(eq=False)
@@ -488,7 +465,7 @@ def build_atoms(
             for ds in all_downsets_of_poset(_letter_table(atoms), max_count=max_members):
                 if not ds:
                     continue
-                atom = idem_atom(p, (atoms[i] for i in _bits(ds)))
+                atom = _idem_atom(p, (atoms[i] for i in _bits(ds)))
                 if atom not in present:
                     present.add(atom)
                     atoms.append(atom)

@@ -79,9 +79,10 @@ def test_corrupted_comparison_rule_is_reported(a2, monkeypatch):
 
 
 def test_translation_verifies_at_level_three_on_three_points():
-    # The discrete order on three points is left out: its 1,962 letters take
-    # about 10 s to order at level 3.  The letter order as matrix products
-    # (ROADMAP.md item 1) is what would bring it in.
+    # The discrete order on three points is left out: its 1,962 letters are
+    # ordered in about 2 s at level 3, but verifying their reflection spends
+    # about 40 s in lesssim_star over 3,849,444 pairs.  A CI step runs that
+    # carrier through `idealforge verify reflect --alpha 3` and pins its counts.
     discrete = np.eye(3, dtype=bool)
     carriers = [q for q in all_quasi_orders(3) if (q.leq != discrete).any()]
     assert len(carriers) == 8
