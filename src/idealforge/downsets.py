@@ -20,8 +20,8 @@ from .qo import (
     FiniteQO,
     _bits,
     _byte_image,
-    _byte_tables,
     _checked_indices,
+    _closure_tables,
     _down_mask,
     _element_masks,
     _union_mask,
@@ -29,7 +29,6 @@ from .qo import (
     down_closure,
     equiv_classes,
     is_directed,
-    quotient,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -116,12 +115,22 @@ class Ideal(Downset):
             raise ValueError("not directed")
 
 
-def _size_then_members(d: Downset) -> tuple[int, int]:
-    """The (size, sorted member tuple) order read off the mask: among sets of
-    one size, the one holding the least element of the symmetric difference
-    comes first, so element i is read at bit n-1-i, largest first."""
-    mask = d.mask
-    return mask.bit_count(), -int(bin(mask)[:1:-1].ljust(d.base.n, "0"), 2)
+def _canonical_masks(q: FiniteQO, masks: Iterable[int]) -> list[int]:
+    """Masks within range(q.n) in (size, member tuple) order, each checked
+    nonempty and downward closed by the byte lookup that also reverses it.
+    The key is the size, the complemented reversal (the set holding the least
+    element where two differ reverses larger) and the mask, in one int."""
+    n = q.n
+    tables = _closure_tables(q)
+    full = (1 << n) - 1
+    keys = []
+    for m in masks:
+        image = _byte_image(tables, m)
+        if image >> n != m or not m:
+            raise ValueError("not downward closed, or empty")
+        keys.append((m.bit_count() << n | full ^ image & full) << n | m)
+    keys.sort()
+    return [k & full for k in keys]
 
 
 def principal(q: FiniteQO, i: int) -> Ideal:
@@ -130,23 +139,18 @@ def principal(q: FiniteQO, i: int) -> Ideal:
 
 
 def enumerate_downsets(q: FiniteQO, max_count: int | None = 100_000) -> list[Downset]:
-    """All nonempty downsets, canonically ordered by (size, member tuple).
-
-    Downsets are unions of equivalence classes, so the enumeration runs on the
-    quotient and maps each class mask to its element mask, one table lookup
-    per byte.  max_count bounds how many are returned.
-    """
+    """All nonempty downsets in (size, member tuple) order: one enumeration
+    on the carrier, then one pass that checks each mask and builds its sort
+    key.  Raises CombinatorialBlowupError beyond max_count (None: no bound)."""
     if q.n == 0:
         raise EmptyCarrierError("no downsets over the empty carrier")
-    qm = quotient(q)
     bound = None if max_count is None else max_count + 1  # the empty set is dropped
-    expand = _byte_tables([sum(1 << i for i in members) for members in qm.members])
-    out = [
-        Downset.from_mask(q, _byte_image(expand, mask))
-        for mask in all_downsets_of_poset(qm.classes.leq, bound)
-        if mask
-    ]
-    out.sort(key=_size_then_members)
+    masks = all_downsets_of_poset(q.leq, bound)[1:]  # the empty set comes first
+    out = []
+    for m in _canonical_masks(q, masks):  # checked, so built without a second check
+        d = Downset.__new__(Downset)
+        d.base, d.mask = q, m
+        out.append(d)
     return out
 
 
@@ -160,9 +164,8 @@ def enumerate_ideals(q: FiniteQO) -> list[Ideal]:
     """
     if q.n == 0:
         raise EmptyCarrierError("no ideals over the empty carrier")
-    out = [Ideal.from_mask(q, _element_masks(q)[1][c[0]]) for c in equiv_classes(q)]
-    out.sort(key=_size_then_members)
-    return out
+    tops = (_element_masks(q)[1][c[0]] for c in equiv_classes(q))
+    return [Ideal.from_mask(q, m) for m in _canonical_masks(q, tops)]
 
 
 def ideal_decomposition(d: Downset) -> list[Ideal]:
@@ -174,16 +177,15 @@ def ideal_decomposition(d: Downset) -> list[Ideal]:
     """
     q = d.base
     _, down, up = _element_masks(q)
-    parts: list[Ideal] = []
+    parts: list[int] = []
     taken = 0
     for i in _bits(d.mask):
         same = down[i] & up[i]
         # keep i unless something in d lies strictly above it or its class is taken
         if not (up[i] & d.mask & ~same or same & taken):
             taken |= same
-            parts.append(Ideal.from_mask(q, down[i]))
-    parts.sort(key=_size_then_members)
-    return parts
+            parts.append(down[i])
+    return [Ideal.from_mask(q, m) for m in _canonical_masks(q, parts)]
 
 
 def downset_product(x: Downset, y: Downset, m: "MonoidalQO") -> Downset:

@@ -40,7 +40,8 @@ class FiniteQO:
     Closures, downsets and their enumeration work on int bitmasks, bit i
     standing for element i.  Each element's own bit, down-mask and up-mask
     are computed from leq on first use and kept on the carrier, as are the
-    per-byte down-mask tables that close a whole mask one byte at a time.
+    per-byte tables that close a whole mask, and read it backwards, one byte
+    at a time.
     """
 
     __slots__ = (
@@ -199,7 +200,6 @@ class QuotientMap:
     source: FiniteQO
     class_of: tuple[int, ...]
     classes: FiniteQO
-    members: tuple[tuple[int, ...], ...]
 
 
 def quotient(q: FiniteQO) -> QuotientMap:
@@ -208,13 +208,10 @@ def quotient(q: FiniteQO) -> QuotientMap:
     for c, members in enumerate(classes):
         for i in members:
             class_of[i] = c
-    k = len(classes)
-    table = np.zeros((k, k), dtype=bool)
-    for a in range(k):
-        for b in range(k):
-            table[a, b] = q.leq[classes[a][0], classes[b][0]]
+    reps = [members[0] for members in classes]
+    table = q.leq[np.ix_(reps, reps)]
     labels = tuple("=".join(q.elements[i] for i in members) for members in classes)
-    return QuotientMap(q, tuple(class_of), FiniteQO(labels, table), classes)
+    return QuotientMap(q, tuple(class_of), FiniteQO(labels, table))
 
 
 def first_of_each_class(items: Iterable, equiv, *args) -> list:
@@ -282,11 +279,18 @@ def _byte_image(tables: list[list[int]], mask: int) -> int:
     return out
 
 
+def _closure_tables(q: FiniteQO) -> list[list[int]]:
+    """Byte tables over down[i] << n | 1 << (n - 1 - i): the image of a mask
+    holds its down-closure from bit n up and the mask read backwards below."""
+    if q._down_bytes is None:
+        n, down = q.n, _element_masks(q)[1]
+        q._down_bytes = _byte_tables([d << n | 1 << (n - 1 - i) for i, d in enumerate(down)])
+    return q._down_bytes
+
+
 def _down_mask(q: FiniteQO, mask: int) -> int:
     'The down-closure of the elements of a mask within range(q.n), as a mask.'
-    if q._down_bytes is None:
-        q._down_bytes = _byte_tables(_element_masks(q)[1])
-    return _byte_image(q._down_bytes, mask)
+    return _byte_image(_closure_tables(q), mask) >> q.n
 
 
 def _bits(mask: int) -> list[int]:
@@ -353,25 +357,26 @@ def disjoint_union_with_star(q: FiniteQO) -> FiniteQO:
 
 
 def all_downsets_of_poset(leq: np.ndarray, max_count: int | None = None) -> list[int]:
-    """Every downward-closed subset (including the empty one) of a finite
-    partial order, as bitmasks with bit i standing for element i, via a
-    linear extension.
+    """Every downward-closed subset (the empty one first) of a finite
+    quasi-order, as bitmasks with bit i standing for element i.
 
-    Output-sensitive: the work is proportional to the number of downsets, so
-    antichain-heavy orders are the only expensive case, bounded by max_count,
-    which counts the empty set too.
+    Steps through the equivalence classes in a linear extension, by the
+    (down-count, index) of their least members, and grows each downset so
+    far by a whole class once everything strictly below it is in.  The work
+    is proportional to the number of downsets, bounded by max_count, which
+    counts the empty set too.
     """
-    below = _row_masks(leq.T)
-    order = sorted(range(leq.shape[0]), key=lambda i: (below[i].bit_count(), i))
+    below, above = _row_masks(leq.T), _row_masks(leq)
+    least = [i for i, b in enumerate(below) if not b & above[i] & (1 << i) - 1]
     downs = [0]
-    for x in order:
-        bit = 1 << x
-        preds = below[x] & ~bit
+    for x in sorted(least, key=lambda i: (below[i].bit_count(), i)):
+        cls = below[x] & above[x]
+        preds = below[x] & ~cls
         grown: list[int] = []
         for d in downs:
             grown.append(d)
-            if not preds & ~d:
-                grown.append(d | bit)
+            if d & preds == preds:
+                grown.append(d | cls)
         if max_count is not None and len(grown) > max_count:
             raise CombinatorialBlowupError(
                 f"more than {max_count} downward-closed subsets, the empty one included"

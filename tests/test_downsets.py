@@ -1,3 +1,4 @@
+import json
 import re
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 from idealforge.downsets import (
     Downset,
     Ideal,
+    _canonical_masks,
     downset_product,
     downset_union,
     enumerate_downsets,
@@ -18,7 +20,9 @@ from idealforge.downsets import (
 from idealforge.errors import CombinatorialBlowupError
 from idealforge.fixtures import capped_addition, flat
 from idealforge.higman import AtomAlphabet, bounded_word_monoid, upward_closed_subsets
-from idealforge.qo import all_quasi_orders, down_closure, up_closure, validate
+from idealforge.qo import all_quasi_orders, down_closure, from_json, up_closure, validate
+
+from conftest import DATA
 
 
 def test_downset_requires_downward_closure(n_shape, antichain3):
@@ -171,10 +175,43 @@ def test_bounded_word_downsets_keep_their_frozen_values():
     ]
 
 
+def test_canonical_pass_rejects_open_and_empty_masks(n_shape, two_cycle):
+    # the closure check and the sort key come from one lookup; a mask that
+    # is not downward closed, or the empty mask, fails the whole pass
+    a, b, c = (1 << n_shape.index(x) for x in "abc")
+    assert _canonical_masks(n_shape, [a | b | c, b, a]) == [a, b, a | b | c]
+    for bad in ([a, c], [b, a | c], [0], [a, 0]):
+        with pytest.raises(ValueError, match="not downward closed, or empty"):
+            _canonical_masks(n_shape, bad)
+    # a is below b and b below a: half a class is not closed
+    with pytest.raises(ValueError):
+        _canonical_masks(two_cycle, [1 << two_cycle.index("a")])
+
+
+def test_canonical_order_across_machine_words():
+    # the (size, members) order wherever the masks span several bytes or
+    # several 64-bit words: the 41-point bounded word order (6 bytes), a
+    # 70-point chain, the same chain between two incomparable end points
+    # (bits 0 and 69 against the chain), and a carrier with a two-element class
+    vee = validate(["a", "b", "c"], [("a", "c"), ("b", "c")], close=True)
+    labels = [f"x{i}" for i in range(70)]
+    chain = validate(labels, list(zip(labels, labels[1:])), close=True)
+    inner = labels[1:69]
+    ends = validate(labels, list(zip(inner, inner[1:])), close=True)
+    with open(DATA / "two_classes.json") as f:
+        two_classes = from_json(json.load(f))
+    carriers = [bounded_word_monoid(AtomAlphabet(vee, ()), 3).order, chain, ends, two_classes]
+    for q, count in zip(carriers, (41_267, 70, 275, 2)):
+        found = [d.sorted_members for d in enumerate_downsets(q, max_count=None)]
+        assert len(found) == len(set(found)) == count
+        assert found == sorted(found, key=lambda s: (len(s), s))
+
+
 def test_enumeration_peak_memory_is_bounded():
     # peak traced allocation while enumerating the 41,267 downsets of the
     # bounded word order above: 86.6 MiB when each result held a frozenset
-    # of members, 7.6 MiB with one int mask each
+    # of members, 7.6 MiB with one int mask each, 5.5 MiB with no quotient
+    # and one int sort key per mask
     vee = validate(["a", "b", "c"], [("a", "c"), ("b", "c")], close=True)
     order = bounded_word_monoid(AtomAlphabet(vee, ()), 3).order
     tracemalloc.start()

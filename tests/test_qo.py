@@ -152,24 +152,57 @@ def test_all_downsets_of_poset_counts(chain3, antichain3):
         all_downsets_of_poset(np.eye(5, dtype=bool), max_count=10)
 
 
-def _count_labeled_quasi_orders(n):
+def _labeled_quasi_order_tables(n):
     # independent brute enumeration of reflexive transitive relations
     off = [(i, j) for i in range(n) for j in range(n) if i != j]
-    count = 0
     for bits in range(1 << len(off)):
         t = np.eye(n, dtype=bool)
         for k, (i, j) in enumerate(off):
             if bits >> k & 1:
                 t[i, j] = True
         if np.array_equal(t | (t @ t), t):
-            count += 1
-    return count
+            yield t
+
+
+def _reference_downsets_of_poset(leq):
+    # the one-element-at-a-time enumeration on a partial order, which
+    # all_downsets_of_poset ran before it stepped over equivalence classes
+    below = [sum(1 << i for i in np.flatnonzero(col).tolist()) for col in leq.T]
+    order = sorted(range(leq.shape[0]), key=lambda i: (below[i].bit_count(), i))
+    downs = [0]
+    for x in order:
+        bit = 1 << x
+        preds = below[x] & ~bit
+        grown = []
+        for d in downs:
+            grown.append(d)
+            if not preds & ~d:
+                grown.append(d | bit)
+        downs = grown
+    return downs
+
+
+def test_all_downsets_of_poset_steps_over_classes():
+    # every labelled quasi-order on at most four points, partial orders and
+    # not: exactly the downward-closed subsets, each once, the empty one
+    # first; on the quotient the list and its order are those of the
+    # element-at-a-time reference
+    for n in range(5):
+        for table in _labeled_quasi_order_tables(n):
+            closed = [
+                bits for bits in range(1 << n)
+                if all(bits >> i & 1 for i, j in np.argwhere(table) if bits >> j & 1)
+            ]
+            found = all_downsets_of_poset(table)
+            assert found[0] == 0 and sorted(found) == closed
+            classes = quotient(FiniteQO([str(i) for i in range(n)], table)).classes.leq
+            assert all_downsets_of_poset(classes) == _reference_downsets_of_poset(classes)
 
 
 def test_all_quasi_orders_counts():
     # labeled reflexive-transitive relations number 1, 4, 29; up to
     # isomorphism that collapses to 1, 3, 9 (and 33 at four points)
-    assert [_count_labeled_quasi_orders(n) for n in (1, 2, 3)] == [1, 4, 29]
+    assert [sum(1 for _ in _labeled_quasi_order_tables(n)) for n in (1, 2, 3)] == [1, 4, 29]
     assert [len(all_quasi_orders(n)) for n in (1, 2, 3, 4)] == [1, 3, 9, 33]
     for q in all_quasi_orders(3):
         assert np.array_equal(transitive_closure(q.leq), q.leq)
