@@ -20,15 +20,15 @@ from .qo import (
     FiniteQO,
     _bits,
     _byte_image,
-    _checked_indices,
     _closure_tables,
+    _directed_mask,
     _down_mask,
     _element_masks,
+    _index_mask,
     _union_mask,
     all_downsets_of_poset,
     down_closure,
     equiv_classes,
-    is_directed,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -46,10 +46,7 @@ class Downset:
     __slots__ = ("base", "mask")
 
     def __init__(self, base: FiniteQO, members: Iterable[int]) -> None:
-        mask = 0
-        for i in _checked_indices(base, members):
-            mask |= 1 << i
-        self._init(base, mask)
+        self._init(base, _index_mask(base, members))
 
     @classmethod
     def from_mask(cls, base: FiniteQO, mask: int) -> "Downset":
@@ -111,7 +108,7 @@ class Ideal(Downset):
 
     def _init(self, base: FiniteQO, mask: int) -> None:
         super()._init(base, mask)
-        if not is_directed(base, _bits(mask)):
+        if not _directed_mask(_element_masks(base)[2], mask):
             raise ValueError("not directed")
 
 
@@ -171,20 +168,14 @@ def enumerate_ideals(q: FiniteQO) -> list[Ideal]:
 def ideal_decomposition(d: Downset) -> list[Ideal]:
     """Write a downset as the minimal union of pairwise incomparable ideals.
 
-    Takes one representative per maximal equivalence class of the downset and
-    returns its down-closure; distinct maximal classes give ideals neither of
-    which contains the other.
+    Takes the down-closure of each equivalence class whose least member lies
+    in the downset with nothing of the downset strictly above it; distinct
+    maximal classes give ideals neither of which contains the other.
     """
     q = d.base
     _, down, up = _element_masks(q)
-    parts: list[int] = []
-    taken = 0
-    for i in _bits(d.mask):
-        same = down[i] & up[i]
-        # keep i unless something in d lies strictly above it or its class is taken
-        if not (up[i] & d.mask & ~same or same & taken):
-            taken |= same
-            parts.append(down[i])
+    least = (c[0] for c in equiv_classes(q))
+    parts = [down[i] for i in least if d.mask >> i & 1 and not up[i] & ~down[i] & d.mask]
     return [Ideal.from_mask(q, m) for m in _canonical_masks(q, parts)]
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import CombinatorialBlowupError, EmptyCarrierError, LevelCapExceededError
 from .higman import AtomAlphabet, HWord
 from .monoid import MonoidalQO
-from .qo import FiniteQO, _bits, _element_masks, all_downsets_of_poset, equiv_classes
+from .qo import FiniteQO, _bits, _directed_mask, _element_masks, all_downsets_of_poset, equiv_classes
 
 # The paper's hierarchy runs through every ordinal; this package stops here.
 LEVEL_CAP = 3
@@ -296,16 +296,15 @@ def _adjoined_sets(
                 f"stage {stage} exceeds {max_members} candidate members"
             )
         return [hset(prev[i] for i in _bits(mask)) for mask in range(1, 1 << k)]
-    up_bits = [0] * k
+    up = [0] * k
     for j, mask in enumerate(down):
         for i in _bits(mask):
-            up_bits[i] |= 1 << j
+            up[i] |= 1 << j
     new_sets: list[HSet] = []
     for mask in range(1, 1 << k):
-        chosen = _bits(mask)
-        if not all(up_bits[i] & up_bits[j] & mask for i in chosen for j in chosen):
+        if not _directed_mask(up, mask):
             continue
-        new_sets.append(hset(prev[i] for i in chosen))
+        new_sets.append(hset(prev[i] for i in _bits(mask)))
         if len(new_sets) > max_members:
             raise CombinatorialBlowupError(
                 f"stage {stage} exceeds {max_members} candidate members"

@@ -23,7 +23,7 @@ import numpy as np
 from .downsets import enumerate_downsets
 from .errors import AlphabetMismatchError, ScaleExceededError, TooLargeError
 from .monoid import MonoidalQO, primes as monoid_primes
-from .qo import FiniteQO, all_quasi_orders, all_tuples, first_of_each_class
+from .qo import FiniteQO, _canonical_relation_key, all_quasi_orders, all_tuples, first_of_each_class
 from .report import CheckResult, Report
 
 # longest word the explicit witness search accepts
@@ -49,14 +49,17 @@ class AtomAlphabet:
         for i in idem:
             if not 0 <= i < order.n:
                 raise ValueError(f"idempotent index {i} out of range")
-        for i in idem:
-            for j in range(order.n):
-                if order.leq[i, j] and j not in idem:
-                    raise ValueError(
-                        f"idempotent letter {order.elements[i]!r} sits below "
-                        f"plain letter {order.elements[j]!r}; the plain part "
-                        "must be downward-closed"
-                    )
+        rows = list(idem)
+        plain = np.ones(order.n, dtype=bool)
+        plain[rows] = False
+        bad = np.argwhere(order.leq[rows] & plain)
+        if len(bad):
+            i, j = rows[bad[0, 0]], bad[0, 1]
+            raise ValueError(
+                f"idempotent letter {order.elements[i]!r} sits below "
+                f"plain letter {order.elements[j]!r}; the plain part "
+                "must be downward-closed"
+            )
         self.order = order
         self.idem = idem
         self._leq_rows = order.leq.tolist()
@@ -435,8 +438,6 @@ def dp_agreement_sweep(
     word must fit the witness search, which is checked before the first
     pair: the pair of a longest word and the empty word is always swept.
     """
-    from .qo import _canonical_relation_key
-
     if max_atoms < 1:
         # no alphabet to sweep, and an empty sweep must not read as passed
         raise ValueError(f"max_atoms must be at least 1, got {max_atoms}")
@@ -448,7 +449,6 @@ def dp_agreement_sweep(
     # no carrier size sweeps longer words than size 1 does
     if max(max_pair_len, full_len if full_atom_cap >= 1 else 0) > _BRUTEFORCE_MAX_LEN:
         raise TooLargeError(f"witness search is capped at length {_BRUTEFORCE_MAX_LEN}")
-    leq, witness = _leq_letters, _witness_table
     disagreement = None
     systems = 0
     pairs = 0
@@ -478,8 +478,8 @@ def dp_agreement_sweep(
                 systems += 1
                 for lhs, rhs, U, V in blocks:
                     pairs += len(lhs) * len(rhs)
-                    fast = [leq(lu, lv, rows, idem_set) for lu in lhs for lv in rhs]
-                    slow = witness(U, V, q.leq, idem_vec).ravel().tolist()
+                    fast = [_leq_letters(lu, lv, rows, idem_set) for lu in lhs for lv in rhs]
+                    slow = _witness_table(U, V, q.leq, idem_vec).ravel().tolist()
                     if fast != slow and disagreement is None:
                         k = next(k for k, (x, y) in enumerate(zip(fast, slow)) if x != y)
                         lu, lv = lhs[k // len(rhs)], rhs[k % len(rhs)]

@@ -239,9 +239,12 @@ def _factor_list(letters: tuple[Atom, ...], p: FiniteQO) -> tuple[tuple[str, int
     """A word's denotation as a product of letter-set factors.
 
     A plain letter contributes an optional-single-letter factor, a star
-    letter contributes a star factor over its single letters; that is exact
-    at every level, since starring a union of star-or-down pieces stars
-    their single letters.  Adjacent factors a star absorbs are dropped.
+    letter contributes a star factor over its single letters.  That is exact
+    for the oracle's semantics, which flattens every level to sequences over
+    p (starring a union of star-or-down pieces stars their single letters),
+    and so for the paper's at level 1 only; level 2 waits for a derived
+    carrier whose points are the level-1 letters.  Adjacent factors a star
+    absorbs are dropped.
     """
     factors = tuple(("s" if a.is_idem else "d", _single_letters(a, p)) for a in letters)
     return _concat((), factors)

@@ -163,28 +163,17 @@ def from_json(obj: dict) -> FiniteQO:
 
 
 def to_json(q: FiniteQO) -> dict:
-    pairs = [
-        [q.elements[i], q.elements[j]]
-        for i in range(q.n)
-        for j in range(q.n)
-        if q.leq[i, j]
-    ]
+    pairs = [[q.elements[i], q.elements[j]] for i, j in np.argwhere(q.leq)]
     return {"elements": list(q.elements), "order": pairs}
 
 
 def equiv_classes(q: FiniteQO) -> tuple[tuple[int, ...], ...]:
     'Equivalence classes of mutual comparability, each sorted, ordered by least member.'
     if q._classes is None:
-        assigned = [-1] * q.n
-        classes: list[tuple[int, ...]] = []
-        for i in range(q.n):
-            if assigned[i] >= 0:
-                continue
-            members = tuple(j for j in range(i, q.n) if q.equiv(i, j))
-            for j in members:
-                assigned[j] = len(classes)
-            classes.append(members)
-        q._classes = tuple(classes)
+        _, down, up = _element_masks(q)
+        same = [d & u for d, u in zip(down, up)]
+        # each class is read off at its lowest bit
+        q._classes = tuple(tuple(_bits(m)) for i, m in enumerate(same) if m & -m == 1 << i)
     return q._classes
 
 
@@ -316,28 +305,31 @@ def up_closure(q: FiniteQO, s: Iterable[int]) -> frozenset[int]:
     return frozenset(_bits(_union_mask(_element_masks(q)[2], _checked_indices(q, s))))
 
 
-def is_downward_closed(q: FiniteQO, s: frozenset[int]) -> bool:
-    own, down, _ = _element_masks(q)
-    return _union_mask(down, s) == _union_mask(own, s)
+def _index_mask(q: FiniteQO, s: Iterable[int]) -> int:
+    'The mask of the element indices in s, rejecting any outside range(q.n).'
+    return _union_mask(_element_masks(q)[0], _checked_indices(q, s))
+
+
+def is_downward_closed(q: FiniteQO, s: Iterable[int]) -> bool:
+    mask = _index_mask(q, s)
+    return _down_mask(q, mask) == mask
+
+
+def _directed_mask(up: list[int], mask: int) -> bool:
+    """True iff mask is nonempty and holds an element above all of it, where
+    up[i] masks everything above i.  On a finite set this is directedness:
+    every pair has an upper bound in the set, by induction every finite
+    subset does, the set itself included."""
+    top = mask
+    for i in _bits(mask):
+        top &= up[i]
+    return bool(top)
 
 
 def is_directed(q: FiniteQO, s: Iterable[int]) -> bool:
-    """True iff s is nonempty and every pair from s has an upper bound in s.
-
-    For a finite carrier this is equivalent to s containing an element above
-    all of s, but the pairwise form is the definition and is what gets tested.
-    """
-    s = sorted(set(s))
-    if not s:
-        return False
-    own, _, up = _element_masks(q)
-    within = _union_mask(own, s)
-    above = [up[a] & within for a in s]
-    for a in range(len(s)):
-        for b in range(a, len(s)):
-            if not above[a] & above[b]:
-                return False
-    return True
+    """True iff s is nonempty and every pair from s has an upper bound in s;
+    decided by _directed_mask, and tested against the pairwise definition."""
+    return _directed_mask(_element_masks(q)[2], _index_mask(q, s))
 
 
 def disjoint_union_with_star(q: FiniteQO) -> FiniteQO:
@@ -472,13 +464,11 @@ def hasse_dot(q: FiniteQO, name: str = "quotient") -> str:
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
     for lab in c.elements:
         lines.append(f"  {_quote(lab)};")
-    strict = c.leq & ~c.leq.T
-    for i in range(c.n):
-        for j in range(c.n):
-            if not strict[i, j]:
-                continue
-            if any(strict[i, k] and strict[k, j] for k in range(c.n)):
-                continue
+    _, down, up = _element_masks(c)
+    strict = [u & ~d for d, u in zip(down, up)]
+    for i, above in enumerate(strict):
+        # j covers i when nothing strictly above i lies strictly below j
+        for j in _bits(above & ~_union_mask(strict, _bits(above))):
             lines.append(f"  {_quote(c.elements[i])} -> {_quote(c.elements[j])};")
     lines.append("}")
     return "\n".join(lines) + "\n"

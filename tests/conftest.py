@@ -42,3 +42,22 @@ def n_shape():
 def two_cycle():
     # a and b compare both ways; c sits above the pair
     return validate(["a", "b", "c"], [("a", "b"), ("b", "a"), ("a", "c")], close=True)
+
+
+@pytest.fixture
+def order_cases():
+    """Fresh carriers to compare mask routes with their loop references:
+    every quasi-order on at most four points under the identity and the
+    reversed labelling, then the letter order of build_atoms at levels 0 to
+    2 over every quasi-order on at most three points."""
+    from idealforge.hierarchy import build_atoms
+    from idealforge.qo import all_quasi_orders
+
+    cases = []
+    for n in range(5):
+        for q in all_quasi_orders(n):
+            cases += [q, FiniteQO(q.elements, q.leq[::-1, ::-1])]
+    for n in (1, 2, 3):
+        for q in all_quasi_orders(n):
+            cases += [build_atoms(q, alpha).alphabet.order for alpha in (0, 1, 2)]
+    return cases

@@ -20,7 +20,15 @@ from idealforge.downsets import (
 from idealforge.errors import CombinatorialBlowupError
 from idealforge.fixtures import capped_addition, flat
 from idealforge.higman import AtomAlphabet, bounded_word_monoid, upward_closed_subsets
-from idealforge.qo import all_quasi_orders, down_closure, from_json, up_closure, validate
+from idealforge.qo import (
+    all_quasi_orders,
+    down_closure,
+    from_json,
+    is_directed,
+    is_downward_closed,
+    up_closure,
+    validate,
+)
 
 from conftest import DATA
 
@@ -51,6 +59,9 @@ def test_indices_outside_the_carrier_are_rejected():
         lambda: down_closure(two, [-2]),
         lambda: down_closure(two, [7]),
         lambda: up_closure(two, [0, 2]),
+        lambda: is_downward_closed(two, {0, -1}),
+        lambda: is_directed(two, [-1]),
+        lambda: is_directed(two, [5]),
     ):
         with pytest.raises(ValueError, match=r"element index -?\d+ is outside range\(2\)"):
             call()
@@ -138,6 +149,13 @@ def test_enumerations_match_brute_force():
                 if all(any(q.le(a, c) and q.le(b, c) for c in s) for a in s for b in s)
             ]
             assert [i.sorted_members for i in enumerate_ideals(q)] == ideals
+            # each downset splits into the ideals below its maximal elements
+            for d in enumerate_downsets(q):
+                s = d.sorted_members
+                tops = [i for i in s if all(q.le(j, i) for j in s if q.le(i, j))]
+                want = sorted({tuple(j for j in s if q.le(j, i)) for i in tops})
+                got = [i.sorted_members for i in ideal_decomposition(d)]
+                assert got == sorted(want, key=lambda t: (len(t), t))
             ups = [s for s in subsets if all(j in s for i in s for j in range(n) if q.le(i, j))]
             assert [tuple(sorted(u)) for u in upward_closed_subsets(q)] == ups
 

@@ -55,6 +55,54 @@ def test_classical_embedding_cases():
     assert not leq_H(HWord(al, [a]), HWord(al, []))
 
 
+def _reference_plain_part_error(order, idem):
+    # the per-pair scan AtomAlphabet ran before its one array expression:
+    # the message it raised for the first idempotent letter, in the set's own
+    # iteration order, that sits below a plain one, or None
+    for i in idem:
+        for j in range(order.n):
+            if order.leq[i, j] and j not in idem:
+                return (
+                    f"idempotent letter {order.elements[i]!r} sits below "
+                    f"plain letter {order.elements[j]!r}; the plain part "
+                    "must be downward-closed"
+                )
+    return None
+
+
+def _plain_part_error(order, idem):
+    try:
+        AtomAlphabet(order, idem)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def test_plain_part_check_matches_the_loop_reference(order_cases):
+    # every idempotent subset of the small quasi-orders; on the letter
+    # orders, the alphabet's own subset and each one-letter change of it
+    checked = failed = 0
+    for order in order_cases:
+        if order.n <= 4:
+            subsets = [
+                frozenset(i for i in range(order.n) if bits >> i & 1)
+                for bits in range(1 << order.n)
+            ]
+        else:
+            idem = frozenset(i for i, lab in enumerate(order.elements) if lab.startswith("*"))
+            subsets = [idem] + [idem ^ {i} for i in range(order.n)]
+        for idem in subsets:
+            want = _reference_plain_part_error(order, idem)
+            assert _plain_part_error(order, idem) == want
+            checked += 1
+            failed += want is not None
+    assert failed and checked - failed
+    # two offenders, which a small set table iterates out of ascending order
+    order = validate([str(i) for i in range(9)], [("1", "0"), ("8", "0")], close=True)
+    want = _reference_plain_part_error(order, frozenset({1, 8}))
+    assert want is not None and _plain_part_error(order, {1, 8}) == want
+
+
 def test_idempotent_targets_absorb_repetition():
     al = idem_top()
     a, b, t = 0, 1, 2

@@ -17,6 +17,7 @@ from idealforge.qo import (
     _byte_image,
     _byte_tables,
     _canonical_relation_key,
+    _quote,
     _union_mask,
     all_downsets_of_poset,
     all_quasi_orders,
@@ -269,6 +270,51 @@ def test_canonical_keys_match_loop_reference():
                     assert _reference_relation_key(copy, moved) == key
                     checked += 1
     assert checked == 615
+
+
+def _reference_equiv_classes(q):
+    # the pairwise class scan equiv_classes ran before it read each class
+    # off the carrier's down- and up-masks
+    assigned = [-1] * q.n
+    classes = []
+    for i in range(q.n):
+        if assigned[i] >= 0:
+            continue
+        members = tuple(j for j in range(i, q.n) if q.equiv(i, j))
+        for j in members:
+            assigned[j] = len(classes)
+        classes.append(members)
+    return tuple(classes)
+
+
+def _reference_hasse_dot(q, name="quotient"):
+    # the triple-loop cover scan hasse_dot ran before it read covers off the
+    # quotient's strict up-masks
+    c = quotient(q).classes
+    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines += [f"  {_quote(lab)};" for lab in c.elements]
+    strict = c.leq & ~c.leq.T
+    for i in range(c.n):
+        for j in range(c.n):
+            if not strict[i, j]:
+                continue
+            if any(strict[i, k] and strict[k, j] for k in range(c.n)):
+                continue
+            lines.append(f"  {_quote(c.elements[i])} -> {_quote(c.elements[j])};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def test_classes_and_covers_match_the_loop_references(order_cases):
+    assert len(order_cases) == 2 * (1 + 1 + 3 + 9 + 33) + 3 * (1 + 3 + 9)
+    edges = 0
+    for q in order_cases:
+        assert equiv_classes(q) == _reference_equiv_classes(q)
+        dot = hasse_dot(q, name="atoms")
+        assert dot == _reference_hasse_dot(q, name="atoms")
+        edges += dot.count(" -> ")
+    # the covers are not all trivially absent
+    assert edges > 100
 
 
 def test_hasse_dot_is_covering_only(chain3):
