@@ -11,6 +11,7 @@ treated as the definition of the other.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -56,7 +57,7 @@ _SET_POOL: dict[frozenset[HSet], HSet] = {}
 
 def ur_elem(i: int) -> HSet:
     'The urelement with carrier index i.'
-    i = int(i)
+    i = operator.index(i)
     if i < 0:
         raise ValueError("urelement index must be a carrier index")
     node = _UR_POOL.get(i)
@@ -149,7 +150,6 @@ class HierLevel:
 
     alpha: int
     kind: str
-    base: FiniteQO
     members: tuple[HSet, ...]
     previous: "HierLevel | None"
 
@@ -217,7 +217,7 @@ def build_level(
             )
         ordered = sorted(set(candidates), key=lambda h: h.serial)
         reps, bit, down = _stage_classes(ordered, prev, bit, down, q)
-        level = HierLevel(stage, kind, q, tuple(reps), level)
+        level = HierLevel(stage, kind, tuple(reps), level)
     return level
 
 

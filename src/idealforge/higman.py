@@ -23,7 +23,14 @@ import numpy as np
 from .downsets import enumerate_downsets
 from .errors import AlphabetMismatchError, ScaleExceededError, TooLargeError
 from .monoid import MonoidalQO, primes as monoid_primes
-from .qo import FiniteQO, _canonical_relation_key, all_quasi_orders, all_tuples, first_of_each_class
+from .qo import (
+    FiniteQO,
+    _canonical_relation_key,
+    _checked_indices,
+    all_quasi_orders,
+    all_tuples,
+    first_of_each_class,
+)
 from .report import CheckResult, Report
 
 # longest word the explicit witness search accepts
@@ -45,11 +52,8 @@ class AtomAlphabet:
     __slots__ = ("order", "idem", "_leq_rows")
 
     def __init__(self, order: FiniteQO, idem: Iterable[int]) -> None:
-        idem = frozenset(int(i) for i in idem)
-        for i in idem:
-            if not 0 <= i < order.n:
-                raise ValueError(f"idempotent index {i} out of range")
-        rows = list(idem)
+        # ascending, so the first offending letter depends only on the set
+        rows = sorted(set(_checked_indices(order, idem)))
         plain = np.ones(order.n, dtype=bool)
         plain[rows] = False
         bad = np.argwhere(order.leq[rows] & plain)
@@ -61,7 +65,7 @@ class AtomAlphabet:
                 "must be downward-closed"
             )
         self.order = order
-        self.idem = idem
+        self.idem = frozenset(rows)
         self._leq_rows = order.leq.tolist()
 
     def __repr__(self) -> str:
@@ -77,12 +81,8 @@ class HWord:
     __slots__ = ("alphabet", "letters")
 
     def __init__(self, alphabet: AtomAlphabet, letters: Iterable[int]) -> None:
-        letters = tuple(int(i) for i in letters)
-        for i in letters:
-            if not 0 <= i < alphabet.order.n:
-                raise ValueError(f"letter index {i} out of range")
         self.alphabet = alphabet
-        self.letters = letters
+        self.letters = tuple(_checked_indices(alphabet.order, letters))
 
     @property
     def labels(self) -> tuple[str, ...]:

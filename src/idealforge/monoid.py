@@ -343,16 +343,3 @@ def ideal_monoid(m: MonoidalQO) -> MonoidalQO:
     labels = tuple("{" + ",".join(ideal.labels) + "}" for ideal in ideals)
     unit = index[unit_downset(m).mask]
     return MonoidalQO(FiniteQO(labels, table), mult, unit)
-
-
-__all__ = [
-    "MonoidalQO",
-    "check_axioms",
-    "check_plus_property",
-    "check_prime_product_lemma",
-    "ideal_monoid",
-    "monoid_from_json",
-    "monoid_to_json",
-    "primes",
-    "prime_factorization",
-]

@@ -37,7 +37,7 @@ class DenotationContext:
     members of its payload's denotations, clipped to the universe.
     """
 
-    __slots__ = ("base", "maxlen", "seqs", "index", "splits", "_atom_masks", "_word_masks")
+    __slots__ = ("base", "maxlen", "seqs", "index", "splits", "_word_masks")
 
     def __init__(self, p: FiniteQO, maxlen: int):
         if maxlen < 1:
@@ -56,26 +56,10 @@ class DenotationContext:
             tuple((self.index[s[:k]], self.index[s[k:]]) for k in range(len(s) + 1))
             for s in self.seqs
         )
-        self._atom_masks: dict[Atom, int] = {}
         self._word_masks: dict[tuple[Atom, ...], int] = {}
 
     def members(self, mask: int) -> list[tuple[int, ...]]:
         return [s for i, s in enumerate(self.seqs) if mask >> i & 1]
-
-    def atom_mask(self, atom: Atom) -> int:
-        got = self._atom_masks.get(atom)
-        if got is not None:
-            return got
-        if not atom.is_idem:
-            # seqs opens with ε, then the one-letter sequences in carrier order
-            out = 1 | _element_masks(self.base)[1][atom.base_class] << 1
-        else:
-            inner = 0
-            for d in atom.downset:
-                inner |= self.atom_mask(d)
-            out = self._star(inner)
-        self._atom_masks[atom] = out
-        return out
 
     def _star(self, mask: int) -> int:
         # The least fixpoint of out = {ε} | mask·out; each round adds one
@@ -100,8 +84,16 @@ class DenotationContext:
             return got
         if not letters:
             out = 1 << self.index[()]
+        elif len(letters) > 1:
+            out = self.product(self.word_mask(letters[:-1]), self.word_mask(letters[-1:]))
+        elif not letters[0].is_idem:
+            # seqs opens with ε, then the one-letter sequences in carrier order
+            out = 1 | _element_masks(self.base)[1][letters[0].base_class] << 1
         else:
-            out = self.product(self.word_mask(letters[:-1]), self.atom_mask(letters[-1]))
+            inner = 0
+            for d in letters[0].downset:
+                inner |= self.word_mask((d,))
+            out = self._star(inner)
         self._word_masks[letters] = out
         return out
 
@@ -192,7 +184,7 @@ def check_two_forms(
     shape_bad = None
     star_forms = down_forms = 0
     for atom in system.atoms:
-        mask = ctx.atom_mask(atom)
+        mask = ctx.word_mask((atom,))
         letters = {i for i in range(p.n) if mask >> single[i] & 1}
         down_mask = 1 << ctx.index[()]
         for i in letters:
@@ -290,11 +282,11 @@ def _product_contained(
     return True
 
 
-def _intern(rows: list[list]) -> tuple[list[list[int]], list]:
+def _intern(rows: list[list]) -> tuple[np.ndarray, list]:
     'Replace each cell by an integer id; also return the distinct values by id.'
     ids: dict = {}
     out = [[ids.setdefault(v, len(ids)) for v in row] for row in rows]
-    return out, list(ids)
+    return np.array(out), list(ids)
 
 
 def check_xy_wz(
@@ -310,15 +302,17 @@ def check_xy_wz(
     letters), so the bounded universe serves here as a consistency guard on
     the exact decision rather than as the decision itself.
 
-    Two dense tables are filled up front: exact containment by greedy
-    inclusion (_product_contained) over every pair of distinct normalised
-    factor lists, and bounded inclusion over every pair of distinct product
-    masks.  A word is its product with the empty word, so single-word
-    containment is the first column of both.  Each (x, y) row then reads
-    both tables over all (w, z) at once.  Exact containment implies bounded
-    inclusion, so only cells inside the bounded inclusion are read; an
-    exact miss there is counted as saturated at the bound.  Counts stop at
-    the first violation in (x, y, w, z) order.
+    Each pair product is interned once, as its (normalised factor list,
+    bounded mask) pair, and two dense tables over the distinct products are
+    filled up front: exact containment by greedy inclusion
+    (_product_contained) of the lists, and bounded inclusion of the masks.
+    A word is its product with the empty word, so single-word containment
+    is the first column of the id array.  Each (x, y) row then reads both
+    tables over all (w, z) at once.  Exact containment implies bounded
+    inclusion, which the guard checks on every pair of products, so only
+    cells inside the bounded inclusion are read; an exact miss there is
+    counted as saturated at the bound.  Counts stop at the first violation
+    in (x, y, w, z) order.
     """
     if maxlen > 4:
         raise ScaleExceededError("product sweep is sized for maxlen <= 4")
@@ -326,34 +320,36 @@ def check_xy_wz(
     ctx = DenotationContext(p, maxlen)
     words = all_tuples(len(system.atoms), max_word_len)
     atoms = [tuple(system.atoms[i] for i in t) for t in words]
-    masks = [ctx.word_mask(t) for t in atoms]
-    factors = [_factor_list(t, p) for t in atoms]
+    singles = [(_factor_list(t, p), ctx.word_mask(t)) for t in atoms]
     k = len(words)
+    labels = [".".join(system.atoms[i].serial for i in t) or "ε" for t in words]
 
-    list_id, lists = _intern([[_concat(fa, fb) for fb in factors] for fa in factors])
-    mask_id, pair_masks = _intern([[ctx.product(ma, mb) for mb in masks] for ma in masks])
-    list_id, mask_id = np.array(list_id), np.array(mask_id)
-    contained = np.array([[_product_contained(fu, fv) for fv in lists] for fu in lists])
-    bounded = np.array([[mu & ~mv == 0 for mv in pair_masks] for mu in pair_masks])
-    # words[0] is the empty word, and a list concatenated with () is itself
-    exact = contained[np.ix_(list_id[:, 0], list_id[:, 0])]
-    lying = np.argwhere(exact & ~bounded[np.ix_(mask_id[:, 0], mask_id[:, 0])])
-    guard_bad = {"lhs": int(lying[0, 0]), "rhs": int(lying[0, 1])} if len(lying) else None
+    pid, products = _intern(
+        [[(_concat(fa, fb), ctx.product(ma, mb)) for fb, mb in singles] for fa, ma in singles]
+    )
+    contained = np.array([[_product_contained(fu, fv) for fv, _ in products] for fu, _ in products])
+    bounded = np.array([[mu & ~mv == 0 for _, mv in products] for _, mu in products])
+    # words[0] is the empty word, and a product with it is the other factor
+    exact = contained[np.ix_(pid[:, 0], pid[:, 0])]
+    # a lying pair is labelled by the first (x, y) and (w, z) forming its products
+    first = np.unique(pid, return_index=True)[1]
+    lying = np.argwhere(contained & ~bounded)
+    guard_bad = None
+    if len(lying):
+        guard_bad = dict(zip("xywz", (labels[i] for u in lying[0] for i in divmod(first[u], k))))
 
     bad = None
     held = saturated = 0
-    labels = [".".join(system.atoms[i].serial for i in t) or "ε" for t in words]
     for x, y in itertools.product(range(k), repeat=2):
-        inside = bounded[mask_id[x, y]][mask_id].ravel()
-        fits = inside & contained[list_id[x, y]][list_id].ravel()
+        inside = bounded[pid[x, y]][pid].ravel()
+        fits = inside & contained[pid[x, y]][pid].ravel()
         misses = np.flatnonzero(fits & ~(exact[x][:, None] | exact[y]).ravel())
         stop = misses[0] + 1 if len(misses) else k * k
         held_here = np.count_nonzero(fits[:stop])
         held += held_here
         saturated += np.count_nonzero(inside[:stop]) - held_here
         if len(misses):
-            w, z = divmod(int(misses[0]), k)
-            bad = {"x": labels[x], "y": labels[y], "w": labels[w], "z": labels[z]}
+            bad = dict(zip("xywz", (labels[i] for i in (x, y, *divmod(misses[0], k)))))
             break
     stats = {
         "words": k,
@@ -366,7 +362,8 @@ def check_xy_wz(
         (
             CheckResult("factor-containment-forced", bad is None, bad, stats),
             CheckResult(
-                "exact-implies-bounded", guard_bad is None, guard_bad, {"pairs": k * k}
+                "exact-implies-bounded", guard_bad is None, guard_bad,
+                {"products": len(products), "pairs": len(products) ** 2},
             ),
         ),
     )

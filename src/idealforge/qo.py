@@ -186,7 +186,6 @@ class QuotientMap:
     member labels with '='.
     """
 
-    source: FiniteQO
     class_of: tuple[int, ...]
     classes: FiniteQO
 
@@ -200,7 +199,7 @@ def quotient(q: FiniteQO) -> QuotientMap:
     reps = [members[0] for members in classes]
     table = q.leq[np.ix_(reps, reps)]
     labels = tuple("=".join(q.elements[i] for i in members) for members in classes)
-    return QuotientMap(q, tuple(class_of), FiniteQO(labels, table))
+    return QuotientMap(tuple(class_of), FiniteQO(labels, table))
 
 
 def first_of_each_class(items: Iterable, equiv, *args) -> list:

@@ -51,6 +51,9 @@ def test_construction_guards():
         hset([])
     with pytest.raises(ValueError):
         ur_elem(-1)
+    # a non-integral index is no carrier index, and is not truncated to one
+    with pytest.raises(TypeError):
+        ur_elem(1.7)
 
 
 def test_lesssim_frozen_cases(a2):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idealforge import higman
+from idealforge.downsets import Downset
 from idealforge.errors import AlphabetMismatchError, TooLargeError
 from idealforge.higman import (
     AtomAlphabet,
@@ -43,6 +44,25 @@ def test_idem_letters_must_sit_above_plain_ones():
     AtomAlphabet(q, (q.index("b"),))
     with pytest.raises(ValueError):
         AtomAlphabet(q, (q.index("a"),))
+    # letter and idempotent indices are checked as a downset's element indices
+    # are: a non-integral one is no index, and one outside the carrier is refused
+    al = AtomAlphabet(q, ())
+    for call in (
+        lambda: HWord(al, [1.5]),
+        lambda: HWord(al, [1, 0.2]),
+        lambda: AtomAlphabet(q, [2.9]),
+        lambda: Downset(q, [0.5]),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    for call in (
+        lambda: HWord(al, [0, 2]),
+        lambda: HWord(al, [-1]),
+        lambda: AtomAlphabet(q, [2]),
+        lambda: AtomAlphabet(q, [1, -1]),
+    ):
+        with pytest.raises(ValueError, match=r"element index -?\d+ is outside range\(2\)"):
+            call()
 
 
 def test_classical_embedding_cases():
@@ -57,9 +77,9 @@ def test_classical_embedding_cases():
 
 def _reference_plain_part_error(order, idem):
     # the per-pair scan AtomAlphabet ran before its one array expression:
-    # the message it raised for the first idempotent letter, in the set's own
-    # iteration order, that sits below a plain one, or None
-    for i in idem:
+    # the message it raised for the first idempotent letter, in ascending
+    # index order, that sits below a plain one, or None
+    for i in sorted(idem):
         for j in range(order.n):
             if order.leq[i, j] and j not in idem:
                 return (
@@ -101,6 +121,10 @@ def test_plain_part_check_matches_the_loop_reference(order_cases):
     order = validate([str(i) for i in range(9)], [("1", "0"), ("8", "0")], close=True)
     want = _reference_plain_part_error(order, frozenset({1, 8}))
     assert want is not None and _plain_part_error(order, {1, 8}) == want
+    # the message depends on the set, not on the order the indices come in
+    order = validate([str(i) for i in range(9)], [("0", "2"), ("8", "2")], close=True)
+    for idem in ([0, 8], [8, 0]):
+        assert _plain_part_error(order, idem).startswith("idempotent letter '0' sits below")
 
 
 def test_idempotent_targets_absorb_repetition():

@@ -304,19 +304,22 @@ def test_greedy_inclusion_matches_the_position_automaton():
 
 
 def test_product_sweep_frozen(singleton, chain2, a2):
-    # quadruples / containments / saturated_at_bound per carrier
+    # quadruples / containments / saturated_at_bound per carrier, then the
+    # guard's distinct pair products and the product pairs it reads
     pins = [
-        (singleton, 2_401, 2_010, 40),
-        (chain2, 194_481, 130_218, 1_303),
-        (a2, 923_521, 554_393, 80),
+        (singleton, 2_401, 2_010, 40, 6, 36),
+        (chain2, 194_481, 130_218, 1_303, 56, 3_136),
+        (a2, 923_521, 554_393, 80, 110, 12_100),
     ]
-    for p, quadruples, containments, saturated in pins:
+    for p, quadruples, containments, saturated, products, pairs in pins:
         report = check_xy_wz(p)
         assert report.passed
         stats = report.check("factor-containment-forced").stats
         assert (stats["quadruples"], stats["containments"]) == (quadruples, containments)
         assert stats["saturated_at_bound"] == saturated
-        assert report.check("exact-implies-bounded").passed
+        guard = report.check("exact-implies-bounded")
+        assert guard.passed
+        assert guard.stats == {"products": products, "pairs": pairs}
     with pytest.raises(ScaleExceededError):
         check_xy_wz(singleton, maxlen=5)
 
@@ -328,6 +331,17 @@ def test_product_sweep_guard_sees_a_lying_decision(monkeypatch, a2):
     report = check_xy_wz(a2)
     assert not report.check("exact-implies-bounded").passed
     assert not report.passed
+
+
+def test_product_sweep_guard_sees_a_lying_concatenation(monkeypatch, singleton, chain2, a2):
+    # a concatenation that keeps only the left factor list claims a.a fits
+    # below ε.a; only the guard over every pair of products sees the bounded
+    # masks disagree, since the single-word lists are still exact
+    monkeypatch.setattr(oracle, "_concat", lambda fu, fv: fu if fu else fv)
+    for p in (singleton, chain2, a2):
+        guard = check_xy_wz(p).check("exact-implies-bounded")
+        assert not guard.passed
+        assert guard.counterexample == {"x": "a", "y": "a", "w": "ε", "z": "a"}
 
 
 def test_product_sweep_pins_the_first_failure(monkeypatch, chain2, a2):
