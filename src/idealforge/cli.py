@@ -223,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help="member-count bound for each stage",
         )
         if name == "build":
-            p.add_argument("--kind", choices=("ihat", "vstar", "istar"), default="ihat")
+            p.add_argument("--kind", choices=hierarchy._KINDS, default="ihat")
         else:
             p.add_argument("--format", choices=("json", "dot"), default="json")
 

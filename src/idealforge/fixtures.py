@@ -21,7 +21,6 @@ class MonoidFixture:
     monoid: MonoidalQO
     axioms_hold: bool
     plus_holds: bool
-    notes: str = ""
 
 
 def capped_addition(cap: int) -> MonoidalQO:
@@ -88,31 +87,16 @@ def shipped_fixtures() -> tuple[MonoidFixture, ...]:
         MonoidFixture("capped-addition-4", capped_addition(4), True, True),
         MonoidFixture("flat-1", flat(1), True, True),
         MonoidFixture("flat-2", flat(2), True, True),
-        MonoidFixture(
-            "flat-3",
-            flat(3),
-            True,
-            False,
-            "a3 sits below a1*a2 = t but splits only into e, a1, a2, t",
-        ),
-        MonoidFixture(
-            "squaring-to-unit",
-            squaring_to_unit(),
-            False,
-            True,
-            "a*a = e breaks weak increase",
-        ),
+        # a3 sits below a1*a2 = t but splits only into e, a1, a2, t
+        MonoidFixture("flat-3", flat(3), True, False),
+        # a*a = e breaks weak increase
+        MonoidFixture("squaring-to-unit", squaring_to_unit(), False, True),
         MonoidFixture("idem-pair", idem_pair(), True, True),
         MonoidFixture(
             "words-singleton-4", bounded_word_monoid(_classical(1), 4), True, True
         ),
-        MonoidFixture(
-            "words-pair-3",
-            bounded_word_monoid(_classical(2), 3),
-            True,
-            False,
-            "members below the overflow point need not split",
-        ),
+        # members below the overflow point need not split
+        MonoidFixture("words-pair-3", bounded_word_monoid(_classical(2), 3), True, False),
         MonoidFixture(
             "words-idem-singleton-3",
             bounded_word_monoid(_idem_singleton(), 3, reduce=True),

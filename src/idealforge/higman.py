@@ -264,17 +264,9 @@ def hword_primes_check(alphabet: AtomAlphabet, maxlen: int = 4) -> Report:
         claimed = any(equiv_H(w, l) for l in letters)
         actual = not equiv_H(w, empty)
         if actual:
-            for a in reps:
-                if not leq_H(a, w):
-                    continue
-                for b in reps:
-                    if not leq_H(b, w):
-                        continue
-                    if equiv_H(concat(a, b), w) and not equiv_H(a, w) and not equiv_H(b, w):
-                        actual = False
-                        break
-                if not actual:
-                    break
+            # both factors sit below their product, and neither may be equivalent to it
+            below = [a for a in reps if leq_H(a, w) and not leq_H(w, a)]
+            actual = not any(equiv_H(concat(a, b), w) for a in below for b in below)
         if claimed != actual and prime_bad is None:
             prime_bad = {"word": list(w.labels), "letter-class": claimed, "prime": actual}
         if actual:

@@ -7,7 +7,9 @@ reported as data with a concrete counterexample, not raised.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 
 import numpy as np
 
@@ -23,9 +25,9 @@ _MAX_TUPLE = 3
 class MonoidalQO:
     """A finite quasi-order with a total multiplication table and a unit.
 
-    The constructor checks only shape and range; whether the data actually
-    satisfies the axioms is the job of check_axioms, so that broken tables
-    can be represented, checked, and reported on.
+    The constructor checks only integrality, shape and range; whether the
+    data actually satisfies the axioms is the job of check_axioms, so that
+    broken tables can be represented, checked, and reported on.
     """
 
     __slots__ = ("order", "mult", "unit", "_mult_cache")
@@ -33,7 +35,11 @@ class MonoidalQO:
     def __init__(self, order: FiniteQO, mult, unit: int) -> None:
         if order.n == 0:
             raise EmptyCarrierError("a multiplicative structure needs a carrier")
-        table = np.array(mult, dtype=np.int64)
+        table = np.array(mult)
+        if table.dtype.kind not in "iu" or isinstance(unit, bool):
+            raise TypeError("multiplication table entries and the unit must be integers")
+        unit = operator.index(unit)
+        table = table.astype(np.int64, copy=False)
         if table.shape != (order.n, order.n):
             raise ValueError(f"multiplication table must be {order.n}x{order.n}")
         if table.min() < 0 or table.max() >= order.n:
@@ -112,6 +118,35 @@ def _eq_table(m: MonoidalQO) -> np.ndarray:
     return m.order.leq & m.order.leq.T
 
 
+def _law(name: str, ok: np.ndarray, describe) -> CheckResult:
+    """Pass when ok holds on every cell; else describe(*indices) of the first
+    false cell, in row-major order, is the counterexample."""
+    if ok.all():
+        return CheckResult(name, True)
+    return CheckResult(name, False, describe(*np.argwhere(~ok)[0].tolist()))
+
+
+def _monotonicity(m: MonoidalQO) -> CheckResult:
+    """i <= i2 and j <= j2 give i*j <= i2*j2, read one comparable (i, i2) at
+    a time: O(n^2) memory, where one table over all of them needs n^4."""
+    leq = m.order.leq
+    M = m.mult
+    comparable = np.argwhere(leq)
+    for i, i2 in comparable.tolist():
+        bad = ~leq[M[i, comparable[:, 0]], M[i2, comparable[:, 1]]]
+        if bad.any():
+            j, j2 = comparable[np.argmax(bad)].tolist()
+            return CheckResult(
+                "monotonicity",
+                False,
+                {
+                    "pairs": [[m.label(i), m.label(i2)], [m.label(j), m.label(j2)]],
+                    "products": [m.label(m.mul(i, j)), m.label(m.mul(i2, j2))],
+                },
+            )
+    return CheckResult("monotonicity", True)
+
+
 def check_axioms(m: MonoidalQO) -> Report:
     """Associativity up to equivalence, weak increase (q below q*p),
     monotonicity in both arguments, and neutrality of the unit."""
@@ -119,81 +154,36 @@ def check_axioms(m: MonoidalQO) -> Report:
     eq = _eq_table(m)
     M = m.mult
     n = m.n
-    checks: list[CheckResult] = []
-
+    e = m.unit
     left = M[M, :]
     right = M[:, M.reshape(-1)].reshape(n, n, n)
-    ok = eq[left, right]
-    if ok.all():
-        checks.append(CheckResult("associativity", True))
-    else:
-        i, j, k = (int(v) for v in np.argwhere(~ok)[0])
-        checks.append(
-            CheckResult(
-                "associativity",
-                False,
-                {
-                    "triple": [m.label(i), m.label(j), m.label(k)],
-                    "left": m.label(int(left[i, j, k])),
-                    "right": m.label(int(right[i, j, k])),
-                },
-            )
-        )
-
-    ok = leq[np.arange(n)[:, None], M]
-    if ok.all():
-        checks.append(CheckResult("weak-increase", True))
-    else:
-        i, j = (int(v) for v in np.argwhere(~ok)[0])
-        checks.append(
-            CheckResult(
-                "weak-increase",
-                False,
-                {"pair": [m.label(i), m.label(j)], "product": m.label(m.mul(i, j))},
-            )
-        )
-
-    mono = CheckResult("monotonicity", True)
-    comparable = np.argwhere(leq)
-    for i, i2 in comparable:
-        prods = M[i, comparable[:, 0]]
-        prods2 = M[i2, comparable[:, 1]]
-        bad = ~leq[prods, prods2]
-        if bad.any():
-            j, j2 = (int(v) for v in comparable[int(np.flatnonzero(bad)[0])])
-            mono = CheckResult(
-                "monotonicity",
-                False,
-                {
-                    "pairs": [[m.label(int(i)), m.label(int(i2))], [m.label(j), m.label(j2)]],
-                    "products": [
-                        m.label(m.mul(int(i), j)),
-                        m.label(m.mul(int(i2), j2)),
-                    ],
-                },
-            )
-            break
-    checks.append(mono)
-
-    e = m.unit
-    ok_unit = eq[M[e, :], np.arange(n)] & eq[M[:, e], np.arange(n)]
-    if ok_unit.all():
-        checks.append(CheckResult("unit-neutral", True))
-    else:
-        i = int(np.flatnonzero(~ok_unit)[0])
-        checks.append(
-            CheckResult(
-                "unit-neutral",
-                False,
-                {
-                    "element": m.label(i),
-                    "left": m.label(m.mul(e, i)),
-                    "right": m.label(m.mul(i, e)),
-                },
-            )
-        )
-
-    return Report("multiplicative-axioms", tuple(checks))
+    checks = (
+        _law(
+            "associativity",
+            eq[left, right],
+            lambda i, j, k: {
+                "triple": [m.label(i), m.label(j), m.label(k)],
+                "left": m.label(int(left[i, j, k])),
+                "right": m.label(int(right[i, j, k])),
+            },
+        ),
+        _law(
+            "weak-increase",
+            leq[np.arange(n)[:, None], M],
+            lambda i, j: {"pair": [m.label(i), m.label(j)], "product": m.label(m.mul(i, j))},
+        ),
+        _monotonicity(m),
+        _law(
+            "unit-neutral",
+            eq[M[e, :], np.arange(n)] & eq[M[:, e], np.arange(n)],
+            lambda i: {
+                "element": m.label(i),
+                "left": m.label(m.mul(e, i)),
+                "right": m.label(m.mul(i, e)),
+            },
+        ),
+    )
+    return Report("multiplicative-axioms", checks)
 
 
 def check_plus_property(m: MonoidalQO) -> Report:
@@ -206,25 +196,24 @@ def check_plus_property(m: MonoidalQO) -> Report:
     below = [np.flatnonzero(leq[:, a]) for a in range(n)]
     counterexample = None
     checked = 0
-    for a in range(n):
-        for b in range(n):
-            reachable = np.zeros(n, dtype=bool)
-            for aa in below[a]:
-                reachable |= eq[M[aa, below[b]], :].any(axis=0)
-            for c in np.flatnonzero(leq[:, M[a, b]]):
-                checked += 1
-                if not reachable[c]:
-                    counterexample = {
-                        "a": m.label(a),
-                        "b": m.label(b),
-                        "c": m.label(int(c)),
-                        "product": m.label(m.mul(a, b)),
-                    }
-                    break
-            if counterexample:
-                break
-        if counterexample:
+    for a, b in itertools.product(range(n), repeat=2):
+        # one row of products per aa keeps memory at O(n^2)
+        reachable = np.zeros(n, dtype=bool)
+        for aa in below[a]:
+            reachable |= eq[M[aa, below[b]], :].any(axis=0)
+        needed = below[M[a, b]]
+        missed = needed[~reachable[needed]]
+        if len(missed):
+            c = int(missed[0])
+            checked += int(np.searchsorted(needed, c)) + 1
+            counterexample = {
+                "a": m.label(a),
+                "b": m.label(b),
+                "c": m.label(c),
+                "product": m.label(m.mul(a, b)),
+            }
             break
+        checked += len(needed)
     return Report(
         "plus-property",
         (
@@ -290,26 +279,20 @@ def check_prime_product_lemma(m: MonoidalQO) -> Report:
     leq = m.order.leq
     M = m.mult
     ps = sorted(primes(m))
+    tuples = itertools.chain.from_iterable(
+        itertools.product(range(m.n), repeat=k) for k in range(1, _MAX_TUPLE + 1)
+    )
+    products = ((t, functools.reduce(lambda x, f: int(M[x, f]), t)) for t in tuples)
+    instances = ((p, t, prod) for t, prod in products for p in ps if leq[p, prod])
     counterexample = None
     checked = 0
-    for length in range(1, _MAX_TUPLE + 1):
-        for factors in itertools.product(range(m.n), repeat=length):
-            prod = factors[0]
-            for f in factors[1:]:
-                prod = int(M[prod, f])
-            for p in ps:
-                if leq[p, prod]:
-                    checked += 1
-                    if not any(leq[p, f] for f in factors):
-                        counterexample = {
-                            "prime": m.label(p),
-                            "factors": [m.label(f) for f in factors],
-                            "product": m.label(prod),
-                        }
-                        break
-            if counterexample:
-                break
-        if counterexample:
+    for checked, (p, factors, prod) in enumerate(instances, 1):
+        if not any(leq[p, f] for f in factors):
+            counterexample = {
+                "prime": m.label(p),
+                "factors": [m.label(f) for f in factors],
+                "product": m.label(prod),
+            }
             break
     return Report(
         "prime-below-product",

@@ -37,14 +37,13 @@ class DenotationContext:
     members of its payload's denotations, clipped to the universe.
     """
 
-    __slots__ = ("base", "maxlen", "seqs", "index", "splits", "_word_masks")
+    __slots__ = ("base", "seqs", "index", "splits", "_word_masks")
 
     def __init__(self, p: FiniteQO, maxlen: int):
         if maxlen < 1:
             # a letter denotes one-letter sequences, so the universe needs them
             raise ValueError(f"maxlen must be at least 1, got {maxlen}")
         self.base = p
-        self.maxlen = maxlen
         size = sum(p.n**k for k in range(maxlen + 1))
         if size > _SEQ_UNIVERSE_CAP:
             raise ScaleExceededError(f"{size} sequences exceed the cap of {_SEQ_UNIVERSE_CAP}")

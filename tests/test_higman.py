@@ -25,8 +25,10 @@ from idealforge.higman import (
     word_is_idempotent,
 )
 from idealforge.fixtures import capped_addition, flat
+from idealforge.hierarchy import build_atoms
 from idealforge.monoid import check_axioms
-from idealforge.qo import FiniteQO, all_quasi_orders, all_tuples, validate
+from idealforge.qo import FiniteQO, all_quasi_orders, all_tuples, first_of_each_class, validate
+from idealforge.report import CheckResult, Report
 
 
 def classical(n):
@@ -320,6 +322,69 @@ def test_prime_words_are_letter_classes():
         assert report.check("primes-are-letter-classes").stats["prime_classes"] == len(
             {tuple(sorted(np.flatnonzero(al.order.leq[:, i] & al.order.leq[i, :]))) for i in range(al.order.n)}
         )
+
+
+def _reference_primes_census(alphabet, maxlen):
+    """hword_primes_check by the double loop over class representatives: a
+    nonempty class is prime unless some pair below it, neither equivalent to
+    it, concatenates to it."""
+    words = all_words(alphabet, maxlen)
+    reps = first_of_each_class(words, equiv_H)
+    letters = [HWord(alphabet, (i,)) for i in range(alphabet.order.n)]
+    empty = HWord(alphabet, ())
+    prime_bad = idem_bad = None
+    prime_classes = idem_prime_classes = 0
+    for w in reps:
+        claimed = any(equiv_H(w, l) for l in letters)
+        actual = not equiv_H(w, empty) and not any(
+            equiv_H(concat(a, b), w) and not equiv_H(a, w) and not equiv_H(b, w)
+            for a in reps
+            if leq_H(a, w)
+            for b in reps
+            if leq_H(b, w)
+        )
+        if claimed != actual and prime_bad is None:
+            prime_bad = {"word": list(w.labels), "letter-class": claimed, "prime": actual}
+        if actual:
+            prime_classes += 1
+            idem_claimed = any(equiv_H(w, letters[i]) for i in sorted(alphabet.idem))
+            idem_actual = word_is_idempotent(w)
+            if idem_claimed != idem_actual and idem_bad is None:
+                idem_bad = {
+                    "word": list(w.labels),
+                    "idem-letter-class": idem_claimed,
+                    "idempotent": idem_actual,
+                }
+            idem_prime_classes += idem_actual
+    stats = {
+        "words": len(words),
+        "classes": len(reps),
+        "prime_classes": prime_classes,
+        "idem_prime_classes": idem_prime_classes,
+    }
+    return Report(
+        "word-primes",
+        (
+            CheckResult("primes-are-letter-classes", prime_bad is None, prime_bad, stats),
+            CheckResult("idempotent-primes-are-idempotent-letters", idem_bad is None, idem_bad),
+        ),
+    )
+
+
+def test_prime_census_matches_the_triple_loop_reference():
+    # every quasi-order on at most 3 letters under every upward-closed
+    # idempotent set, then the level-1 letter alphabets on at most 2 points
+    alphabets = [
+        AtomAlphabet(q, idem)
+        for n in (1, 2, 3)
+        for q in all_quasi_orders(n)
+        for idem in upward_closed_subsets(q)
+    ]
+    alphabets += [build_atoms(q, 1).alphabet for n in (1, 2) for q in all_quasi_orders(n)]
+    assert len(alphabets) == 55
+    for al in alphabets:
+        got = hword_primes_check(al, maxlen=3).to_json()
+        assert got == _reference_primes_census(al, 3).to_json(), al
 
 
 def idem_singleton():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -26,6 +27,7 @@ from idealforge.monoid import (
     primes,
 )
 from idealforge.qo import FiniteQO, all_quasi_orders
+from idealforge.report import CheckResult, Report
 
 
 def test_fixture_annotations_hold():
@@ -125,7 +127,9 @@ def _outcome(factorize, m: MonoidalQO, x: int):
         return str(e)
 
 
-def test_split_search_matches_the_double_loop_reference():
+def _sample_monoids() -> list[MonoidalQO]:
+    """The shipped fixtures, the capped-addition file, and seeded tables on
+    every quasi-order on at most 3 points."""
     monoids = [fx.monoid for fx in shipped_fixtures()]
     monoids.append(monoid_from_json(json.loads((DATA / "capped_addition4.monoid.json").read_text())))
     # seeded tables that need not satisfy the axioms, so refusals occur too
@@ -135,14 +139,153 @@ def test_split_search_matches_the_double_loop_reference():
             for _ in range(100):
                 table = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
                 monoids.append(MonoidalQO(q, table, rng.randrange(n)))
+    return monoids
+
+
+def test_split_search_matches_the_double_loop_reference():
     refused = 0
-    for m in monoids:
+    for m in _sample_monoids():
         assert primes(m) == _reference_primes(m)
         for x in range(m.n):
             got = _outcome(prime_factorization, m, x)
             assert got == _outcome(_reference_factorization, m, x)
             refused += isinstance(got, str)
     assert refused > 0
+
+
+def _first_failure(name: str, cases) -> CheckResult:
+    'Pass when cases yields nothing, else fail on the first counterexample it yields.'
+    bad = next(iter(cases), None)
+    return CheckResult(name, bad is None, bad)
+
+
+def _reference_axioms(m: MonoidalQO) -> Report:
+    """check_axioms by plain loops, each law failing on its first
+    counterexample in row-major order."""
+    leq, M, n, e, lab = m.order.leq, m.mult, m.n, m.unit, m.label
+    eq = leq & leq.T
+    r = range(n)
+
+    def mul(i, j):
+        return int(M[i, j])
+
+    return Report(
+        "multiplicative-axioms",
+        (
+            _first_failure(
+                "associativity",
+                (
+                    {
+                        "triple": [lab(i), lab(j), lab(k)],
+                        "left": lab(mul(mul(i, j), k)),
+                        "right": lab(mul(i, mul(j, k))),
+                    }
+                    for i in r for j in r for k in r
+                    if not eq[mul(mul(i, j), k), mul(i, mul(j, k))]
+                ),
+            ),
+            _first_failure(
+                "weak-increase",
+                (
+                    {"pair": [lab(i), lab(j)], "product": lab(mul(i, j))}
+                    for i in r for j in r
+                    if not leq[i, mul(i, j)]
+                ),
+            ),
+            _first_failure(
+                "monotonicity",
+                (
+                    {
+                        "pairs": [[lab(i), lab(i2)], [lab(j), lab(j2)]],
+                        "products": [lab(mul(i, j)), lab(mul(i2, j2))],
+                    }
+                    for i in r for i2 in r if leq[i, i2]
+                    for j in r for j2 in r if leq[j, j2]
+                    if not leq[mul(i, j), mul(i2, j2)]
+                ),
+            ),
+            _first_failure(
+                "unit-neutral",
+                (
+                    {"element": lab(i), "left": lab(mul(e, i)), "right": lab(mul(i, e))}
+                    for i in r
+                    if not (eq[mul(e, i), i] and eq[mul(i, e), i])
+                ),
+            ),
+        ),
+    )
+
+
+def _reference_plus_property(m: MonoidalQO) -> Report:
+    """check_plus_property by plain loops, counting the triples read up to
+    and including the first miss."""
+    leq, M, n, lab = m.order.leq, m.mult, m.n, m.label
+    eq = leq & leq.T
+    triples = 0
+    bad = None
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if bad is None and leq[c, M[a, b]]:
+                    triples += 1
+                    if not any(
+                        eq[M[aa, bb], c] and leq[aa, a] and leq[bb, b]
+                        for aa in range(n)
+                        for bb in range(n)
+                    ):
+                        bad = {"a": lab(a), "b": lab(b), "c": lab(c), "product": lab(int(M[a, b]))}
+    result = CheckResult("witness-splitting", bad is None, bad, {"triples": triples})
+    return Report("plus-property", (result,))
+
+
+def _reference_prime_product_lemma(m: MonoidalQO) -> Report:
+    'check_prime_product_lemma by plain loops over factor tuples of length 1, 2 and 3.'
+    leq, M = m.order.leq, m.mult
+    ps = sorted(_reference_primes(m))
+    instances = 0
+    bad = None
+    for length in (1, 2, 3):
+        for factors in itertools.product(range(m.n), repeat=length):
+            prod = factors[0]
+            for f in factors[1:]:
+                prod = int(M[prod, f])
+            for p in ps:
+                if bad is None and leq[p, prod]:
+                    instances += 1
+                    if not any(leq[p, f] for f in factors):
+                        bad = {
+                            "prime": m.label(p),
+                            "factors": [m.label(f) for f in factors],
+                            "product": m.label(prod),
+                        }
+    stats = {"instances": instances, "primes": len(ps)}
+    result = CheckResult("prime-lands-on-a-factor", bad is None, bad, stats)
+    return Report("prime-below-product", (result,))
+
+
+def test_law_checks_match_the_plain_loop_reference():
+    failed = {}
+    for m in _sample_monoids():
+        for check, reference in (
+            (check_axioms, _reference_axioms),
+            (check_plus_property, _reference_plus_property),
+            (check_prime_product_lemma, _reference_prime_product_lemma),
+        ):
+            got = check(m).to_json()
+            assert got == reference(m).to_json(), (m, check.__name__)
+            for c in got["checks"]:
+                failed[c["name"]] = failed.get(c["name"], 0) + (not c["passed"])
+    # every law fails somewhere, so each first-failure path is compared
+    assert len(failed) == 6 and all(failed.values()), failed
+
+
+def test_non_integral_table_or_unit_is_rejected():
+    q = FiniteQO(["e", "a"], np.array([[True, True], [False, True]]))
+    with pytest.raises(TypeError):
+        MonoidalQO(q, [[0, 1.7], [1, 1]], 0)
+    for unit in (1.5, True):
+        with pytest.raises(TypeError):
+            MonoidalQO(q, [[0, 1], [1, 1]], unit)
 
 
 def test_prime_product_lemma_on_good_fixtures():
