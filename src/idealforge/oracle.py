@@ -2,12 +2,14 @@
 
 The semantic side here is deliberately primitive: symbolic letters denote
 explicit sets of short sequences over the carrier, and the theorem checks
-compare those sets bit by bit.  Products of level-1 denotations are also decided with no length
-bound, by greedy inclusion of factor products, and the bounded bitmasks
-guard that decision.  None of it consults the word-embedding decision
-procedure or the letter-order rules, so agreement between the two routes is
-evidence rather than wiring.  The check_* drivers are the only places both
-routes meet.
+compare those sets bit by bit.  The bits follow the one layout of the
+universe that DenotationContext states, so a product of two sets is
+arithmetic on positions, with no split table.  Products of level-1
+denotations are also decided with no length bound, by greedy inclusion of
+factor products, and the bounded bitmasks guard that decision.  None of it
+consults the word-embedding decision procedure or the letter-order rules, so
+agreement between the two routes is evidence rather than wiring.  The
+check_* drivers are the only places both routes meet.
 """
 from __future__ import annotations
 
@@ -31,50 +33,55 @@ def seq_label(p: FiniteQO, s: tuple[int, ...]) -> str:
 class DenotationContext:
     """Explicit denotations over the sequence universe up to maxlen.
 
-    Each denotation is an int bitmask over the universe.  A plain letter
-    denotes the empty sequence plus every single letter below its class
-    representative; a star letter denotes all finite concatenations of
+    Each denotation is an int bitmask over the universe seqs, which is
+    all_tuples(n, maxlen) and so has one layout: the length-k block starts
+    at offset(k) = sum of n**j over j < k, and inside its block a sequence
+    sits at its base-n value, first letter most significant.  So ε is bit 0,
+    letter i is bit 1 + i, and pos(x·y) = pos(x)·n^|y| + pos(y).  A plain
+    letter denotes the empty sequence plus every single letter below its
+    class representative; a star letter denotes all finite concatenations of
     members of its payload's denotations, clipped to the universe.
     """
 
-    __slots__ = ("base", "seqs", "index", "splits", "_word_masks")
+    __slots__ = ("base", "seqs", "_offsets", "_word_masks")
 
     def __init__(self, p: FiniteQO, maxlen: int):
         if maxlen < 1:
             # a letter denotes one-letter sequences, so the universe needs them
             raise ValueError(f"maxlen must be at least 1, got {maxlen}")
         self.base = p
-        size = sum(p.n**k for k in range(maxlen + 1))
-        if size > _SEQ_UNIVERSE_CAP:
-            raise ScaleExceededError(f"{size} sequences exceed the cap of {_SEQ_UNIVERSE_CAP}")
+        self._offsets = off = [0, *itertools.accumulate(p.n**k for k in range(maxlen + 1))]
+        if off[-1] > _SEQ_UNIVERSE_CAP:
+            raise ScaleExceededError(f"{off[-1]} sequences exceed the cap of {_SEQ_UNIVERSE_CAP}")
         self.seqs = all_tuples(p.n, maxlen)
-        self.index = {s: i for i, s in enumerate(self.seqs)}
-        # splits[i] lists (prefix, suffix) index pairs over every cut of
-        # seqs[i], the empty-prefix cut first.
-        self.splits = tuple(
-            tuple((self.index[s[:k]], self.index[s[k:]]) for k in range(len(s) + 1))
-            for s in self.seqs
-        )
         self._word_masks: dict[tuple[Atom, ...], int] = {}
 
     def members(self, mask: int) -> list[tuple[int, ...]]:
         return [s for i, s in enumerate(self.seqs) if mask >> i & 1]
 
+    def single_letters(self, mask: int) -> int:
+        'Bit i is set when the denotation holds the one-letter sequence (i,).'
+        return mask >> 1 & (1 << self.base.n) - 1
+
     def _star(self, mask: int) -> int:
         # The least fixpoint of out = {ε} | mask·out; each round adds one
         # more factor, so it settles within maxlen + 1 rounds.
-        out = 1 << self.index[()]
+        out = 1
         while (grown := out | self.product(mask, out)) != out:
             out = grown
         return out
 
     def product(self, mx: int, my: int) -> int:
+        # pos(x·y) = pos(x)·nʲ + pos(y) for |y| = j, so spreading mx's bits nʲ
+        # apart and multiplying by my's length-j block, which spans nʲ bits,
+        # lays one copy of that block at each x, without carries.
+        off, n = self._offsets, self.base.n
         out = 0
-        for i in range(len(self.seqs)):
-            for a, b in self.splits[i]:
-                if mx >> a & 1 and my >> b & 1:
-                    out |= 1 << i
-                    break
+        for j in range(len(off) - 1):
+            x = mx & (1 << off[-1 - j]) - 1  # the x with |x| + j <= maxlen
+            y = my & (1 << off[j + 1]) - (1 << off[j])
+            if x and y:
+                out |= int(("0" * (n**j - 1)).join(format(x, "b")), 2) * y
         return out
 
     def word_mask(self, letters: tuple[Atom, ...]) -> int:
@@ -82,11 +89,10 @@ class DenotationContext:
         if got is not None:
             return got
         if not letters:
-            out = 1 << self.index[()]
+            out = 1
         elif len(letters) > 1:
             out = self.product(self.word_mask(letters[:-1]), self.word_mask(letters[-1:]))
         elif not letters[0].is_idem:
-            # seqs opens with ε, then the one-letter sequences in carrier order
             out = 1 | _element_masks(self.base)[1][letters[0].base_class] << 1
         else:
             inner = 0
@@ -179,19 +185,19 @@ def check_two_forms(
     primes = hword_primes_check(system.alphabet, maxlen=max_word_len)
     ctx = DenotationContext(p, maxlen)
 
-    single = [ctx.index[(i,)] for i in range(p.n)]
     shape_bad = None
     star_forms = down_forms = 0
     for atom in system.atoms:
         mask = ctx.word_mask((atom,))
-        letters = {i for i in range(p.n) if mask >> single[i] & 1}
-        down_mask = 1 << ctx.index[()]
-        for i in letters:
-            down_mask |= 1 << single[i]
-        star_mask = 0
+        letters = ctx.single_letters(mask)
+        # Both forms are spelled from the sequences: an idempotent letter's mask is
+        # _star of its down form, so a star form read from _star could never differ.
+        star_mask = down_mask = 0
         for k, s in enumerate(ctx.seqs):
-            if all(c in letters for c in s):
+            if all(letters >> c & 1 for c in s):
                 star_mask |= 1 << k
+                if len(s) <= 1:
+                    down_mask |= 1 << k
         if mask == star_mask:
             star_forms += 1
         elif mask == down_mask:
@@ -199,7 +205,7 @@ def check_two_forms(
         elif shape_bad is None:
             shape_bad = {
                 "atom": atom.serial,
-                "letters": sorted(p.elements[i] for i in letters),
+                "letters": sorted(p.elements[i] for i in range(p.n) if letters >> i & 1),
                 "extra": [
                     seq_label(p, s)
                     for s in ctx.members(mask & ~star_mask & ~down_mask)
@@ -216,29 +222,20 @@ def check_two_forms(
     )
 
 
-def _single_letters(atom: Atom, p: FiniteQO) -> int:
-    'Bitmask of carrier letters whose one-letter sequence the atom denotes.'
-    if not atom.is_idem:
-        return _element_masks(p)[1][atom.base_class]
-    out = 0
-    for d in atom.downset:
-        out |= _single_letters(d, p)
-    return out
-
-
-def _factor_list(letters: tuple[Atom, ...], p: FiniteQO) -> tuple[tuple[str, int], ...]:
+def _factor_list(letters: tuple[Atom, ...], ctx: DenotationContext) -> tuple[tuple[str, int], ...]:
     """A word's denotation as a product of letter-set factors.
 
     A plain letter contributes an optional-single-letter factor, a star
-    letter contributes a star factor over its single letters.  That is exact
+    letter contributes a star factor over its single letters, each set read
+    off the one-letter block of the letter's mask.  That is exact
     for the oracle's semantics, which flattens every level to sequences over
     p (starring a union of star-or-down pieces stars their single letters),
     and so for the paper's at level 1 only; level 2 waits for a derived
     carrier whose points are the level-1 letters.  Adjacent factors a star
     absorbs are dropped.
     """
-    factors = tuple(("s" if a.is_idem else "d", _single_letters(a, p)) for a in letters)
-    return _concat((), factors)
+    sets = [ctx.single_letters(ctx.word_mask((a,))) for a in letters]
+    return _concat((), tuple(("s" if a.is_idem else "d", m) for a, m in zip(letters, sets)))
 
 
 def _concat(
@@ -319,7 +316,7 @@ def check_xy_wz(
     ctx = DenotationContext(p, maxlen)
     words = all_tuples(len(system.atoms), max_word_len)
     atoms = [tuple(system.atoms[i] for i in t) for t in words]
-    singles = [(_factor_list(t, p), ctx.word_mask(t)) for t in atoms]
+    singles = [(_factor_list(t, ctx), ctx.word_mask(t)) for t in atoms]
     k = len(words)
     labels = [".".join(system.atoms[i].serial for i in t) or "ε" for t in words]
 

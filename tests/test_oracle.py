@@ -14,7 +14,6 @@ from idealforge.oracle import (
     _concat,
     _factor_list,
     _product_contained,
-    _single_letters,
     check_containment_agreement,
     check_two_forms,
     check_xy_wz,
@@ -42,6 +41,46 @@ def test_negative_word_length_is_rejected(a2, check, args):
     # no words at all would let the sweep pass on nothing
     with pytest.raises(ValueError, match="at least 0"):
         check(a2, *args, max_word_len=-1)
+
+
+def _split_table(seqs):
+    """splits[i] lists (prefix, suffix) index pairs over every cut of
+    seqs[i], the empty-prefix cut first."""
+    index = {s: i for i, s in enumerate(seqs)}
+    return [[(index[s[:k]], index[s[k:]]) for k in range(len(s) + 1)] for s in seqs]
+
+
+def _split_scan_product(splits, mx, my):
+    """The reference for DenotationContext.product: a sequence is in the
+    product when some cut of it has its prefix in mx and its suffix in my."""
+    out = 0
+    for i, cuts in enumerate(splits):
+        if any(mx >> a & 1 and my >> b & 1 for a, b in cuts):
+            out |= 1 << i
+    return out
+
+
+def test_product_matches_the_split_scan_reference(n_shape):
+    # Every quasi-order on at most 3 points at every maxlen whose universe
+    # has at most 400 sequences, and n_shape at maxlen 4, on seeded masks.
+    # A shorter universe is a prefix of the longest one, and so are its
+    # split rows, so each alphabet size builds one split table.
+    longest = {1: 399, 2: 7, 3: 5, 4: 4}
+    splits = {n: _split_table(all_tuples(n, m)) for n, m in longest.items()}
+    cases = [(n_shape, 4)] * 100
+    for n in (1, 2, 3):
+        cases += [(q, m) for q in all_quasi_orders(n) for m in range(1, longest[n] + 1)]
+    rng = random.Random(3)
+    for q, maxlen in cases:
+        ctx = DenotationContext(q, maxlen)
+        size = len(ctx.seqs)
+        assert size <= 400 and ctx.seqs == all_tuples(q.n, maxlen)
+        # the layout: ε is bit 0 and letter i is bit 1 + i
+        assert ctx.seqs[0] == () and ctx.word_mask(()) == 1
+        for i in range(q.n):
+            assert ctx.seqs[1 + i] == (i,) and ctx.single_letters(1 << 1 + i) == 1 << i
+        mx, my = rng.getrandbits(size) & rng.getrandbits(size), rng.getrandbits(size)
+        assert ctx.product(mx, my) == _split_scan_product(splits[q.n][:size], mx, my), (q, maxlen)
 
 
 def test_truncated_ideals_have_tops():
@@ -202,16 +241,17 @@ def test_containment_agreement_small(chain2, singleton):
 def test_factor_lists_normalize(a2):
     system = build_atoms(a2, 1)
     a, star_ab, star_a = system.atoms[0], system.atoms[2], system.atoms[3]
-    assert _single_letters(a, a2) == 0b01
-    assert _single_letters(star_ab, a2) == 0b11
-    assert _factor_list((star_a, star_a), a2) == (("s", 0b01),)
+    ctx = DenotationContext(a2, 1)
+    assert ctx.single_letters(ctx.word_mask((a,))) == 0b01
+    assert ctx.single_letters(ctx.word_mask((star_ab,))) == 0b11
+    assert _factor_list((star_a, star_a), ctx) == (("s", 0b01),)
     # a star swallows an adjacent plain letter it covers, on either side
-    assert _factor_list((a, star_a), a2) == (("s", 0b01),)
-    assert _factor_list((star_a, a), a2) == (("s", 0b01),)
-    assert _factor_list((a, star_ab, star_a), a2) == (("s", 0b11),)
-    assert _factor_list((a, a), a2) == (("d", 0b01), ("d", 0b01))
+    assert _factor_list((a, star_a), ctx) == (("s", 0b01),)
+    assert _factor_list((star_a, a), ctx) == (("s", 0b01),)
+    assert _factor_list((a, star_ab, star_a), ctx) == (("s", 0b11),)
+    assert _factor_list((a, a), ctx) == (("d", 0b01), ("d", 0b01))
     # a star absorbs every covered factor before it, not just the last one
-    assert _factor_list((a, a, star_a), a2) == (("s", 0b01),)
+    assert _factor_list((a, a, star_a), ctx) == (("s", 0b01),)
 
 
 def test_exact_product_containment(a2):
@@ -222,7 +262,8 @@ def test_exact_product_containment(a2):
         system.atoms[2],
         system.atoms[3],
     )
-    f = lambda *atoms: _factor_list(tuple(atoms), a2)
+    ctx = DenotationContext(a2, 1)
+    f = lambda *atoms: _factor_list(tuple(atoms), ctx)
     assert _product_contained(f(star_a), f(star_ab))
     assert not _product_contained(f(star_ab), f(star_a))
     assert _product_contained(f(a, a), f(star_a))
@@ -288,8 +329,9 @@ def test_greedy_inclusion_matches_the_position_automaton():
     for n in (1, 2, 3):
         for q in all_quasi_orders(n):
             system = build_atoms(q, 1)
+            ctx = DenotationContext(q, 1)
             factors = [
-                _factor_list(tuple(system.atoms[i] for i in t), q)
+                _factor_list(tuple(system.atoms[i] for i in t), ctx)
                 for t in all_tuples(len(system.atoms), 2)
             ]
             lists = list(dict.fromkeys(_concat(fa, fb) for fa in factors for fb in factors))
