@@ -34,9 +34,9 @@ class HSet:
 
     Either an urelement (ur is a carrier index, children is None) or a
     finite nonempty set of HSets (children sorted by serial).  Structurally
-    equal values are the same object, so identity works as equality and
-    pairwise comparisons can be memoized on object pairs.  Build through
-    ur_elem and hset, never directly.
+    equal values are the same object, so identity works as equality and a
+    family's payload members index a table by object.  Build through ur_elem
+    and hset, never directly.
     """
 
     __slots__ = ("ur", "children", "serial", "rank")
@@ -88,30 +88,48 @@ def lesssim_star(x: HSet, y: HSet, q: FiniteQO) -> bool:
     it sits below some member; a set sits below an urelement when every
     member does; sets compare by the for-all-exists rule on members.  The
     last three cases are one for-all-exists pass over payloads, an urelement
-    standing for itself and a set for its members.  Memoized per carrier on
-    interned pairs; the pass reads the memo before recursing into a pair.
+    standing for itself and a set for its members.  Keeps no state; whole
+    families of pairs go through _leq_table instead.
     """
-    cache = q._hset_leq_cache
-    key = (x, y)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     if x.ur is not None and y.ur is not None:
-        out = bool(q.leq[x.ur, y.ur])
-    else:
-        out = True
-        for a in (x,) if x.ur is not None else x.children:
-            for b in (y,) if y.ur is not None else y.children:
-                below = cache.get((a, b))
-                if below is None:
-                    below = lesssim_star(a, b, q)
-                if below:
-                    break
-            else:
-                out = False
+        return bool(q.leq[x.ur, y.ur])
+    for a in (x,) if x.ur is not None else x.children:
+        for b in (y,) if y.ur is not None else y.children:
+            if lesssim_star(a, b, q):
                 break
-    cache[key] = out
-    return out
+        else:
+            return False
+    return True
+
+
+def _leq_table(xs: list[HSet], ys: list[HSet], q: FiniteQO) -> np.ndarray:
+    """lesssim_star on every pair of xs x ys, as a bool array indexed [x, y].
+
+    The payload members, one rank lower, are ordered first by this kernel,
+    down to urelements, which read q.leq.  With M a family's float32 payload
+    membership, uncovered = L_lower @ M_ys.T == 0 marks the members below no
+    payload member of y, and x is below y where M_xs @ uncovered == 0.
+    """
+    if all(h.ur is not None for h in (*xs, *ys)):
+        return q.leq[np.ix_([x.ur for x in xs], [y.ur for y in ys])]
+    lower_xs, m_xs = _payload_matrix(xs)
+    lower_ys, m_ys = _payload_matrix(ys)
+    lower = _leq_table(lower_xs, lower_ys, q).astype(np.float32)
+    uncovered = (lower @ m_ys.T == 0).astype(np.float32)
+    return m_xs @ uncovered == 0
+
+
+def _payload_matrix(hs: list[HSet]) -> tuple[list[HSet], np.ndarray]:
+    'The payload members of hs, first seen first, and their membership matrix.'
+    column: dict[HSet, int] = {}
+    rows, cols = [], []
+    for i, h in enumerate(hs):
+        for p in (h,) if h.ur is not None else h.children:
+            rows.append(i)
+            cols.append(column.setdefault(p, len(column)))
+    m = np.zeros((len(hs), len(column)), dtype=np.float32)
+    m[rows, cols] = 1
+    return list(column), m
 
 
 def sim_star(x: HSet, y: HSet, q: FiniteQO) -> bool:
@@ -191,7 +209,7 @@ def build_level(
     quotiented to canonical representatives, the least serial of each class,
     and keeps the urelements, so stages are cumulative.  Classes and their
     order come from one for-all-exists pass on int down-masks per stage
-    (_stage_classes), audited in full against sim_star and lesssim_star.  A
+    (_stage_classes), audited in full against the _leq_table kernel.  A
     stage with more than max_members candidates raises
     CombinatorialBlowupError; a vstar stage over k members has exactly
     k + 2^k - 1 candidates, so that count is checked before any set is built.
@@ -236,15 +254,17 @@ def _stage_classes(
     exactly when x's payload lies in the down-closure of y's; so a
     candidate's key, the OR of down over its payload, decides both: equal
     keys make one class, represented by its first candidate, and key
-    inclusion is the order.  Audited in full through the live rules,
-    sim_star on each merged candidate and lesssim_star on every pair of
-    representatives; a disagreement raises ValueError naming the pair.
+    inclusion is the order.  Audited in full by _leq_table, candidates
+    against representatives and back: each candidate must be tied to its
+    representative, and the representatives' block must equal key inclusion;
+    a disagreement raises ValueError naming the pair.
     """
     reps: list[HSet] = []
     keys: list[int] = []
+    firsts: list[int] = []
     index: dict[int, int] = {}
     new_bit: dict[HSet, int] = {}
-    for c in candidates:
+    for i, c in enumerate(candidates):
         key = 0
         for p in (c,) if c.ur is not None else c.children:
             key |= down[bit[p]]
@@ -252,20 +272,26 @@ def _stage_classes(
         if j == len(reps):
             reps.append(c)
             keys.append(key)
-        elif not sim_star(c, reps[j], q):
+            firsts.append(i)
+        new_bit[c] = j
+    up = _leq_table(candidates, reps, q)
+    back = _leq_table(reps, candidates, q)
+    for i, c in enumerate(candidates):
+        j = new_bit[c]
+        if not (up[i, j] and back[j, i]):
             raise ValueError(
                 f"{c.serial} and {reps[j].serial} share a down-closure but sim_star separates them"
             )
-        new_bit[c] = j
     for y, i in bit.items():
         # a candidate merged in an earlier stage follows its representative
         if y not in new_bit:
             new_bit[y] = new_bit[prev[i]]
+    block = up[firsts].tolist()
     new_down = [0] * len(reps)
     for j, y in enumerate(reps):
         for k, x in enumerate(reps):
             below = not keys[k] & ~keys[j]
-            if below != lesssim_star(x, y, q):
+            if below != block[k][j]:
                 raise ValueError(
                     f"down-closures put {x.serial} {'below' if below else 'not below'} "
                     f"{y.serial}, lesssim_star disagrees"

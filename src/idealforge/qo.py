@@ -46,7 +46,7 @@ class FiniteQO:
 
     __slots__ = (
         "elements", "leq", "_index", "_classes", "_masks", "_down_bytes",
-        "_hset_leq_cache", "_atom_pool",
+        "_atom_pool",
     )
 
     def __init__(self, elements: Iterable[str], leq) -> None:
@@ -64,8 +64,6 @@ class FiniteQO:
         self._classes: tuple[tuple[int, ...], ...] | None = None
         self._masks: tuple[list[int], list[int], list[int]] | None = None
         self._down_bytes: list[list[int]] | None = None
-        # memo for hereditary-set comparisons keyed on interned node pairs
-        self._hset_leq_cache: dict = {}
         # hierarchy letters over this carrier, hash-consed on their payload
         self._atom_pool: dict = {}
 

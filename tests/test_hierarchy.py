@@ -32,6 +32,7 @@ from idealforge.qo import (
     first_of_each_class,
     validate,
 )
+from idealforge.reflect import build_reflection
 
 
 def test_interning_gives_identity():
@@ -264,8 +265,7 @@ def _scanned_stages(q, alpha, kind):
 
 def test_stage_classes_match_the_quadratic_scan():
     # every quasi-order on at most 4 points at levels 0 to 2 and on at most
-    # 3 points at level 3, in all three kinds; the scan runs on a fresh copy
-    # of the carrier, so it reads no memo entry build_level wrote
+    # 3 points at level 3, in all three kinds
     cases = [(n, alpha) for n in range(1, 5) for alpha in range(3)]
     cases += [(n, 3) for n in range(1, 4)]
     compared = 0
@@ -276,9 +276,8 @@ def test_stage_classes_match_the_quadratic_scan():
                     level = build_level(q, alpha, kind)
                 except CombinatorialBlowupError:
                     continue
-                fresh = FiniteQO(q.elements, q.leq)
                 stages = [s.members for s in level.chain()]
-                assert stages == _scanned_stages(fresh, alpha, kind), (q.leq.tolist(), alpha, kind)
+                assert stages == _scanned_stages(q, alpha, kind), (q.leq.tolist(), alpha, kind)
                 compared += 1
     assert compared == 451
 
@@ -293,14 +292,14 @@ def test_stage_classes_match_the_quadratic_scan():
     ],
 )
 def test_corrupted_set_rule_is_caught(monkeypatch, verdict, caught_by):
-    honest = hierarchy.lesssim_star
+    honest = hierarchy._leq_table
 
-    def corrupted(x, y, q):
-        if x.ur is None and y.ur is not None:
-            return verdict
-        return honest(x, y, q)
+    def corrupted(xs, ys, q):
+        out = honest(xs, ys, q)
+        out[np.ix_([x.ur is None for x in xs], [y.ur is not None for y in ys])] = verdict
+        return out
 
-    monkeypatch.setattr(hierarchy, "lesssim_star", corrupted)
+    monkeypatch.setattr(hierarchy, "_leq_table", corrupted)
     with pytest.raises(ValueError, match=caught_by):
         build_level(validate(["a", "b"], [], close=True), 1, "vstar")
 
@@ -452,9 +451,8 @@ def _plain_hereditary_leq(x, y, q):
     )
 
 
-def test_memoized_orders_match_bare_recursions():
-    # every quasi-order on at most 4 points at level 2, on fresh carriers;
-    # the hereditary order at level 2 where its vstar stage fits, else at 1
+def test_letter_order_matches_bare_recursion():
+    # every quasi-order on at most 4 points at level 2
     letter_pairs = 0
     for n in range(1, 5):
         for q in all_quasi_orders(n):
@@ -464,13 +462,35 @@ def test_memoized_orders_match_bare_recursions():
             for (i, x), (j, y) in itertools.product(enumerate(system.atoms), repeat=2):
                 assert leq[i, j] == _plain_letter_leq(x, y, memo), (q.leq.tolist(), x, y)
             letter_pairs += len(system.atoms) ** 2
-            try:
-                members = build_level(q, 2, "vstar").members
-            except CombinatorialBlowupError:
-                members = build_level(q, 1, "vstar").members
-            for x, y in itertools.product(members, repeat=2):
-                assert lesssim_star(x, y, q) == _plain_hereditary_leq(x, y, q), (
-                    q.leq.tolist(), x, y,
-                )
     # 129,823 of them over the 33 quasi-orders on 4 points
     assert letter_pairs == 133_421
+
+
+def test_hereditary_tables_match_bare_recursion():
+    # every quasi-order on at most 3 points at levels 0 to 2 and on at most
+    # 2 points at level 3: the reflection images over the extended carrier,
+    # and the members of each kind of stage that fits
+    cases = [(n, alpha) for n in range(1, 4) for alpha in range(3)]
+    cases += [(n, 3) for n in range(1, 3)]
+    pairs = 0
+    for n, alpha in cases:
+        for q in all_quasi_orders(n):
+            table = build_reflection(q, alpha)
+            families = [(list(table.entries.values()), table.star_qo)]
+            for kind in ("vstar", "istar", "ihat"):
+                try:
+                    families.append((list(build_level(q, alpha, kind).members), q))
+                except CombinatorialBlowupError:
+                    pass
+            for family, carrier in families:
+                below = hierarchy._leq_table(family, family, carrier)
+                for (i, x), (j, y) in itertools.product(enumerate(family), repeat=2):
+                    want = _plain_hereditary_leq(x, y, carrier)
+                    assert below[i, j] == lesssim_star(x, y, carrier) == want, (
+                        q.leq.tolist(), alpha, x, y,
+                    )
+                # a rectangular block is the square table's rows
+                odd = hierarchy._leq_table(family[1::2], family, carrier)
+                assert (odd == below[1::2]).all()
+                pairs += len(family) ** 2
+    assert pairs == 6_203

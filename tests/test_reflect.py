@@ -52,6 +52,41 @@ def test_images_encode_level_and_starness(a2):
             assert fa.ur == atom.base_class
 
 
+def test_out_of_bounds_image_is_reported_unordered(a2):
+    # an urelement past the extended carrier cannot be ordered: image-bounds
+    # fails, and the order checks fail with it instead of indexing past q.leq
+    table = build_reflection(a2, 1)
+    table.entries[table.system.atoms[0]] = ur_elem(7)
+    report = verify_reflection(table)
+    bounds = report.check("image-bounds")
+    assert not bounds.passed
+    assert bounds.counterexample == {"atom": "a", "urelements": [7]}
+    for name in ("order-preserving", "order-reflecting"):
+        assert not report.check(name).passed, name
+        assert report.check(name).counterexample == bounds.counterexample
+    assert report.check("order-preserving").stats["pairs"] == 0
+
+
+def test_corrupted_set_kernel_is_reported(a2, monkeypatch):
+    table = build_reflection(a2, 1)
+    honest = hierarchy._leq_table
+
+    def corrupted(xs, ys, q):
+        out = honest(xs, ys, q)
+        out[np.ix_([x.ur is None for x in xs], [y.ur is not None for y in ys])] = True
+        return out
+
+    # the set side now puts every idempotent image below every plain one,
+    # which the letter side does not
+    monkeypatch.setattr(hierarchy, "_leq_table", corrupted)
+    report = verify_reflection(table)
+    assert report.check("order-preserving").passed
+    bad = report.check("order-reflecting")
+    assert not bad.passed
+    assert bad.counterexample["x"].startswith("*")
+    assert not bad.counterexample["y"].startswith("*")
+
+
 def test_corrupted_comparison_rule_is_reported(a2, monkeypatch):
     table = build_reflection(a2, 1)
     assert verify_reflection(table).passed
@@ -79,13 +114,10 @@ def test_corrupted_comparison_rule_is_reported(a2, monkeypatch):
 
 
 def test_translation_verifies_at_level_three_on_three_points():
-    # The discrete order on three points is left out: its 1,962 letters are
-    # ordered in about 2 s at level 3, but verifying their reflection spends
-    # about 40 s in lesssim_star over 3,849,444 pairs.  A CI step runs that
-    # carrier through `idealforge verify reflect --alpha 3` and pins its counts.
-    discrete = np.eye(3, dtype=bool)
-    carriers = [q for q in all_quasi_orders(3) if (q.leq != discrete).any()]
-    assert len(carriers) == 8
+    # every quasi-order on three points; the discrete one is the largest, with
+    # 1,962 letters and 3,849,444 pairs
+    carriers = all_quasi_orders(3)
+    assert len(carriers) == 9
     sizes = []
     total = 0
     for q in carriers:
@@ -97,5 +129,5 @@ def test_translation_verifies_at_level_three_on_three_points():
         assert pairs == n * n
         sizes.append(n)
         total += pairs
-    assert max(sizes) == 173
-    assert total == 41_574
+    assert sorted(sizes)[-2:] == [173, 1_962]
+    assert total == 41_574 + 3_849_444
