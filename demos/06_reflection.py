@@ -13,9 +13,9 @@ from idealforge.reflect import build_reflection, verify_reflection
 a2 = FiniteQO(["a", "b"], np.eye(2, dtype=bool))
 table = build_reflection(a2, alpha=1)
 
-print("fresh point index:", table.star, "of", table.star_qo.elements)
+print("fresh point index:", table.star_qo.n - 1, "of", table.star_qo.elements)
 for atom in table.system.atoms:
-    print(f"  {atom.serial:8s} -> {table.image(atom)}")
+    print(f"  {atom.serial:8s} -> {table.entries[atom]}")
 
 report = verify_reflection(table)
 for c in report.checks:

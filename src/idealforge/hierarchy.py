@@ -20,7 +20,8 @@ import numpy as np
 from .errors import CombinatorialBlowupError, EmptyCarrierError, LevelCapExceededError
 from .higman import AtomAlphabet, HWord
 from .monoid import MonoidalQO
-from .qo import FiniteQO, _bits, _directed_mask, _element_masks, all_downsets_of_poset, equiv_classes
+from .qo import FiniteQO, _bits, _checked_indices, _directed_mask, _element_masks
+from .qo import all_downsets_of_poset, equiv_classes
 
 # The paper's hierarchy runs through every ordinal; this package stops here.
 LEVEL_CAP = 3
@@ -33,17 +34,20 @@ class HSet:
     """A hereditary set over carrier urelements, hash-consed globally.
 
     Either an urelement (ur is a carrier index, children is None) or a
-    finite nonempty set of HSets (children sorted by serial).  Structurally
-    equal values are the same object, so identity works as equality and a
-    family's payload members index a table by object.  Build through ur_elem
-    and hset, never directly.
+    finite nonempty set of HSets (children sorted by serial).  The payload is
+    what the for-all-exists rule and the lifted product range over: the
+    urelement itself, (self,), or the set's children.  Structurally equal
+    values are the same object, so identity works as equality and a family's
+    payload members index a table by object.  Build through ur_elem and hset,
+    never directly.
     """
 
-    __slots__ = ("ur", "children", "serial", "rank")
+    __slots__ = ("ur", "children", "payload", "serial", "rank")
 
     def __init__(self, ur, children, serial, rank) -> None:
         self.ur = ur
         self.children = children
+        self.payload = (self,) if children is None else children
         self.serial = serial
         self.rank = rank
 
@@ -82,19 +86,16 @@ def hset(children: Iterable[HSet]) -> HSet:
 
 
 def lesssim_star(x: HSet, y: HSet, q: FiniteQO) -> bool:
-    """The hereditary comparison over q, by the four-case recursion.
+    """The hereditary comparison over q.
 
-    Urelements compare through q's table; an urelement sits below a set when
-    it sits below some member; a set sits below an urelement when every
-    member does; sets compare by the for-all-exists rule on members.  The
-    last three cases are one for-all-exists pass over payloads, an urelement
-    standing for itself and a set for its members.  Keeps no state; whole
-    families of pairs go through _leq_table instead.
+    Urelements compare through q's table; otherwise x is below y when every
+    payload member of x is below some payload member of y.  Keeps no state;
+    whole families of pairs go through _leq_table instead.
     """
     if x.ur is not None and y.ur is not None:
         return bool(q.leq[x.ur, y.ur])
-    for a in (x,) if x.ur is not None else x.children:
-        for b in (y,) if y.ur is not None else y.children:
+    for a in x.payload:
+        for b in y.payload:
             if lesssim_star(a, b, q):
                 break
         else:
@@ -124,7 +125,7 @@ def _payload_matrix(hs: list[HSet]) -> tuple[list[HSet], np.ndarray]:
     column: dict[HSet, int] = {}
     rows, cols = [], []
     for i, h in enumerate(hs):
-        for p in (h,) if h.ur is not None else h.children:
+        for p in h.payload:
             rows.append(i)
             cols.append(column.setdefault(p, len(column)))
     m = np.zeros((len(hs), len(column)), dtype=np.float32)
@@ -139,8 +140,8 @@ def sim_star(x: HSet, y: HSet, q: FiniteQO) -> bool:
 def hset_mult(x: HSet, y: HSet, m: MonoidalQO) -> HSet:
     """Multiplication lifted to hereditary sets, memoized per monoid.
 
-    Urelements multiply through the table; a set times a point multiplies
-    every member by the point, and two sets multiply pairwise.
+    Urelements multiply through the table; otherwise the product is the set
+    of pairwise products of payload members.
     """
     cache = m._mult_cache
     key = (x, y)
@@ -149,14 +150,8 @@ def hset_mult(x: HSet, y: HSet, m: MonoidalQO) -> HSet:
         return hit
     if x.ur is not None and y.ur is not None:
         out = ur_elem(m.mul(x.ur, y.ur))
-    elif x.ur is not None:
-        out = hset(hset_mult(x, c, m) for c in y.children)
-    elif y.ur is not None:
-        out = hset(hset_mult(c, y, m) for c in x.children)
     else:
-        out = hset(
-            hset_mult(a, b, m) for a in x.children for b in y.children
-        )
+        out = hset(hset_mult(a, b, m) for a in x.payload for b in y.payload)
     cache[key] = out
     return out
 
@@ -250,10 +245,9 @@ def _stage_classes(
 
     bit maps every earlier candidate to its class index in the stage below
     (representatives prev), whose down[i] masks the classes below class i.
-    A payload is an urelement itself or a set's members, and x is below y
-    exactly when x's payload lies in the down-closure of y's; so a
-    candidate's key, the OR of down over its payload, decides both: equal
-    keys make one class, represented by its first candidate, and key
+    x is below y exactly when x's payload lies in the down-closure of y's;
+    so a candidate's key, the OR of down over its payload, decides both:
+    equal keys make one class, represented by its first candidate, and key
     inclusion is the order.  Audited in full by _leq_table, candidates
     against representatives and back: each candidate must be tied to its
     representative, and the representatives' block must equal key inclusion;
@@ -266,7 +260,7 @@ def _stage_classes(
     new_bit: dict[HSet, int] = {}
     for i, c in enumerate(candidates):
         key = 0
-        for p in (c,) if c.ur is not None else c.children:
+        for p in c.payload:
             key |= down[bit[p]]
         j = index.setdefault(key, len(reps))
         if j == len(reps):
@@ -377,9 +371,11 @@ class Atom:
 
 
 def non_idem_atom(base: FiniteQO, class_rep: int) -> Atom:
-    'The plain letter for the carrier class of class_rep.'
+    'The plain letter for the carrier class of class_rep, keyed by its least member.'
+    (i,) = _checked_indices(base, [class_rep])
+    _, down, up = _element_masks(base)
+    key = _bits(down[i] & up[i])[0]
     pool = base._atom_pool
-    key = int(class_rep)
     atom = pool.get(key)
     if atom is None:
         atom = Atom(base, key, None, 0, base.elements[key])
@@ -463,7 +459,7 @@ class AtomSystem:
         'An alphabet word from atoms or atom indices.'
         idx = []
         for x in letters:
-            idx.append(self.atoms.index(x) if isinstance(x, Atom) else int(x))
+            idx.append(self.atoms.index(x) if isinstance(x, Atom) else x)
         return HWord(self.alphabet, idx)
 
 

@@ -26,19 +26,12 @@ from .report import CheckResult, Report
 
 @dataclass(eq=False)
 class ReflectionTable:
-    'Images of every atom of a system, over the extended carrier.'
+    """Images of every atom of a system, over the extended carrier star_qo,
+    whose fresh point is its last index (disjoint_union_with_star)."""
 
     system: AtomSystem
     star_qo: FiniteQO
-    star: int
     entries: dict[Atom, HSet]
-
-    @property
-    def alpha(self) -> int:
-        return self.system.alpha
-
-    def image(self, atom: Atom) -> HSet:
-        return self.entries[atom]
 
 
 def build_reflection(p: FiniteQO, alpha: int) -> ReflectionTable:
@@ -53,7 +46,7 @@ def build_reflection(p: FiniteQO, alpha: int) -> ReflectionTable:
             entries[a] = hset([*(entries[d] for d in a.downset), ur_elem(star)])
         else:
             entries[a] = ur_elem(a.base_class)
-    return ReflectionTable(system, star_qo, star, entries)
+    return ReflectionTable(system, star_qo, entries)
 
 
 def _urelements_of(x: HSet) -> set[int]:
@@ -75,13 +68,13 @@ def verify_reflection(table: ReflectionTable) -> Report:
     atoms = table.system.atoms
     images = [table.entries[a] for a in atoms]
     sq = table.star_qo
-    star_ur = ur_elem(table.star)
+    star_ur = ur_elem(sq.n - 1)
 
     # A level-l letter should land exactly at rank l - 1, hence below alpha,
     # and mention no urelement outside the extended carrier.
     rank_bad = None
     for a, fa in zip(atoms, images):
-        if fa.rank != a.level - 1 or fa.rank >= table.alpha:
+        if fa.rank != a.level - 1 or fa.rank >= table.system.alpha:
             rank_bad = {"atom": a.serial, "rank": fa.rank}
             break
         if any(u >= sq.n for u in _urelements_of(fa)):
@@ -103,8 +96,7 @@ def verify_reflection(table: ReflectionTable) -> Report:
 
     star_bad = None
     for a, fa in zip(atoms, images):
-        has_star = fa.children is not None and star_ur in fa.children
-        if a.is_idem != has_star:
+        if a.is_idem != (star_ur in fa.payload):
             star_bad = {"atom": a.serial, "image": fa.serial}
             break
 

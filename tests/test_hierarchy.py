@@ -114,6 +114,28 @@ def test_hset_mult_laws_exhaustive():
                 )
 
 
+def _plain_hset_mult(x, y, m):
+    'The lifted product as its four cases, with no memo.'
+    if x.ur is not None and y.ur is not None:
+        return ur_elem(m.mul(x.ur, y.ur))
+    if x.ur is not None:
+        return hset(_plain_hset_mult(x, c, m) for c in y.children)
+    if y.ur is not None:
+        return hset(_plain_hset_mult(c, y, m) for c in x.children)
+    return hset(_plain_hset_mult(a, b, m) for a in x.children for b in y.children)
+
+
+def test_hset_mult_matches_four_case_reference():
+    # the member pairs of test_hset_mult_laws_exhaustive
+    pairs = 0
+    for m in (capped_addition(3), flat(2), idem_pair()):
+        members = build_level(m, 2, "vstar").members
+        for x, y in itertools.product(members, repeat=2):
+            assert hset_mult(x, y, m) is _plain_hset_mult(x, y, m), (x.serial, y.serial)
+            pairs += 1
+    assert pairs == 16 + 36 + 4
+
+
 def test_unit_is_neutral_up_to_equivalence():
     m = flat(2)
     e = ur_elem(m.unit)
@@ -321,6 +343,23 @@ def test_atom_interning_and_validation(a2, chain2):
         compare_atoms(p, non_idem_atom(chain2, 0))
 
 
+def test_plain_letter_is_keyed_by_its_class(a2, two_cycle):
+    # a non-integral or out-of-range index names no carrier class
+    with pytest.raises(TypeError):
+        non_idem_atom(a2, 0.9)
+    with pytest.raises(ValueError):
+        non_idem_atom(a2, -1)
+    with pytest.raises(ValueError):
+        non_idem_atom(a2, 2)
+    # a and b form one class: either member names the class's one letter,
+    # the one build_atoms puts in the alphabet
+    a = non_idem_atom(two_cycle, 0)
+    assert non_idem_atom(two_cycle, 1) is a
+    assert a.base_class == 0 and a.serial == "a"
+    plain = [x for x in build_atoms(two_cycle, 1).atoms if not x.is_idem]
+    assert plain == [a, non_idem_atom(two_cycle, 2)]
+
+
 def _live_atoms():
     return sum(isinstance(o, Atom) for o in gc.get_objects())
 
@@ -401,6 +440,10 @@ def test_atom_system_helpers(a2):
     system = build_atoms(a2, 1)
     w = system.word([0, system.atoms[2]])
     assert w.labels == ("a", "*{a,b}")
+    # an index that is not an int is refused, not truncated
+    for bad in ([1.7], ["2"], [1.7, "2"]):
+        with pytest.raises(TypeError):
+            system.word(bad)
 
 
 def test_atom_guards(a2):

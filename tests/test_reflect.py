@@ -10,13 +10,13 @@ from idealforge.reflect import build_reflection, verify_reflection
 def _by_serial(table, serial):
     for atom in table.system.atoms:
         if atom.serial == serial:
-            return table.image(atom)
+            return table.entries[atom]
     raise KeyError(serial)
 
 
 def test_frozen_images_over_two_incomparable_points(a2):
     table = build_reflection(a2, 1)
-    assert table.star == 2
+    assert table.star_qo.n - 1 == 2
     assert table.star_qo.elements == ("a", "b", "⋆")
     assert _by_serial(table, "a") is ur_elem(0)
     assert _by_serial(table, "b") is ur_elem(1)
@@ -40,12 +40,12 @@ def test_translation_verifies_on_small_carriers(
 
 def test_images_encode_level_and_starness(a2):
     table = build_reflection(a2, 2)
-    assert table.alpha == 2
-    star_ur = ur_elem(table.star)
+    assert table.system.alpha == 2
+    star_ur = ur_elem(table.star_qo.n - 1)
     for atom in table.system.atoms:
-        fa = table.image(atom)
+        fa = table.entries[atom]
         assert fa.rank == atom.level - 1
-        assert fa.rank < table.alpha
+        assert fa.rank < table.system.alpha
         if atom.is_idem:
             assert star_ur in fa.children
         else:
@@ -65,6 +65,20 @@ def test_out_of_bounds_image_is_reported_unordered(a2):
         assert not report.check(name).passed, name
         assert report.check(name).counterexample == bounds.counterexample
     assert report.check("order-preserving").stats["pairs"] == 0
+
+
+def test_plain_letter_on_the_fresh_point_fails_star_membership(a2):
+    # the fresh point's urelement is its own payload, so a plain letter
+    # mapped onto it carries the star
+    table = build_reflection(a2, 1)
+    table.entries[table.system.atoms[0]] = ur_elem(2)
+    report = verify_reflection(table)
+    star = report.check("star-membership")
+    assert not star.passed
+    assert star.counterexample == {"atom": "a", "image": "u2"}
+    assert report.check("image-bounds").passed
+    assert report.check("order-preserving").passed
+    assert not report.check("order-reflecting").passed
 
 
 def test_corrupted_set_kernel_is_reported(a2, monkeypatch):
