@@ -13,7 +13,6 @@ from .downsets import (
     Downset,
     Ideal,
     downset_product,
-    downset_union,
     enumerate_downsets,
     enumerate_ideals,
     ideal_decomposition,
@@ -53,7 +52,6 @@ from .monoid import (
     check_plus_property,
     ideal_monoid,
     monoid_from_json,
-    monoid_to_json,
     prime_factorization,
     primes,
 )

@@ -9,8 +9,6 @@ down-closure of the unit as neutral element.
 """
 from __future__ import annotations
 
-import operator
-from functools import reduce
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -72,10 +70,6 @@ class Downset:
     @property
     def members(self) -> frozenset[int]:
         return frozenset(_bits(self.mask))
-
-    @property
-    def sorted_members(self) -> tuple[int, ...]:
-        return tuple(_bits(self.mask))
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -189,13 +183,6 @@ def downset_product(x: Downset, y: Downset, m: "MonoidalQO") -> Downset:
     mask = _union_mask(_element_masks(m.order)[1], set(products.ravel().tolist()))
     kind = Ideal if isinstance(x, Ideal) and isinstance(y, Ideal) else Downset
     return kind.from_mask(m.order, mask)
-
-
-def downset_union(parts: Iterable[Downset]) -> Downset:
-    parts = list(parts)
-    if not parts:
-        raise ValueError("union of no downsets")
-    return Downset.from_mask(parts[0].base, reduce(operator.or_, (p.mask for p in parts)))
 
 
 def unit_downset(m: "MonoidalQO") -> Ideal:

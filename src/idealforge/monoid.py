@@ -15,7 +15,7 @@ import numpy as np
 
 from .downsets import downset_product, enumerate_ideals, unit_downset
 from .errors import EmptyCarrierError, NoFactorizationError, SchemaError, UnknownLabelError
-from .qo import FiniteQO, from_json as qo_from_json, to_json as qo_to_json
+from .qo import FiniteQO, from_json as qo_from_json
 from .report import CheckResult, Report
 
 # longest factor product check_prime_product_lemma tries
@@ -101,17 +101,6 @@ def monoid_from_json(obj: dict) -> MonoidalQO:
             f"({order.elements[i]!r}, {order.elements[j]!r})"
         )
     return MonoidalQO(order, table, resolve(obj.get("unit")))
-
-
-def monoid_to_json(m: MonoidalQO) -> dict:
-    out = qo_to_json(m.order)
-    out["mult"] = [
-        [m.label(i), m.label(j), m.label(m.mul(i, j))]
-        for i in range(m.n)
-        for j in range(m.n)
-    ]
-    out["unit"] = m.label(m.unit)
-    return out
 
 
 def _eq_table(m: MonoidalQO) -> np.ndarray:
@@ -246,20 +235,23 @@ def prime_factorization(m: MonoidalQO, q: int) -> list[int]:
     """A finite list of primes whose product is equivalent to q; empty exactly
     when q is equivalent to the unit.
 
-    Splits at the least pair of strictly smaller factors and recurses; the
-    choice is deterministic, so equal inputs give identical factor lists.
+    Splits at the least pair of strictly smaller factors, the left one first;
+    the choice is deterministic, so equal inputs give identical factor lists.
     Assumes the axioms hold; a non-prime that refuses to split strictly
     signals a violated precondition.
     """
     eq = _eq_table(m)
     leq = m.order.leq
-
-    def go(x: int) -> list[int]:
+    out: list[int] = []
+    stack = [q]
+    while stack:
+        x = stack.pop()
         if eq[x, m.unit]:
-            return []
+            continue
         split = _split(m, eq, x, leq[:, x] & ~leq[x])
         if split is not None:
-            return go(split[0]) + go(split[1])
+            stack += reversed(split)  # the left factor on top
+            continue
         # no strict split: x had better be prime
         split = _split(m, eq, x, ~eq[x])
         if split is not None:
@@ -269,9 +261,8 @@ def prime_factorization(m: MonoidalQO, q: int) -> list[int]:
                 f"{m.label(a)!r}*{m.label(b)!r} but not strictly; "
                 "the multiplication axioms cannot hold"
             )
-        return [x]
-
-    return go(q)
+        out.append(x)
+    return out
 
 
 def check_prime_product_lemma(m: MonoidalQO) -> Report:

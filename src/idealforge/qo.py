@@ -77,9 +77,6 @@ class FiniteQO:
         except KeyError:
             raise UnknownLabelError(f"unknown element {label!r}") from None
 
-    def le(self, i: int, j: int) -> bool:
-        return bool(self.leq[i, j])
-
     def equiv(self, i: int, j: int) -> bool:
         'Mutual comparability: i and j sit in the same equivalence class.'
         return bool(self.leq[i, j] and self.leq[j, i])
@@ -298,18 +295,9 @@ def down_closure(q: FiniteQO, s: Iterable[int]) -> frozenset[int]:
     return frozenset(_bits(_union_mask(_element_masks(q)[1], _checked_indices(q, s))))
 
 
-def up_closure(q: FiniteQO, s: Iterable[int]) -> frozenset[int]:
-    return frozenset(_bits(_union_mask(_element_masks(q)[2], _checked_indices(q, s))))
-
-
 def _index_mask(q: FiniteQO, s: Iterable[int]) -> int:
     'The mask of the element indices in s, rejecting any outside range(q.n).'
     return _union_mask(_element_masks(q)[0], _checked_indices(q, s))
-
-
-def is_downward_closed(q: FiniteQO, s: Iterable[int]) -> bool:
-    mask = _index_mask(q, s)
-    return _down_mask(q, mask) == mask
 
 
 def _directed_mask(up: list[int], mask: int) -> bool:
@@ -321,12 +309,6 @@ def _directed_mask(up: list[int], mask: int) -> bool:
     for i in _bits(mask):
         top &= up[i]
     return bool(top)
-
-
-def is_directed(q: FiniteQO, s: Iterable[int]) -> bool:
-    """True iff s is nonempty and every pair from s has an upper bound in s;
-    decided by _directed_mask, and tested against the pairwise definition."""
-    return _directed_mask(_element_masks(q)[2], _index_mask(q, s))
 
 
 def disjoint_union_with_star(q: FiniteQO) -> FiniteQO:

@@ -61,9 +61,10 @@ def _urelements_of(x: HSet) -> set[int]:
 def verify_reflection(table: ReflectionTable) -> Report:
     """Check the translation against the letter order, both directions.
 
-    The letter side is consulted through the live comparison rule, not a
-    frozen table, so a rule swapped in after the build is still what gets
-    verified here.  The set side is one _leq_table over the images.
+    The letter side is one _letter_table, which consults the live comparison
+    rule rather than the alphabet frozen at the build, so a rule swapped in
+    after the build is still what gets verified here.  The set side is one
+    _leq_table over the images.
     """
     atoms = table.system.atoms
     images = [table.entries[a] for a in atoms]
@@ -81,18 +82,18 @@ def verify_reflection(table: ReflectionTable) -> Report:
             rank_bad = {"atom": a.serial, "urelements": sorted(_urelements_of(fa))}
             break
 
+    def first_pair(cells) -> dict | None:
+        'The first pair, row by row, where the bool table cells holds.'
+        rows, cols = cells.nonzero()
+        return {"x": atoms[rows[0]].serial, "y": atoms[cols[0]].serial} if len(rows) else None
+
     # images out of bounds are not ordered, so the order checks fail with them
     preserve_bad = reflect_bad = rank_bad
     if rank_bad is None:
         below = hierarchy._leq_table(images, images, sq)
-        compare = hierarchy.compare_atoms
-        for x, row in zip(atoms, below.tolist()):
-            for y, dst in zip(atoms, row):
-                src = compare(x, y)
-                if src and not dst and preserve_bad is None:
-                    preserve_bad = {"x": x.serial, "y": y.serial}
-                if dst and not src and reflect_bad is None:
-                    reflect_bad = {"x": x.serial, "y": y.serial}
+        letters = hierarchy._letter_table(atoms)
+        preserve_bad = first_pair(letters & ~below)
+        reflect_bad = first_pair(below & ~letters)
 
     star_bad = None
     for a, fa in zip(atoms, images):

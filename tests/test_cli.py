@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from idealforge.cli import main
 from idealforge.fixtures import squaring_to_unit
-from idealforge.monoid import monoid_from_json, monoid_to_json
+from idealforge.monoid import monoid_from_json
 
 from conftest import DATA
 
@@ -276,8 +276,16 @@ def test_monoid_check_passes(capsys):
 
 
 def test_monoid_check_failure_exits_1(capsys, tmp_path):
+    obj = {
+        "elements": ["e", "a"],
+        "order": [["e", "a"]],
+        "close": True,
+        "mult": [["e", "e", "e"], ["e", "a", "a"], ["a", "e", "a"], ["a", "a", "e"]],
+        "unit": "e",
+    }
+    assert monoid_from_json(obj).mult.tolist() == squaring_to_unit().mult.tolist()
     path = tmp_path / "squaring.monoid.json"
-    path.write_text(json.dumps(monoid_to_json(squaring_to_unit())))
+    path.write_text(json.dumps(obj))
     code, doc = run_json(capsys, "monoid", "check", str(path))
     assert code == 1
     assert doc["report"]["passed"] is False

@@ -9,7 +9,6 @@ from idealforge.downsets import (
     Ideal,
     _canonical_masks,
     downset_product,
-    downset_union,
     enumerate_downsets,
     enumerate_ideals,
     ideal_decomposition,
@@ -24,9 +23,6 @@ from idealforge.qo import (
     all_quasi_orders,
     down_closure,
     from_json,
-    is_directed,
-    is_downward_closed,
-    up_closure,
     validate,
 )
 
@@ -58,10 +54,9 @@ def test_indices_outside_the_carrier_are_rejected():
         lambda: principal(two, 5),
         lambda: down_closure(two, [-2]),
         lambda: down_closure(two, [7]),
-        lambda: up_closure(two, [0, 2]),
-        lambda: is_downward_closed(two, {0, -1}),
-        lambda: is_directed(two, [-1]),
-        lambda: is_directed(two, [5]),
+        lambda: Downset(two, {0, -1}),
+        lambda: Ideal(two, [-1]),
+        lambda: Ideal(two, [5]),
     ):
         with pytest.raises(ValueError, match=r"element index -?\d+ is outside range\(2\)"):
             call()
@@ -89,7 +84,6 @@ def test_mask_form_matches_member_form():
                 by_mask = Downset.from_mask(q, mask)
                 assert by_members == by_mask and hash(by_members) == hash(by_mask)
                 assert by_mask.members == frozenset(members)
-                assert by_mask.sorted_members == by_members.sorted_members == tuple(members)
                 assert by_mask.labels == by_members.labels
                 built.append((by_members, by_mask, frozenset(members)))
             for x, xm, xs in built:
@@ -99,7 +93,7 @@ def test_mask_form_matches_member_form():
 
 def test_extensional_equality(n_shape):
     x = Downset(n_shape, {0, 1, 2, 3})
-    y = downset_union([principal(n_shape, 2), principal(n_shape, 3)])
+    y = Downset.from_mask(n_shape, principal(n_shape, 2).mask | principal(n_shape, 3).mask)
     assert x == y and hash(x) == hash(y)
     other = principal(n_shape, 2)
     assert x != other
@@ -141,22 +135,22 @@ def test_enumerations_match_brute_force():
             subsets.sort(key=lambda s: (len(s), s))
             downs = [
                 s for s in subsets
-                if s and all(j in s for i in s for j in range(n) if q.le(j, i))
+                if s and all(j in s for i in s for j in range(n) if q.leq[j, i])
             ]
-            assert [d.sorted_members for d in enumerate_downsets(q)] == downs
+            assert [tuple(sorted(d.members)) for d in enumerate_downsets(q)] == downs
             ideals = [
                 s for s in downs
-                if all(any(q.le(a, c) and q.le(b, c) for c in s) for a in s for b in s)
+                if all(any(q.leq[a, c] and q.leq[b, c] for c in s) for a in s for b in s)
             ]
-            assert [i.sorted_members for i in enumerate_ideals(q)] == ideals
+            assert [tuple(sorted(i.members)) for i in enumerate_ideals(q)] == ideals
             # each downset splits into the ideals below its maximal elements
             for d in enumerate_downsets(q):
-                s = d.sorted_members
-                tops = [i for i in s if all(q.le(j, i) for j in s if q.le(i, j))]
-                want = sorted({tuple(j for j in s if q.le(j, i)) for i in tops})
-                got = [i.sorted_members for i in ideal_decomposition(d)]
+                s = sorted(d.members)
+                tops = [i for i in s if all(q.leq[j, i] for j in s if q.leq[i, j])]
+                want = sorted({tuple(j for j in s if q.leq[j, i]) for i in tops})
+                got = [tuple(sorted(i.members)) for i in ideal_decomposition(d)]
                 assert got == sorted(want, key=lambda t: (len(t), t))
-            ups = [s for s in subsets if all(j in s for i in s for j in range(n) if q.le(i, j))]
+            ups = [s for s in subsets if all(j in s for i in s for j in range(n) if q.leq[i, j])]
             assert [tuple(sorted(u)) for u in upward_closed_subsets(q)] == ups
 
 
@@ -164,15 +158,14 @@ def test_masks_span_several_machine_words():
     labels = [f"x{i}" for i in range(70)]
     chain = validate(labels, list(zip(labels, labels[1:])), close=True)
     assert down_closure(chain, [69]) == frozenset(range(70))
-    assert up_closure(chain, [0]) == frozenset(range(70))
-    assert Downset(chain, range(70)).sorted_members == tuple(range(70))
+    assert Downset(chain, range(70)).members == frozenset(range(70))
     with pytest.raises(ValueError, match="not downward closed"):
         Downset(chain, {69})
     # a 64-point antichain below two incomparable tops at indices 64 and 65
     base = [f"y{i}" for i in range(64)]
     vee = validate(base + ["s", "t"], [(b, top) for b in base for top in "st"], close=True)
-    assert principal(vee, 65).sorted_members == tuple(range(64)) + (65,)
-    assert Downset(vee, range(66)).sorted_members == tuple(range(66))
+    assert principal(vee, 65).members == frozenset(range(64)) | {65}
+    assert Downset(vee, range(66)).members == frozenset(range(66))
     with pytest.raises(ValueError, match="not directed"):
         Ideal(vee, range(66))
 
@@ -185,11 +178,11 @@ def test_bounded_word_downsets_keep_their_frozen_values():
     order = bounded_word_monoid(AtomAlphabet(vee, ()), 3).order
     downs = enumerate_downsets(order, max_count=None)
     assert len(downs) == 41_267
-    assert [d.sorted_members for d in downs[:3]] == [(0,), (0, 1), (0, 2)]
-    assert [d.sorted_members for d in downs[-3:]] == [
-        tuple(range(39)),
-        tuple(range(40)),
-        tuple(range(41)),
+    assert [d.members for d in downs[:3]] == [{0}, {0, 1}, {0, 2}]
+    assert [d.members for d in downs[-3:]] == [
+        frozenset(range(39)),
+        frozenset(range(40)),
+        frozenset(range(41)),
     ]
 
 
@@ -220,7 +213,7 @@ def test_canonical_order_across_machine_words():
         two_classes = from_json(json.load(f))
     carriers = [bounded_word_monoid(AtomAlphabet(vee, ()), 3).order, chain, ends, two_classes]
     for q, count in zip(carriers, (41_267, 70, 275, 2)):
-        found = [d.sorted_members for d in enumerate_downsets(q, max_count=None)]
+        found = [tuple(sorted(d.members)) for d in enumerate_downsets(q, max_count=None)]
         assert len(found) == len(set(found)) == count
         assert found == sorted(found, key=lambda s: (len(s), s))
 
@@ -252,7 +245,7 @@ def test_decomposition_lists_maximal_ideals(n_shape):
     full = Downset(n_shape, set(range(n_shape.n)))
     parts = ideal_decomposition(full)
     assert sorted(sorted(p.labels) for p in parts) == [["a", "b", "c"], ["b", "d"]]
-    assert downset_union(parts) == full
+    assert frozenset().union(*(p.members for p in parts)) == full.members
     single = principal(n_shape, n_shape.index("a"))
     assert ideal_decomposition(single) == [single]
 

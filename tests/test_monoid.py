@@ -1,6 +1,8 @@
+import inspect
 import itertools
 import json
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from idealforge.monoid import (
     check_prime_product_lemma,
     ideal_monoid,
     monoid_from_json,
-    monoid_to_json,
     prime_factorization,
     primes,
 )
@@ -45,15 +46,15 @@ def test_axiom_counterexamples_name_the_witness():
     assert sp.checks[0].counterexample["product"] == "t"
 
 
-def test_json_roundtrip():
-    m = capped_addition(3)
-    back = monoid_from_json(monoid_to_json(m))
+def test_json_reader_matches_the_fixture():
+    obj = json.loads((DATA / "capped_addition4.monoid.json").read_text())
+    back = monoid_from_json(obj)
+    m = capped_addition(4)
     assert np.array_equal(back.mult, m.mult)
     assert back.unit == m.unit
-    broken = monoid_to_json(m)
-    broken["mult"] = broken["mult"][:-1]
-    with pytest.raises(ValueError):
-        monoid_from_json(broken)
+    obj["mult"] = obj["mult"][:-1]
+    with pytest.raises(ValueError, match="missing entry"):
+        monoid_from_json(obj)
 
 
 def test_empty_carrier_rejected():
@@ -83,6 +84,20 @@ def test_factorization_refuses_non_strict_splits():
     assert not check_axioms(m).passed
     with pytest.raises(NoFactorizationError, match=r"'t' splits as 'p'\*'p'"):
         prime_factorization(m, q.index("t"))
+
+
+def test_factorization_of_a_long_chain_needs_no_deep_recursion():
+    # the top of a 200-element chain splits 198 times on the way down to its
+    # 199 prime factors; a limit a few dozen frames above the current depth
+    # is refused by one recursion level per split
+    m = capped_addition(199)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        factors = prime_factorization(m, m.order.index("199"))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [m.label(i) for i in factors] == ["1"] * 199
 
 
 def _reference_factorization(m: MonoidalQO, x: int) -> list[int]:

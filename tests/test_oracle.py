@@ -217,6 +217,36 @@ def test_two_forms_census(a2, singleton):
         check_two_forms(a2, maxlen=5)
 
 
+def test_two_forms_names_a_denotation_of_neither_shape(monkeypatch, a2):
+    # a plain letter that also denotes the universe's last sequence, b.b.b,
+    # is neither its down form nor the star form of its single letters
+    honest = DenotationContext.word_mask
+
+    def padded(self, letters):
+        mask = honest(self, letters)
+        if len(letters) == 1 and not letters[0].is_idem:
+            mask |= 1 << (len(self.seqs) - 1)
+        return mask
+
+    monkeypatch.setattr(DenotationContext, "word_mask", padded)
+    report = check_two_forms(a2, maxlen=3, max_word_len=2)
+    assert not report.passed
+    shape = report.check("prime-ideal-shapes")
+    assert not shape.passed
+    assert shape.counterexample == {"atom": "a", "letters": ["a"], "extra": ["b.b.b"]}
+
+
+def test_containment_agreement_names_the_witness_of_a_lying_order(monkeypatch, a2):
+    # an order that puts every word below every other is refuted by the
+    # first pair, a below ε, through the sequence a that only the left denotes
+    monkeypatch.setattr(oracle, "leq_H", lambda u, v: True)
+    report = check_containment_agreement(a2, 1, maxlen=3, max_word_len=2)
+    assert not report.passed
+    check = report.check("order-implies-containment")
+    assert not check.passed
+    assert check.counterexample == {"lhs": ["a"], "rhs": [], "witness": "a"}
+
+
 def test_containment_agreement_small(chain2, singleton):
     report = check_containment_agreement(chain2, 1, maxlen=3, max_word_len=2)
     assert report.passed

@@ -17,6 +17,9 @@ from idealforge.qo import (
     _byte_image,
     _byte_tables,
     _canonical_relation_key,
+    _directed_mask,
+    _down_mask,
+    _element_masks,
     _quote,
     _union_mask,
     all_downsets_of_poset,
@@ -26,12 +29,9 @@ from idealforge.qo import (
     equiv_classes,
     from_json,
     hasse_dot,
-    is_directed,
-    is_downward_closed,
     quotient,
     to_json,
     transitive_closure,
-    up_closure,
     validate,
 )
 
@@ -49,8 +49,8 @@ def test_validate_rejects_bad_input():
 
 def test_validate_close_takes_closure():
     q = validate(["a", "b", "c"], [("a", "b"), ("b", "c")], close=True)
-    assert q.le(q.index("a"), q.index("c"))
-    assert not q.le(q.index("c"), q.index("a"))
+    assert q.leq[q.index("a"), q.index("c")]
+    assert not q.leq[q.index("c"), q.index("a")]
 
 
 def test_transitive_closure_is_idempotent():
@@ -85,15 +85,14 @@ def test_closures_and_directedness(n_shape):
     assert down_closure(n_shape, [c]) == frozenset(
         {n_shape.index("a"), n_shape.index("b"), c}
     )
-    assert up_closure(n_shape, [n_shape.index("b")]) == frozenset(
-        {n_shape.index("b"), c, d}
-    )
     assert down_closure(n_shape, []) == frozenset()
-    assert is_downward_closed(n_shape, down_closure(n_shape, [c, d]))
-    assert not is_downward_closed(n_shape, {c})
-    assert is_directed(n_shape, down_closure(n_shape, [c]))
-    assert not is_directed(n_shape, {c, d})
-    assert not is_directed(n_shape, set())
+    down_cd = sum(1 << i for i in down_closure(n_shape, [c, d]))
+    assert _down_mask(n_shape, down_cd) == down_cd
+    assert _down_mask(n_shape, 1 << c) != 1 << c
+    up = _element_masks(n_shape)[2]
+    assert _directed_mask(up, sum(1 << i for i in down_closure(n_shape, [c])))
+    assert not _directed_mask(up, 1 << c | 1 << d)
+    assert not _directed_mask(up, 0)
 
 
 def test_mask_primitives_match_matrix_and_definition_references():
@@ -108,15 +107,12 @@ def test_mask_primitives_match_matrix_and_definition_references():
                 assert down_closure(q, s) == frozenset(
                     np.flatnonzero(q.leq[:, idx].any(axis=1)).tolist()
                 )
-                assert up_closure(q, s) == frozenset(
-                    np.flatnonzero(q.leq[idx, :].any(axis=0)).tolist()
-                )
-                closed = all(j in s for i in s for j in range(n) if q.le(j, i))
-                assert is_downward_closed(q, s) == closed
+                closed = all(j in s for i in s for j in range(n) if q.leq[j, i])
+                assert (_down_mask(q, bits) == bits) == closed
                 directed = bool(s) and all(
-                    any(q.le(a, c) and q.le(b, c) for c in s) for a in s for b in s
+                    any(q.leq[a, c] and q.leq[b, c] for c in s) for a in s for b in s
                 )
-                assert is_directed(q, s) == directed
+                assert _directed_mask(_element_masks(q)[2], bits) == directed
 
 
 def test_byte_tables_match_the_union_on_every_mask():
@@ -135,11 +131,11 @@ def test_star_extension(a2):
     star = disjoint_union_with_star(a2)
     assert star.elements == ("a", "b", "⋆")
     fresh = star.n - 1
-    assert star.le(fresh, fresh)
+    assert star.leq[fresh, fresh]
     # the new point is comparable to nothing else
-    assert not any(star.le(i, fresh) or star.le(fresh, i) for i in range(fresh))
+    assert not any(star.leq[i, fresh] or star.leq[fresh, i] for i in range(fresh))
     # the base order is untouched
-    assert not star.le(0, 1) and not star.le(1, 0)
+    assert not star.leq[0, 1] and not star.leq[1, 0]
     # a clashing label gets primed
     again = disjoint_union_with_star(star)
     assert again.elements[-1] == "⋆'"

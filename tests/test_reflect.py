@@ -14,6 +14,30 @@ def _by_serial(table, serial):
     raise KeyError(serial)
 
 
+def _first_disagreements(table):
+    """verify_reflection's order checks by a double loop over the live
+    compare_atoms: the first pair, row by row, that the letter order puts
+    below and the image order does not, and the first the other way round."""
+    atoms = table.system.atoms
+    images = [table.entries[a] for a in atoms]
+    below = hierarchy._leq_table(images, images, table.star_qo)
+    preserve = reflect = None
+    for x, row in zip(atoms, below.tolist()):
+        for y, dst in zip(atoms, row):
+            src = hierarchy.compare_atoms(x, y)
+            if src and not dst and preserve is None:
+                preserve = {"x": x.serial, "y": y.serial}
+            if dst and not src and reflect is None:
+                reflect = {"x": x.serial, "y": y.serial}
+    return preserve, reflect
+
+
+def _order_counterexamples(report):
+    return tuple(
+        report.check(name).counterexample for name in ("order-preserving", "order-reflecting")
+    )
+
+
 def test_frozen_images_over_two_incomparable_points(a2):
     table = build_reflection(a2, 1)
     assert table.star_qo.n - 1 == 2
@@ -79,6 +103,7 @@ def test_plain_letter_on_the_fresh_point_fails_star_membership(a2):
     assert report.check("image-bounds").passed
     assert report.check("order-preserving").passed
     assert not report.check("order-reflecting").passed
+    assert _order_counterexamples(report) == _first_disagreements(table)
 
 
 def test_corrupted_set_kernel_is_reported(a2, monkeypatch):
@@ -99,6 +124,7 @@ def test_corrupted_set_kernel_is_reported(a2, monkeypatch):
     assert not bad.passed
     assert bad.counterexample["x"].startswith("*")
     assert not bad.counterexample["y"].startswith("*")
+    assert _order_counterexamples(report) == _first_disagreements(table)
 
 
 def test_corrupted_comparison_rule_is_reported(a2, monkeypatch):
@@ -120,11 +146,22 @@ def test_corrupted_comparison_rule_is_reported(a2, monkeypatch):
     bad = report.check("order-preserving")
     assert not bad.passed
     assert bad.counterexample["x"].startswith("*")
+    assert _order_counterexamples(report) == _first_disagreements(table)
 
     # swapped in before the build: the alphabet constructor refuses the
     # resulting letter order outright
     with pytest.raises(ValueError):
         build_reflection(a2, 1)
+
+    def merged(x, y):
+        return honest(x, y) or not (x.is_idem or y.is_idem)
+
+    # plain letters that compare both ways disagree with their images at
+    # (a, b) and (b, a); the first row by row is (a, b)
+    monkeypatch.setattr(hierarchy, "compare_atoms", merged)
+    report = verify_reflection(table)
+    assert report.check("order-preserving").counterexample == {"x": "a", "y": "b"}
+    assert _order_counterexamples(report) == _first_disagreements(table)
 
 
 def test_translation_verifies_at_level_three_on_three_points():
