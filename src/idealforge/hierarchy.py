@@ -437,7 +437,9 @@ def compare_atoms(x: Atom, y: Atom) -> bool:
 
 def _letter_table(atoms: list[Atom]) -> np.ndarray:
     'The compare_atoms table over the given letters, by index.'
-    return np.array([[compare_atoms(x, y) for y in atoms] for x in atoms], dtype=bool)
+    n = len(atoms)
+    cells = (compare_atoms(x, y) for x in atoms for y in atoms)
+    return np.fromiter(cells, dtype=bool, count=n * n).reshape(n, n)
 
 
 @dataclass(eq=False)

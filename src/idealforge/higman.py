@@ -8,8 +8,10 @@ embedding; with all letters idempotent it is domination of supports.  The
 decision procedure is a greedy leftmost match: each letter takes the first
 remaining target above it, and only a plain target is used up.  Its ground
 truth is the explicit search over all weakly increasing maps, one numpy
-kernel that decides a whole block of equal-length word pairs at once, and
-the two are swept against each other exhaustively at small scale.
+kernel that decides a whole block of equal-length word pairs over a stack of
+alphabets of one carrier size at once, and the two are swept against each
+other exhaustively at small scale, with one kernel call per block and
+carrier size.
 """
 from __future__ import annotations
 
@@ -166,21 +168,29 @@ def _weakly_increasing_maps(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 def _witness_table(
     U: np.ndarray, V: np.ndarray, leq: np.ndarray, idem: np.ndarray
 ) -> np.ndarray:
-    """The explicit witness search on a block of equal-length letter tuples.
+    """The explicit witness search on a block of equal-length letter tuples,
+    over a stack of alphabets of one carrier size.
 
-    U is A x a and V is B x b; entry (i, j) of the A x B result says whether
-    some weakly increasing map sends each letter of U[i] below its target in
-    V[j] with every target hit more than once idempotent.  Rows of U are taken
-    in slices so the map-by-position intermediate stays near _WITNESS_CELLS.
+    U is A x a and V is B x b, leq is S x n x n and idem is S x n; entry
+    (s, i, j) of the S x A x B result says whether some weakly increasing map
+    sends each letter of U[i] below its target in V[j] in alphabet s, with
+    every target hit more than once idempotent there.  Rows of U are taken in
+    slices so the alphabet-by-row-by-map intermediate stays near
+    _WITNESS_CELLS, and each slice is matched one position at a time.
     """
     f, rep = _weakly_increasing_maps(U.shape[1], V.shape[1])
     targets = V[:, f]
-    absorbs = ~rep | idem[targets]
-    step = max(1, _WITNESS_CELLS // max(1, targets.size))
-    return np.concatenate([
-        (leq[U[i : i + step, None, None, :], targets] & absorbs).all(-1).any(-1)
-        for i in range(0, max(1, len(U)), step)
-    ])
+    # per alphabet, the maps whose repeated targets are all idempotent
+    absorbs = (~rep | idem[:, targets]).all(-1)[:, None]
+    step = max(1, _WITNESS_CELLS // max(1, absorbs.size))
+    out = []
+    for i in range(0, max(1, len(U)), step):
+        rows = U[i : i + step, None, None]
+        found = np.repeat(absorbs, len(rows), axis=1)
+        for k in range(U.shape[1]):
+            found &= leq[:, rows[..., k], targets[..., k]]
+        out.append(found.any(-1))
+    return np.concatenate(out, axis=1)
 
 
 def _letter_block(words: Sequence[tuple[int, ...]], length: int) -> np.ndarray:
@@ -203,7 +213,8 @@ def leq_H_bruteforce(u: HWord, v: HWord) -> bool:
         raise TooLargeError(f"witness search is capped at length {_BRUTEFORCE_MAX_LEN}")
     U, V = _letter_block([u.letters], len(u)), _letter_block([v.letters], len(v))
     order = u.alphabet.order
-    return bool(_witness_table(U, V, order.leq, _idem_vector(order.n, u.alphabet.idem))[0, 0])
+    idem = _idem_vector(order.n, u.alphabet.idem)
+    return bool(_witness_table(U, V, order.leq[None], idem[None])[0, 0, 0])
 
 
 def equiv_H(u: HWord, v: HWord) -> bool:
@@ -315,7 +326,7 @@ def check_abstractly_higman(m: MonoidalQO) -> Report:
     ps = sorted(monoid_primes(m))
     if len(ps) ** _MAX_TUPLE > 200_000:
         raise ScaleExceededError("too many prime tuples")
-    idem = _idem_vector(m.order.n, (p for p in ps if m.order.equiv(int(M[p, p]), p)))
+    idem = _idem_vector(m.order.n, (p for p in ps if m.order.equiv(int(M[p, p]), p)))[None]
 
     def prod(tup: tuple[int, ...]) -> int:
         acc = m.unit
@@ -337,7 +348,7 @@ def check_abstractly_higman(m: MonoidalQO) -> Report:
     checked = len(tuples) ** 2
     row = 0
     for U in slices:
-        matched = np.hstack([_witness_table(U, V, leq, idem) for V in blocks])
+        matched = np.hstack([_witness_table(U, V, leq[None], idem)[0] for V in blocks])
         ordered = leq[np.ix_(prods[row : row + len(U)], prods)]
         wrong = np.flatnonzero(matched != ordered)
         if wrong.size:
@@ -424,11 +435,14 @@ def dp_agreement_sweep(
     then of the right, each length's words in shortlex order (as all_words
     lists them); the first disagreement is reported.
 
-    Words are raw letter tuples, built once per carrier size.  Every pair
-    goes to _leq_letters on the alphabet's table, and each (left length,
-    right length) block goes to _witness_table in one call.  The longest
-    word must fit the witness search, which is checked before the first
-    pair: the pair of a longest word and the empty word is always swept.
+    Words are raw letter tuples, built once per carrier size.  The
+    alphabets of one size are collected first, and each (left length, right
+    length) block goes to _witness_table in one call over all of them; then
+    every pair goes to _leq_letters on its alphabet's table and is compared
+    with its cell.  After a disagreement the sweep finishes that quasi-order's
+    alphabets and stops.  The longest word must fit the witness search, which
+    is checked before the first pair: the pair of a longest word and the
+    empty word is always swept.
     """
     if max_atoms < 1:
         # no alphabet to sweep, and an empty sweep must not read as passed
@@ -452,11 +466,14 @@ def dp_agreement_sweep(
             words[len(t)].append(t)
         arrays = [_letter_block(ws, k) for k, ws in enumerate(words)]
         blocks = [
-            (words[a], words[b], arrays[a], arrays[b])
+            (a, b)
             for a in range(cap + 1)
             for b in range(cap + 1)
             if a + b <= max_pair_len or (full and a <= full_len and b <= full_len)
         ]
+        # every deduplicated alphabet of this size, then each block's witness
+        # search over all of them in one call
+        stack: list[AtomAlphabet] = []
         for q in all_quasi_orders(n):
             seen: set[bytes] = set()
             for idem in upward_closed_subsets(q):
@@ -464,27 +481,32 @@ def dp_agreement_sweep(
                 if key in seen:
                     continue
                 seen.add(key)
-                alphabet = AtomAlphabet(q, idem)
-                rows, idem_set = alphabet._leq_rows, alphabet.idem
-                idem_vec = _idem_vector(n, idem)
-                systems += 1
-                for lhs, rhs, U, V in blocks:
-                    pairs += len(lhs) * len(rhs)
-                    fast = [_leq_letters(lu, lv, rows, idem_set) for lu in lhs for lv in rhs]
-                    slow = _witness_table(U, V, q.leq, idem_vec).ravel().tolist()
-                    if fast != slow and disagreement is None:
-                        k = next(k for k, (x, y) in enumerate(zip(fast, slow)) if x != y)
-                        lu, lv = lhs[k // len(rhs)], rhs[k % len(rhs)]
-                        disagreement = {
-                            "alphabet": list(q.elements),
-                            "idem": sorted(q.elements[i] for i in idem),
-                            "lhs": [q.elements[i] for i in lu],
-                            "rhs": [q.elements[i] for i in lv],
-                            "dp": fast[k],
-                            "witness-search": slow[k],
-                        }
-            if disagreement:
+                stack.append(AtomAlphabet(q, idem))
+        leq = np.stack([alphabet.order.leq for alphabet in stack])
+        idem_vecs = np.stack([_idem_vector(n, alphabet.idem) for alphabet in stack])
+        tables = [_witness_table(arrays[a], arrays[b], leq, idem_vecs) for a, b in blocks]
+        for s, alphabet in enumerate(stack):
+            q, rows, idem = alphabet.order, alphabet._leq_rows, alphabet.idem
+            # a disagreement ends the sweep with the alphabets of its carrier
+            if disagreement and q is not stack[s - 1].order:
                 break
+            systems += 1
+            for (a, b), table in zip(blocks, tables):
+                lhs, rhs = words[a], words[b]
+                pairs += len(lhs) * len(rhs)
+                fast = [_leq_letters(lu, lv, rows, idem) for lu in lhs for lv in rhs]
+                slow = table[s].ravel().tolist()
+                if fast != slow and disagreement is None:
+                    k = next(k for k, (x, y) in enumerate(zip(fast, slow)) if x != y)
+                    lu, lv = lhs[k // len(rhs)], rhs[k % len(rhs)]
+                    disagreement = {
+                        "alphabet": list(q.elements),
+                        "idem": sorted(q.elements[i] for i in idem),
+                        "lhs": [q.elements[i] for i in lu],
+                        "rhs": [q.elements[i] for i in lv],
+                        "dp": fast[k],
+                        "witness-search": slow[k],
+                    }
         if disagreement:
             break
     return Report(

@@ -20,6 +20,8 @@ from .report import CheckResult, Report
 
 # longest factor product check_prime_product_lemma tries
 _MAX_TUPLE = 3
+# rows of the multiplication table one step of the split search reads
+_SPLIT_ROWS = 16
 
 
 class MonoidalQO:
@@ -217,9 +219,15 @@ def check_plus_property(m: MonoidalQO) -> Report:
 
 
 def _split(m: MonoidalQO, eq: np.ndarray, x: int, allowed: np.ndarray) -> tuple[int, int] | None:
-    'The first pair (a, b), row by row, of allowed factors whose product is equivalent to x.'
-    hit = np.argwhere(eq[x][m.mult] & allowed[:, None] & allowed)
-    return (int(hit[0, 0]), int(hit[0, 1])) if len(hit) else None
+    """The first pair (a, b), row by row, of allowed factors whose product is
+    equivalent to x.  Only the allowed rows and columns of the table are
+    read, _SPLIT_ROWS rows at a time up to the first row with a hit."""
+    idx = np.flatnonzero(allowed)
+    for lo in range(0, len(idx), _SPLIT_ROWS):
+        hit = np.argwhere(eq[x][m.mult[np.ix_(idx[lo : lo + _SPLIT_ROWS], idx)]])
+        if len(hit):
+            return int(idx[lo + hit[0, 0]]), int(idx[hit[0, 1]])
+    return None
 
 
 def primes(m: MonoidalQO) -> frozenset[int]:
@@ -244,24 +252,29 @@ def prime_factorization(m: MonoidalQO, q: int) -> list[int]:
     leq = m.order.leq
     out: list[int] = []
     stack = [q]
+    # each distinct element's strict split, or None once it is known prime
+    splits: dict[int, tuple[int, int] | None] = {}
     while stack:
         x = stack.pop()
         if eq[x, m.unit]:
             continue
-        split = _split(m, eq, x, leq[:, x] & ~leq[x])
-        if split is not None:
+        if x not in splits:
+            split = _split(m, eq, x, leq[:, x] & ~leq[x])
+            # no strict split: x had better be prime
+            loose = _split(m, eq, x, ~eq[x]) if split is None else None
+            if loose is not None:
+                a, b = loose
+                raise NoFactorizationError(
+                    f"{m.label(x)!r} splits as "
+                    f"{m.label(a)!r}*{m.label(b)!r} but not strictly; "
+                    "the multiplication axioms cannot hold"
+                )
+            splits[x] = split
+        split = splits[x]
+        if split is None:
+            out.append(x)
+        else:
             stack += reversed(split)  # the left factor on top
-            continue
-        # no strict split: x had better be prime
-        split = _split(m, eq, x, ~eq[x])
-        if split is not None:
-            a, b = split
-            raise NoFactorizationError(
-                f"{m.label(x)!r} splits as "
-                f"{m.label(a)!r}*{m.label(b)!r} but not strictly; "
-                "the multiplication axioms cannot hold"
-            )
-        out.append(x)
     return out
 
 

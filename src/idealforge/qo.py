@@ -86,11 +86,17 @@ class FiniteQO:
 
 
 def transitive_closure(table: np.ndarray) -> np.ndarray:
-    'Reflexive-transitive closure of a boolean relation, by repeated squaring.'
-    closed = table.copy()
+    """Reflexive-transitive closure of a boolean relation, by repeated squaring.
+
+    Each square is a float32 matrix product, which BLAS runs and a boolean
+    one is not; a cell is set when its count of two-step paths is positive,
+    and counts of 0/1 products stay exact below 2**24 points.
+    """
+    closed = np.array(table, dtype=bool)
     np.fill_diagonal(closed, True)
     while True:
-        step = closed | (closed @ closed)
+        paths = closed.astype(np.float32)
+        step = paths @ paths > 0
         if np.array_equal(step, closed):
             return step
         closed = step

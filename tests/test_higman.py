@@ -222,7 +222,7 @@ def test_sweep_catches_a_wrong_audit(monkeypatch):
     def any_target_absorbs(U, V, leq, idem):
         # the idempotent-repeat condition is dropped, so plain targets absorb too
         f, _ = higman._weakly_increasing_maps(U.shape[1], V.shape[1])
-        return leq[U[:, None, None, :], V[:, f]].all(-1).any(-1)
+        return leq[:, U[:, None, None, :], V[:, f]].all(-1).any(-1)
 
     monkeypatch.setattr(higman, "_witness_table", any_target_absorbs)
     report = dp_agreement_sweep(max_atoms=2, max_pair_len=4, full_len=4, full_atom_cap=2)
@@ -269,7 +269,7 @@ def test_witness_kernel_matches_the_scalar_reference(monkeypatch, cells):
                 for a, b in itertools.product(range(5), repeat=2):
                     U = higman._letter_block(words[a], a)
                     V = higman._letter_block(words[b], b)
-                    table = higman._witness_table(U, V, q.leq, vec)
+                    (table,) = higman._witness_table(U, V, q.leq[None], vec[None])
                     expected = [
                         [witness_exists(lu, lv, rows, idem) for lv in words[b]]
                         for lu in words[a]
@@ -278,6 +278,36 @@ def test_witness_kernel_matches_the_scalar_reference(monkeypatch, cells):
                     assert table.tolist() == expected, (q, sorted(idem), a, b)
                     pairs += table.size
     assert pairs == 8_700
+
+
+@pytest.mark.parametrize("cells", [higman._WITNESS_CELLS, 1])
+def test_stacked_witness_kernel_matches_each_alphabet(monkeypatch, cells):
+    # every alphabet of one carrier size, every quasi-order with every
+    # upward-closed idempotent set, stacked into one call per block; each
+    # slice must be that alphabet's own scalar search
+    monkeypatch.setattr(higman, "_WITNESS_CELLS", cells)
+    pairs = 0
+    for n, maxlen in ((1, 4), (2, 3), (3, 2)):
+        words = [[t for t in all_tuples(n, maxlen) if len(t) == k] for k in range(maxlen + 1)]
+        alphabets = [
+            (q, idem) for q in all_quasi_orders(n) for idem in upward_closed_subsets(q)
+        ]
+        assert len(alphabets) > 1
+        leq = np.stack([q.leq for q, _ in alphabets])
+        vecs = np.stack([higman._idem_vector(n, idem) for _, idem in alphabets])
+        for a, b in itertools.product(range(maxlen + 1), repeat=2):
+            U = higman._letter_block(words[a], a)
+            V = higman._letter_block(words[b], b)
+            tables = higman._witness_table(U, V, leq, vecs)
+            assert tables.shape == (len(alphabets), len(words[a]), len(words[b]))
+            for (q, idem), table in zip(alphabets, tables):
+                rows = q.leq.tolist()
+                expected = [
+                    [witness_exists(lu, lv, rows, idem) for lv in words[b]] for lu in words[a]
+                ]
+                assert table.tolist() == expected, (q, sorted(idem), a, b)
+                pairs += table.size
+    assert pairs == 8_835
 
 
 def test_sweep_rejects_negative_lengths_and_overlong_words():

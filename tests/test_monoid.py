@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import DATA
 
+from idealforge import monoid
 from idealforge.downsets import enumerate_ideals
 from idealforge.errors import EmptyCarrierError, NoFactorizationError
 from idealforge.fixtures import (
@@ -143,10 +144,11 @@ def _outcome(factorize, m: MonoidalQO, x: int):
 
 
 def _sample_monoids() -> list[MonoidalQO]:
-    """The shipped fixtures, the capped-addition file, and seeded tables on
-    every quasi-order on at most 3 points."""
+    """The shipped fixtures, the capped-addition file and chains up to cap 7,
+    and seeded tables on every quasi-order on at most 3 points."""
     monoids = [fx.monoid for fx in shipped_fixtures()]
     monoids.append(monoid_from_json(json.loads((DATA / "capped_addition4.monoid.json").read_text())))
+    monoids += [capped_addition(cap) for cap in range(1, 8)]
     # seeded tables that need not satisfy the axioms, so refusals occur too
     rng = random.Random(11)
     for n in (1, 2, 3):
@@ -157,15 +159,19 @@ def _sample_monoids() -> list[MonoidalQO]:
     return monoids
 
 
-def test_split_search_matches_the_double_loop_reference():
-    refused = 0
-    for m in _sample_monoids():
-        assert primes(m) == _reference_primes(m)
-        for x in range(m.n):
-            got = _outcome(prime_factorization, m, x)
-            assert got == _outcome(_reference_factorization, m, x)
-            refused += isinstance(got, str)
-    assert refused > 0
+def test_split_search_matches_the_double_loop_reference(monkeypatch):
+    # the default row step, one row per step, and steps that end inside a table
+    monoids = _sample_monoids()
+    for rows in (monoid._SPLIT_ROWS, 1, 3):
+        monkeypatch.setattr(monoid, "_SPLIT_ROWS", rows)
+        refused = 0
+        for m in monoids:
+            assert primes(m) == _reference_primes(m)
+            for x in range(m.n):
+                got = _outcome(prime_factorization, m, x)
+                assert got == _outcome(_reference_factorization, m, x)
+                refused += isinstance(got, str)
+        assert refused > 0
 
 
 def _first_failure(name: str, cases) -> CheckResult:

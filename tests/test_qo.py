@@ -62,6 +62,40 @@ def test_transitive_closure_is_idempotent():
         assert closed.diagonal().all()
 
 
+def _reference_closure(table):
+    # the boolean squaring transitive_closure ran before its float32 products
+    closed = table.copy()
+    np.fill_diagonal(closed, True)
+    while True:
+        step = closed | (closed @ closed)
+        if np.array_equal(step, closed):
+            return step
+        closed = step
+
+
+def test_transitive_closure_matches_the_boolean_reference():
+    # every relation on up to 4 points, whose closures are every labelled
+    # quasi-order table there and which include those tables themselves
+    checked = 0
+    for n in range(5):
+        off = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for bits in range(1 << len(off)):
+            raw = np.zeros((n, n), dtype=bool)
+            for k, (i, j) in enumerate(off):
+                raw[i, j] = bits >> k & 1
+            closed = transitive_closure(raw)
+            assert closed.dtype == bool
+            assert np.array_equal(closed, _reference_closure(raw)), raw
+            checked += 1
+    assert checked == 1 + 1 + 4 + 64 + 4096
+    # seeded relations, sparse to dense, the diagonal not always set
+    rng = np.random.default_rng(25)
+    for n in (5, 17, 64, 130):
+        for density in (0.01, 0.05, 0.3):
+            raw = rng.random((n, n)) < density
+            assert np.array_equal(transitive_closure(raw), _reference_closure(raw))
+
+
 def test_json_roundtrip(n_shape):
     back = from_json(to_json(n_shape))
     assert back.elements == n_shape.elements
