@@ -17,7 +17,6 @@ from .errors import EmptyCarrierError
 from .qo import (
     FiniteQO,
     _bits,
-    _byte_image,
     _closure_tables,
     _directed_mask,
     _down_mask,
@@ -106,22 +105,60 @@ class Ideal(Downset):
             raise ValueError("not directed")
 
 
+# Byte b's bits reversed, then complemented.  Through this table the bytes of
+# a mask, byte 0 most significant, read smaller for the set that holds the
+# least element where two sets differ.
+_MEMBER_KEY = np.array([255 - int(f"{b:08b}"[::-1], 2) for b in range(256)], np.uint8)
+
+
+def _limbs(values: np.ndarray, k: int) -> np.ndarray:
+    """A 1-d object array of ints as rows of k uint64 limbs, least significant
+    first.  The top limb is converted whole, so a negative value, or one of
+    64 * k bits or more, raises OverflowError."""
+    limbs = []
+    for _ in range(k - 1):
+        limbs.append((values & 0xFFFF_FFFF_FFFF_FFFF).astype(np.uint64))
+        values = values >> 64
+    limbs.append(values.astype(np.uint64))
+    return np.stack(limbs, axis=1)
+
+
+def _sort_keys(q: FiniteQO, masks: np.ndarray) -> list[np.ndarray]:
+    """The lexsort keys of a 1-d object array of masks, least significant
+    first: their bytes through _MEMBER_KEY, byte 0 most significant, then
+    their sizes.  Raises ValueError unless every mask is within range(q.n),
+    nonempty and downward closed.
+
+    The masks become rows of uint64 limbs, with one limb past bit q.n - 1 so
+    that the top limb bounds the range.  A row's down-closure ORs the
+    carrier's byte tables, as limb rows, indexed by its bytes; the row is
+    closed iff that equals it."""
+    n, k = q.n, q.n // 64 + 1
+    outside = ValueError(f"mask has bits outside range({n})")
+    try:
+        words = _limbs(masks, k)
+    except OverflowError:
+        raise outside from None
+    if (words[:, -1] >> np.uint64(n % 64)).any():
+        raise outside
+    rows = words.astype("<u8", copy=False).view(np.uint8)
+    closure = np.zeros_like(words)
+    for j, table in enumerate(_closure_tables(q)):
+        closure |= _limbs(np.array(table, object), k)[rows[:, j]]
+    size = np.bitwise_count(words).sum(axis=1)
+    if (closure != words).any() or not size.all():
+        raise ValueError("not downward closed, or empty")
+    keys = _MEMBER_KEY[rows].view(">u8")
+    return [*keys.T[::-1], size]
+
+
 def _canonical_masks(q: FiniteQO, masks: Iterable[int]) -> list[int]:
-    """Masks within range(q.n) in (size, member tuple) order, each checked
-    nonempty and downward closed by the byte lookup that also reverses it.
-    The key is the size, the complemented reversal (the set holding the least
-    element where two differ reverses larger) and the mask, in one int."""
-    n = q.n
-    tables = _closure_tables(q)
-    full = (1 << n) - 1
-    keys = []
-    for m in masks:
-        image = _byte_image(tables, m)
-        if image >> n != m or not m:
-            raise ValueError("not downward closed, or empty")
-        keys.append((m.bit_count() << n | full ^ image & full) << n | m)
-    keys.sort()
-    return [k & full for k in keys]
+    """Masks in (size, member tuple) order, each checked within range(q.n),
+    nonempty and downward closed, in one array pass over all of them: one
+    lexsort on _sort_keys, then one take.  The limb rows are freed before
+    the sort, so its workspace and the taken list can reuse their memory."""
+    masks = np.fromiter(masks, object)  # callers pass lists and generators
+    return masks[np.lexsort(_sort_keys(q, masks))].tolist()
 
 
 def principal(q: FiniteQO, i: int) -> Ideal:
@@ -131,8 +168,8 @@ def principal(q: FiniteQO, i: int) -> Ideal:
 
 def enumerate_downsets(q: FiniteQO, max_count: int | None = 100_000) -> list[Downset]:
     """All nonempty downsets in (size, member tuple) order: one enumeration
-    on the carrier, then one pass that checks each mask and builds its sort
-    key.  Raises CombinatorialBlowupError beyond max_count (None: no bound)."""
+    on the carrier, then one array pass that checks and orders every mask.
+    Raises CombinatorialBlowupError beyond max_count (None: no bound)."""
     if q.n == 0:
         raise EmptyCarrierError("no downsets over the empty carrier")
     bound = None if max_count is None else max_count + 1  # the empty set is dropped

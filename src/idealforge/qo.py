@@ -40,8 +40,7 @@ class FiniteQO:
     Closures, downsets and their enumeration work on int bitmasks, bit i
     standing for element i.  Each element's own bit, down-mask and up-mask
     are computed from leq on first use and kept on the carrier, as are the
-    per-byte tables that close a whole mask, and read it backwards, one byte
-    at a time.
+    per-byte tables that close a whole mask one byte at a time.
     """
 
     __slots__ = (
@@ -269,17 +268,15 @@ def _byte_image(tables: list[list[int]], mask: int) -> int:
 
 
 def _closure_tables(q: FiniteQO) -> list[list[int]]:
-    """Byte tables over down[i] << n | 1 << (n - 1 - i): the image of a mask
-    holds its down-closure from bit n up and the mask read backwards below."""
+    'Byte tables over the down-masks: the image of a mask is its down-closure.'
     if q._down_bytes is None:
-        n, down = q.n, _element_masks(q)[1]
-        q._down_bytes = _byte_tables([d << n | 1 << (n - 1 - i) for i, d in enumerate(down)])
+        q._down_bytes = _byte_tables(_element_masks(q)[1])
     return q._down_bytes
 
 
 def _down_mask(q: FiniteQO, mask: int) -> int:
     'The down-closure of the elements of a mask within range(q.n), as a mask.'
-    return _byte_image(_closure_tables(q), mask) >> q.n
+    return _byte_image(_closure_tables(q), mask)
 
 
 def _bits(mask: int) -> list[int]:
