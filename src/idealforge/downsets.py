@@ -17,6 +17,7 @@ from .errors import EmptyCarrierError
 from .qo import (
     FiniteQO,
     _bits,
+    _checked_indices,
     _closure_tables,
     _directed_mask,
     _down_mask,
@@ -24,7 +25,6 @@ from .qo import (
     _index_mask,
     _union_mask,
     all_downsets_of_poset,
-    down_closure,
     equiv_classes,
 )
 
@@ -101,7 +101,7 @@ class Ideal(Downset):
 
     def _init(self, base: FiniteQO, mask: int) -> None:
         super()._init(base, mask)
-        if not _directed_mask(_element_masks(base)[2], mask):
+        if not _directed_mask(_element_masks(base)[0], mask):
             raise ValueError("not directed")
 
 
@@ -163,7 +163,8 @@ def _canonical_masks(q: FiniteQO, masks: Iterable[int]) -> list[int]:
 
 def principal(q: FiniteQO, i: int) -> Ideal:
     'The down-closure of a single element.'
-    return Ideal(q, down_closure(q, [i]))
+    (i,) = _checked_indices(q, [i])
+    return Ideal.from_mask(q, _element_masks(q)[0][i])
 
 
 def enumerate_downsets(q: FiniteQO, max_count: int | None = 100_000) -> list[Downset]:
@@ -192,7 +193,7 @@ def enumerate_ideals(q: FiniteQO) -> list[Ideal]:
     """
     if q.n == 0:
         raise EmptyCarrierError("no ideals over the empty carrier")
-    tops = (_element_masks(q)[1][c[0]] for c in equiv_classes(q))
+    tops = (_element_masks(q)[0][c[0]] for c in equiv_classes(q))
     return [Ideal.from_mask(q, m) for m in _canonical_masks(q, tops)]
 
 
@@ -204,7 +205,7 @@ def ideal_decomposition(d: Downset) -> list[Ideal]:
     maximal classes give ideals neither of which contains the other.
     """
     q = d.base
-    _, down, up = _element_masks(q)
+    down, up = _element_masks(q)
     least = (c[0] for c in equiv_classes(q))
     parts = [down[i] for i in least if d.mask >> i & 1 and not up[i] & ~down[i] & d.mask]
     return [Ideal.from_mask(q, m) for m in _canonical_masks(q, parts)]
@@ -217,7 +218,7 @@ def downset_product(x: Downset, y: Downset, m: "MonoidalQO") -> Downset:
     if x.base is not m.order or y.base is not m.order:
         raise ValueError("downsets must live over the monoid's carrier")
     products = m.mult[np.ix_(_bits(x.mask), _bits(y.mask))]
-    mask = _union_mask(_element_masks(m.order)[1], set(products.ravel().tolist()))
+    mask = _union_mask(_element_masks(m.order)[0], set(products.ravel().tolist()))
     kind = Ideal if isinstance(x, Ideal) and isinstance(y, Ideal) else Downset
     return kind.from_mask(m.order, mask)
 

@@ -218,7 +218,7 @@ def build_level(
     candidates = [ur_elem(cls[0]) for cls in equiv_classes(q)]
     # stage 0 keys its urelements by their down-masks over the carrier itself
     bit = {u: u.ur for u in candidates}
-    down = _element_masks(q)[1]
+    down = _element_masks(q)[0]
     for stage in range(alpha + 1):
         prev = ()
         if stage:
@@ -316,13 +316,9 @@ def _adjoined_sets(
                 f"stage {stage} exceeds {max_members} candidate members"
             )
         return [hset(prev[i] for i in _bits(mask)) for mask in range(1, 1 << k)]
-    up = [0] * k
-    for j, mask in enumerate(down):
-        for i in _bits(mask):
-            up[i] |= 1 << j
     new_sets: list[HSet] = []
     for mask in range(1, 1 << k):
-        if not _directed_mask(up, mask):
+        if not _directed_mask(down, mask):
             continue
         new_sets.append(hset(prev[i] for i in _bits(mask)))
         if len(new_sets) > max_members:
@@ -373,7 +369,7 @@ class Atom:
 def non_idem_atom(base: FiniteQO, class_rep: int) -> Atom:
     'The plain letter for the carrier class of class_rep, keyed by its least member.'
     (i,) = _checked_indices(base, [class_rep])
-    _, down, up = _element_masks(base)
+    down, up = _element_masks(base)
     key = _bits(down[i] & up[i])[0]
     pool = base._atom_pool
     atom = pool.get(key)

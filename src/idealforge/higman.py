@@ -264,16 +264,15 @@ def hword_primes_check(alphabet: AtomAlphabet, maxlen: int = 4) -> Report:
         raise TooLargeError("prime scan is capped at words of length 6")
     words = all_words(alphabet, maxlen)
     reps = first_of_each_class(words, equiv_H)
-    letters = [HWord(alphabet, (i,)) for i in range(alphabet.order.n)]
-    empty = HWord(alphabet, ())
 
     prime_bad = None
     idem_bad = None
     prime_classes = 0
     idem_prime_classes = 0
     for w in reps:
-        claimed = any(equiv_H(w, l) for l in letters)
-        actual = not equiv_H(w, empty)
+        # a representative comes first in shortlex order, and no nonempty word embeds in ε
+        claimed = len(w) == 1
+        actual = len(w) > 0
         if actual:
             # both factors sit below their product, and neither may be equivalent to it
             below = [a for a in reps if leq_H(a, w) and not leq_H(w, a)]
@@ -282,9 +281,8 @@ def hword_primes_check(alphabet: AtomAlphabet, maxlen: int = 4) -> Report:
             prime_bad = {"word": list(w.labels), "letter-class": claimed, "prime": actual}
         if actual:
             prime_classes += 1
-            idem_claimed = any(
-                equiv_H(w, letters[i]) for i in sorted(alphabet.idem)
-            )
+            # equivalent letters are of one kind, as the plain part is downward closed
+            idem_claimed = claimed and w.letters[0] in alphabet.idem
             idem_actual = word_is_idempotent(w)
             if idem_claimed != idem_actual and idem_bad is None:
                 idem_bad = {

@@ -15,7 +15,7 @@ import numpy as np
 
 from .downsets import downset_product, enumerate_ideals, unit_downset
 from .errors import EmptyCarrierError, NoFactorizationError, SchemaError, UnknownLabelError
-from .qo import FiniteQO, from_json as qo_from_json
+from .qo import FiniteQO, _checked_indices, from_json as qo_from_json
 from .report import CheckResult, Report
 
 # longest factor product check_prime_product_lemma tries
@@ -248,6 +248,7 @@ def prime_factorization(m: MonoidalQO, q: int) -> list[int]:
     Assumes the axioms hold; a non-prime that refuses to split strictly
     signals a violated precondition.
     """
+    (q,) = _checked_indices(m.order, [q])
     eq = _eq_table(m)
     leq = m.order.leq
     out: list[int] = []

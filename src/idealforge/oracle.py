@@ -93,7 +93,7 @@ class DenotationContext:
         elif len(letters) > 1:
             out = self.product(self.word_mask(letters[:-1]), self.word_mask(letters[-1:]))
         elif not letters[0].is_idem:
-            out = 1 | _element_masks(self.base)[1][letters[0].base_class] << 1
+            out = 1 | _element_masks(self.base)[0][letters[0].base_class] << 1
         else:
             inner = 0
             for d in letters[0].downset:

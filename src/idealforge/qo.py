@@ -38,8 +38,8 @@ class FiniteQO:
         and frozen; instances are immutable and compare by identity.
 
     Closures, downsets and their enumeration work on int bitmasks, bit i
-    standing for element i.  Each element's own bit, down-mask and up-mask
-    are computed from leq on first use and kept on the carrier, as are the
+    standing for element i.  Each element's down-mask and up-mask are
+    computed from leq on first use and kept on the carrier, as are the
     per-byte tables that close a whole mask one byte at a time.
     """
 
@@ -61,7 +61,7 @@ class FiniteQO:
         self.leq = table
         self._index = {lab: i for i, lab in enumerate(elements)}
         self._classes: tuple[tuple[int, ...], ...] | None = None
-        self._masks: tuple[list[int], list[int], list[int]] | None = None
+        self._masks: tuple[list[int], list[int]] | None = None
         self._down_bytes: list[list[int]] | None = None
         # hierarchy letters over this carrier, hash-consed on their payload
         self._atom_pool: dict = {}
@@ -170,7 +170,7 @@ def to_json(q: FiniteQO) -> dict:
 def equiv_classes(q: FiniteQO) -> tuple[tuple[int, ...], ...]:
     'Equivalence classes of mutual comparability, each sorted, ordered by least member.'
     if q._classes is None:
-        _, down, up = _element_masks(q)
+        down, up = _element_masks(q)
         same = [d & u for d, u in zip(down, up)]
         # each class is read off at its lowest bit
         q._classes = tuple(tuple(_bits(m)) for i, m in enumerate(same) if m & -m == 1 << i)
@@ -202,13 +202,13 @@ def quotient(q: FiniteQO) -> QuotientMap:
     return QuotientMap(tuple(class_of), FiniteQO(labels, table))
 
 
-def first_of_each_class(items: Iterable, equiv, *args) -> list:
+def first_of_each_class(items: Iterable, equiv) -> list:
     """The first item of each equivalence class, in input order: an item is
-    kept unless equiv(item, kept, *args) holds for some item kept before it."""
+    kept unless equiv(item, kept) holds for some item kept before it."""
     reps: list = []
     for x in items:
         for r in reps:
-            if equiv(x, r, *args):
+            if equiv(x, r):
                 break
         else:
             reps.append(x)
@@ -229,10 +229,10 @@ def _row_masks(table: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _element_masks(q: FiniteQO) -> tuple[list[int], list[int], list[int]]:
-    'Per element: its own bit, the mask of everything below it and of everything above it.'
+def _element_masks(q: FiniteQO) -> tuple[list[int], list[int]]:
+    'Per element: the mask of everything below it and of everything above it.'
     if q._masks is None:
-        q._masks = ([1 << i for i in range(q.n)], _row_masks(q.leq.T), _row_masks(q.leq))
+        q._masks = (_row_masks(q.leq.T), _row_masks(q.leq))
     return q._masks
 
 
@@ -270,7 +270,7 @@ def _byte_image(tables: list[list[int]], mask: int) -> int:
 def _closure_tables(q: FiniteQO) -> list[list[int]]:
     'Byte tables over the down-masks: the image of a mask is its down-closure.'
     if q._down_bytes is None:
-        q._down_bytes = _byte_tables(_element_masks(q)[1])
+        q._down_bytes = _byte_tables(_element_masks(q)[0])
     return q._down_bytes
 
 
@@ -285,33 +285,32 @@ def _bits(mask: int) -> list[int]:
 
 
 def _checked_indices(q: FiniteQO, s: Iterable[int]) -> list[int]:
-    'The element indices in s as ints, rejecting any outside range(q.n).'
-    out = [operator.index(i) for i in s]
-    for i in out:
+    'The element indices in s as ints, rejecting bools and any outside range(q.n).'
+    out = []
+    for x in s:
+        if type(x) is bool:
+            raise TypeError(f"element index {x!r} is a bool, not an integer")
+        i = operator.index(x)
         if not 0 <= i < q.n:
             raise ValueError(f"element index {i} is outside range({q.n})")
+        out.append(i)
     return out
-
-
-def down_closure(q: FiniteQO, s: Iterable[int]) -> frozenset[int]:
-    'Least downward-closed superset of s.'
-    return frozenset(_bits(_union_mask(_element_masks(q)[1], _checked_indices(q, s))))
 
 
 def _index_mask(q: FiniteQO, s: Iterable[int]) -> int:
     'The mask of the element indices in s, rejecting any outside range(q.n).'
-    return _union_mask(_element_masks(q)[0], _checked_indices(q, s))
+    return sum(1 << i for i in set(_checked_indices(q, s)))
 
 
-def _directed_mask(up: list[int], mask: int) -> bool:
-    """True iff mask is nonempty and holds an element above all of it, where
-    up[i] masks everything above i.  On a finite set this is directedness:
-    every pair has an upper bound in the set, by induction every finite
-    subset does, the set itself included."""
-    top = mask
+def _directed_mask(down: list[int], mask: int) -> bool:
+    """True iff some element of mask has all of mask below it, where down[i]
+    masks everything below i; an empty mask has none.  On a finite set this
+    is directedness: every pair has an upper bound in the set, by induction
+    every finite subset does, the set itself included."""
     for i in _bits(mask):
-        top &= up[i]
-    return bool(top)
+        if not mask & ~down[i]:
+            return True
+    return False
 
 
 def disjoint_union_with_star(q: FiniteQO) -> FiniteQO:
@@ -446,7 +445,7 @@ def hasse_dot(q: FiniteQO, name: str = "quotient") -> str:
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
     for lab in c.elements:
         lines.append(f"  {_quote(lab)};")
-    _, down, up = _element_masks(c)
+    down, up = _element_masks(c)
     strict = [u & ~d for d, u in zip(down, up)]
     for i, above in enumerate(strict):
         # j covers i when nothing strictly above i lies strictly below j

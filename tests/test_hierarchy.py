@@ -280,7 +280,7 @@ def _scanned_stages(q, alpha, kind):
                     ):
                         candidates.append(hset(members[i] for i in chosen))
         ordered = sorted(set(candidates), key=lambda h: h.serial)
-        members = first_of_each_class(ordered, sim_star, q)
+        members = first_of_each_class(ordered, lambda x, y: sim_star(x, y, q))
         stages.append(tuple(members))
     return stages
 

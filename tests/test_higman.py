@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idealforge import higman
-from idealforge.downsets import Downset
+from idealforge.downsets import Downset, principal
 from idealforge.errors import AlphabetMismatchError, TooLargeError
 from idealforge.higman import (
     AtomAlphabet,
@@ -56,6 +56,15 @@ def test_idem_letters_must_sit_above_plain_ones():
         lambda: Downset(q, [0.5]),
     ):
         with pytest.raises(TypeError):
+            call()
+    # a bool is no index either, though True would pass for element 1
+    for call in (
+        lambda: HWord(al, [True, False]),
+        lambda: AtomAlphabet(q, [True]),
+        lambda: Downset(q, [False]),
+        lambda: principal(q, True),
+    ):
+        with pytest.raises(TypeError, match="is a bool"):
             call()
     for call in (
         lambda: HWord(al, [0, 2]),

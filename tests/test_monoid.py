@@ -74,6 +74,18 @@ def test_primes_and_factorization():
     assert sorted(f.label(i) for i in prime_factorization(f, f.order.index("t"))) == ["a1", "a2"]
 
 
+def test_factorization_checks_its_element_index():
+    # a negative index would wrap round to the last element, a large one
+    # overrun, and a bool or a float pass for an element
+    m = capped_addition(4)
+    for q in (-1, 5):
+        with pytest.raises(ValueError, match=rf"element index {q} is outside range\(5\)"):
+            prime_factorization(m, q)
+    for q in (1.0, True):
+        with pytest.raises(TypeError):
+            prime_factorization(m, q)
+
+
 def test_factorization_refuses_non_strict_splits():
     # p*p lands on an incomparable t, so t never splits strictly; the
     # helper reports the violated precondition instead of looping

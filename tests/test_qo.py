@@ -25,7 +25,6 @@ from idealforge.qo import (
     all_downsets_of_poset,
     all_quasi_orders,
     disjoint_union_with_star,
-    down_closure,
     equiv_classes,
     from_json,
     hasse_dot,
@@ -116,17 +115,15 @@ def test_equiv_classes_and_quotient(two_cycle):
 def test_closures_and_directedness(n_shape):
     c = n_shape.index("c")
     d = n_shape.index("d")
-    assert down_closure(n_shape, [c]) == frozenset(
-        {n_shape.index("a"), n_shape.index("b"), c}
-    )
-    assert down_closure(n_shape, []) == frozenset()
-    down_cd = sum(1 << i for i in down_closure(n_shape, [c, d]))
+    down = _element_masks(n_shape)[0]
+    assert _bits(down[c]) == sorted([n_shape.index("a"), n_shape.index("b"), c])
+    assert _union_mask(down, []) == 0
+    down_cd = _union_mask(down, [c, d])
     assert _down_mask(n_shape, down_cd) == down_cd
     assert _down_mask(n_shape, 1 << c) != 1 << c
-    up = _element_masks(n_shape)[2]
-    assert _directed_mask(up, sum(1 << i for i in down_closure(n_shape, [c])))
-    assert not _directed_mask(up, 1 << c | 1 << d)
-    assert not _directed_mask(up, 0)
+    assert _directed_mask(down, down[c])
+    assert not _directed_mask(down, 1 << c | 1 << d)
+    assert not _directed_mask(down, 0)
 
 
 def test_mask_primitives_match_matrix_and_definition_references():
@@ -135,18 +132,19 @@ def test_mask_primitives_match_matrix_and_definition_references():
     # definitions
     for n in (1, 2, 3, 4):
         for q in all_quasi_orders(n):
+            down = _element_masks(q)[0]
             for bits in range(1 << n):
                 s = frozenset(i for i in range(n) if bits >> i & 1)
                 idx = sorted(s)
-                assert down_closure(q, s) == frozenset(
-                    np.flatnonzero(q.leq[:, idx].any(axis=1)).tolist()
-                )
+                assert _bits(_union_mask(down, s)) == np.flatnonzero(
+                    q.leq[:, idx].any(axis=1)
+                ).tolist()
                 closed = all(j in s for i in s for j in range(n) if q.leq[j, i])
                 assert (_down_mask(q, bits) == bits) == closed
                 directed = bool(s) and all(
                     any(q.leq[a, c] and q.leq[b, c] for c in s) for a in s for b in s
                 )
-                assert _directed_mask(_element_masks(q)[2], bits) == directed
+                assert _directed_mask(down, bits) == directed
 
 
 def test_byte_tables_match_the_union_on_every_mask():
