@@ -18,7 +18,6 @@ from .downsets import (
     ideal_decomposition,
     principal,
     product_decomposition,
-    unit_downset,
 )
 from .errors import IdealforgeError
 from .hierarchy import (

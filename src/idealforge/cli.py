@@ -254,7 +254,7 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 2
     try:
         code, out = ns.run(ns)
-    except (IdealforgeError, OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (IdealforgeError, OSError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     sys.stdout.write(out)

@@ -22,7 +22,6 @@ from .qo import (
     _directed_mask,
     _down_mask,
     _element_masks,
-    _index_mask,
     _union_mask,
     all_downsets_of_poset,
     equiv_classes,
@@ -43,7 +42,7 @@ class Downset:
     __slots__ = ("base", "mask")
 
     def __init__(self, base: FiniteQO, members: Iterable[int]) -> None:
-        self._init(base, _index_mask(base, members))
+        self._init(base, sum(1 << i for i in set(_checked_indices(base, members))))
 
     @classmethod
     def from_mask(cls, base: FiniteQO, mask: int) -> "Downset":
@@ -152,13 +151,20 @@ def _sort_keys(q: FiniteQO, masks: np.ndarray) -> list[np.ndarray]:
     return [*keys.T[::-1], size]
 
 
-def _canonical_masks(q: FiniteQO, masks: Iterable[int]) -> list[int]:
-    """Masks in (size, member tuple) order, each checked within range(q.n),
-    nonempty and downward closed, in one array pass over all of them: one
-    lexsort on _sort_keys, then one take.  The limb rows are freed before
-    the sort, so its workspace and the taken list can reuse their memory."""
+def _canonical(q: FiniteQO, masks: Iterable[int], kind: type[Downset]) -> list:
+    """Masks as kind values over q in (size, member tuple) order, each checked
+    within range(q.n), nonempty and downward closed, in one array pass over
+    all of them: one lexsort on _sort_keys, then one take.  The limb rows are
+    freed before the sort, so its workspace and the taken list can reuse their
+    memory.  Values are built with __new__, without a second check; Ideal
+    callers pass principal down-masks, closed and directed by construction."""
     masks = np.fromiter(masks, object)  # callers pass lists and generators
-    return masks[np.lexsort(_sort_keys(q, masks))].tolist()
+    out = []
+    for m in masks[np.lexsort(_sort_keys(q, masks))].tolist():
+        d = kind.__new__(kind)
+        d.base, d.mask = q, m
+        out.append(d)
+    return out
 
 
 def principal(q: FiniteQO, i: int) -> Ideal:
@@ -175,12 +181,7 @@ def enumerate_downsets(q: FiniteQO, max_count: int | None = 100_000) -> list[Dow
         raise EmptyCarrierError("no downsets over the empty carrier")
     bound = None if max_count is None else max_count + 1  # the empty set is dropped
     masks = all_downsets_of_poset(q.leq, bound)[1:]  # the empty set comes first
-    out = []
-    for m in _canonical_masks(q, masks):  # checked, so built without a second check
-        d = Downset.__new__(Downset)
-        d.base, d.mask = q, m
-        out.append(d)
-    return out
+    return _canonical(q, masks, Downset)
 
 
 def enumerate_ideals(q: FiniteQO) -> list[Ideal]:
@@ -194,7 +195,7 @@ def enumerate_ideals(q: FiniteQO) -> list[Ideal]:
     if q.n == 0:
         raise EmptyCarrierError("no ideals over the empty carrier")
     tops = (_element_masks(q)[0][c[0]] for c in equiv_classes(q))
-    return [Ideal.from_mask(q, m) for m in _canonical_masks(q, tops)]
+    return _canonical(q, tops, Ideal)
 
 
 def ideal_decomposition(d: Downset) -> list[Ideal]:
@@ -208,7 +209,7 @@ def ideal_decomposition(d: Downset) -> list[Ideal]:
     down, up = _element_masks(q)
     least = (c[0] for c in equiv_classes(q))
     parts = [down[i] for i in least if d.mask >> i & 1 and not up[i] & ~down[i] & d.mask]
-    return [Ideal.from_mask(q, m) for m in _canonical_masks(q, parts)]
+    return _canonical(q, parts, Ideal)
 
 
 def downset_product(x: Downset, y: Downset, m: "MonoidalQO") -> Downset:
@@ -221,11 +222,6 @@ def downset_product(x: Downset, y: Downset, m: "MonoidalQO") -> Downset:
     mask = _union_mask(_element_masks(m.order)[0], set(products.ravel().tolist()))
     kind = Ideal if isinstance(x, Ideal) and isinstance(y, Ideal) else Downset
     return kind.from_mask(m.order, mask)
-
-
-def unit_downset(m: "MonoidalQO") -> Ideal:
-    'The down-closure of the unit, which is its equivalence class.'
-    return principal(m.order, m.unit)
 
 
 def product_decomposition(

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import CombinatorialBlowupError, EmptyCarrierError, LevelCapExceededError
-from .higman import AtomAlphabet, HWord
+from .higman import AtomAlphabet
 from .monoid import MonoidalQO
 from .qo import FiniteQO, _bits, _checked_indices, _directed_mask, _element_masks
 from .qo import all_downsets_of_poset, equiv_classes
@@ -61,6 +61,8 @@ _SET_POOL: dict[frozenset[HSet], HSet] = {}
 
 def ur_elem(i: int) -> HSet:
     'The urelement with carrier index i.'
+    if type(i) is bool:
+        raise TypeError(f"element index {i!r} is a bool, not an integer")
     i = operator.index(i)
     if i < 0:
         raise ValueError("urelement index must be a carrier index")
@@ -453,13 +455,6 @@ class AtomSystem:
     alphabet: AtomAlphabet
     level_counts: tuple[int, ...]
 
-    def word(self, letters: Iterable[Atom | int]) -> HWord:
-        'An alphabet word from atoms or atom indices.'
-        idx = []
-        for x in letters:
-            idx.append(self.atoms.index(x) if isinstance(x, Atom) else x)
-        return HWord(self.alphabet, idx)
-
 
 def build_atoms(
     p: FiniteQO,
@@ -481,9 +476,8 @@ def build_atoms(
     counts = []
     for stage in range(alpha + 1):
         if stage:
-            for ds in all_downsets_of_poset(_letter_table(atoms), max_count=max_members):
-                if not ds:
-                    continue
+            # the enumeration lists the empty downset first
+            for ds in all_downsets_of_poset(_letter_table(atoms), max_count=max_members)[1:]:
                 atom = _idem_atom(p, (atoms[i] for i in _bits(ds)))
                 if atom not in present:
                     present.add(atom)

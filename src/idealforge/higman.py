@@ -16,7 +16,6 @@ carrier size.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -176,8 +175,11 @@ def _witness_table(
     sends each letter of U[i] below its target in V[j] in alphabet s, with
     every target hit more than once idempotent there.  Rows of U are taken in
     slices so the alphabet-by-row-by-map intermediate stays near
-    _WITNESS_CELLS, and each slice is matched one position at a time.
+    _WITNESS_CELLS, and each slice is matched one position at a time.  Words
+    longer than _BRUTEFORCE_MAX_LEN raise TooLargeError before any map is built.
     """
+    if max(U.shape[1], V.shape[1]) > _BRUTEFORCE_MAX_LEN:
+        raise TooLargeError(f"witness search is capped at length {_BRUTEFORCE_MAX_LEN}")
     f, rep = _weakly_increasing_maps(U.shape[1], V.shape[1])
     targets = V[:, f]
     # per alphabet, the maps whose repeated targets are all idempotent
@@ -209,8 +211,6 @@ def leq_H_bruteforce(u: HWord, v: HWord) -> bool:
     'Ground truth by the explicit witness search, guarded against long words.'
     if u.alphabet is not v.alphabet:
         raise AlphabetMismatchError("cannot compare words over different alphabets")
-    if len(u) > _BRUTEFORCE_MAX_LEN or len(v) > _BRUTEFORCE_MAX_LEN:
-        raise TooLargeError(f"witness search is capped at length {_BRUTEFORCE_MAX_LEN}")
     U, V = _letter_block([u.letters], len(u)), _letter_block([v.letters], len(v))
     order = u.alphabet.order
     idem = _idem_vector(order.n, u.alphabet.idem)
@@ -439,8 +439,9 @@ def dp_agreement_sweep(
     every pair goes to _leq_letters on its alphabet's table and is compared
     with its cell.  After a disagreement the sweep finishes that quasi-order's
     alphabets and stops.  The longest word must fit the witness search, which
-    is checked before the first pair: the pair of a longest word and the
-    empty word is always swept.
+    refuses it before the first pair is compared: every block's table is
+    built first, and the block of a longest word and the empty word is
+    always swept.
     """
     if max_atoms < 1:
         # no alphabet to sweep, and an empty sweep must not read as passed
@@ -450,9 +451,6 @@ def dp_agreement_sweep(
             f"word lengths must be at least 0, got max_pair_len={max_pair_len}, "
             f"full_len={full_len}"
         )
-    # no carrier size sweeps longer words than size 1 does
-    if max(max_pair_len, full_len if full_atom_cap >= 1 else 0) > _BRUTEFORCE_MAX_LEN:
-        raise TooLargeError(f"witness search is capped at length {_BRUTEFORCE_MAX_LEN}")
     disagreement = None
     systems = 0
     pairs = 0

@@ -13,7 +13,7 @@ import operator
 
 import numpy as np
 
-from .downsets import downset_product, enumerate_ideals, unit_downset
+from .downsets import downset_product, enumerate_ideals, principal
 from .errors import EmptyCarrierError, NoFactorizationError, SchemaError, UnknownLabelError
 from .qo import FiniteQO, _checked_indices, from_json as qo_from_json
 from .report import CheckResult, Report
@@ -329,5 +329,5 @@ def ideal_monoid(m: MonoidalQO) -> MonoidalQO:
             prod = downset_product(ideals[i], ideals[j], m)
             mult[i, j] = index[prod.mask]
     labels = tuple("{" + ",".join(ideal.labels) + "}" for ideal in ideals)
-    unit = index[unit_downset(m).mask]
+    unit = index[principal(m.order, m.unit).mask]
     return MonoidalQO(FiniteQO(labels, table), mult, unit)

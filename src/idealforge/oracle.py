@@ -18,9 +18,9 @@ import itertools
 import numpy as np
 
 from .errors import ScaleExceededError
-from .higman import hword_primes_check, leq_H
+from .higman import HWord, hword_primes_check, leq_H
 from .hierarchy import Atom, build_atoms
-from .qo import FiniteQO, _element_masks, all_tuples
+from .qo import FiniteQO, _bits, _element_masks, all_tuples
 from .report import CheckResult, Report
 
 _SEQ_UNIVERSE_CAP = 200_000
@@ -55,9 +55,6 @@ class DenotationContext:
             raise ScaleExceededError(f"{off[-1]} sequences exceed the cap of {_SEQ_UNIVERSE_CAP}")
         self.seqs = all_tuples(p.n, maxlen)
         self._word_masks: dict[tuple[Atom, ...], int] = {}
-
-    def members(self, mask: int) -> list[tuple[int, ...]]:
-        return [s for i, s in enumerate(self.seqs) if mask >> i & 1]
 
     def single_letters(self, mask: int) -> int:
         'Bit i is set when the denotation holds the one-letter sequence (i,).'
@@ -121,7 +118,7 @@ def check_containment_agreement(
     system = build_atoms(p, alpha)
     ctx = DenotationContext(p, maxlen)
     words = all_tuples(len(system.atoms), max_word_len)
-    hwords = [system.word(t) for t in words]
+    hwords = [HWord(system.alphabet, t) for t in words]
     masks = [ctx.word_mask(tuple(system.atoms[i] for i in t)) for t in words]
 
     violation = None
@@ -207,9 +204,8 @@ def check_two_forms(
                 "atom": atom.serial,
                 "letters": sorted(p.elements[i] for i in range(p.n) if letters >> i & 1),
                 "extra": [
-                    seq_label(p, s)
-                    for s in ctx.members(mask & ~star_mask & ~down_mask)
-                ][:5],
+                    seq_label(p, ctx.seqs[k]) for k in _bits(mask & ~star_mask & ~down_mask)[:5]
+                ],
             }
     census = dict(primes.check("primes-are-letter-classes").stats)
     census.update({"star_forms": star_forms, "down_forms": down_forms})

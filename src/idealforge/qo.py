@@ -244,39 +244,31 @@ def _union_mask(masks: list[int], s: Iterable[int]) -> int:
     return out
 
 
-def _byte_tables(masks: list[int]) -> list[list[int]]:
-    """One table per byte of an index mask within range(len(masks)): entry b
-    of table k is the union of masks[8k + j] over the set bits j of b.  The
-    last table has 2 ** (len(masks) - 8k) entries, one per value its byte
-    can take."""
-    tables = []
-    for start in range(0, len(masks), 8):
-        chunk = masks[start : start + 8]
-        table = [0] * (1 << len(chunk))
-        for b in range(1, len(table)):
-            table[b] = table[b & (b - 1)] | chunk[(b & -b).bit_length() - 1]
-        tables.append(table)
-    return tables
-
-
-def _byte_image(tables: list[list[int]], mask: int) -> int:
-    'The union of the masks behind each set bit of mask, one lookup per byte.'
-    out = 0
-    for table, b in zip(tables, mask.to_bytes(len(tables), "little")):
-        out |= table[b]
-    return out
-
-
 def _closure_tables(q: FiniteQO) -> list[list[int]]:
-    'Byte tables over the down-masks: the image of a mask is its down-closure.'
+    """One table per byte of a mask within range(q.n): entry b of table k is
+    the union of the down-masks of elements 8k + j over the set bits j of b,
+    so the union of a mask's byte entries is its down-closure.  The last
+    table has 2 ** (q.n - 8k) entries, one per value its byte can take."""
     if q._down_bytes is None:
-        q._down_bytes = _byte_tables(_element_masks(q)[0])
+        down = _element_masks(q)[0]
+        tables = []
+        for start in range(0, q.n, 8):
+            chunk = down[start : start + 8]
+            table = [0] * (1 << len(chunk))
+            for b in range(1, len(table)):
+                table[b] = table[b & (b - 1)] | chunk[(b & -b).bit_length() - 1]
+            tables.append(table)
+        q._down_bytes = tables
     return q._down_bytes
 
 
 def _down_mask(q: FiniteQO, mask: int) -> int:
     'The down-closure of the elements of a mask within range(q.n), as a mask.'
-    return _byte_image(_closure_tables(q), mask)
+    tables = _closure_tables(q)
+    out = 0
+    for table, b in zip(tables, mask.to_bytes(len(tables), "little")):
+        out |= table[b]
+    return out
 
 
 def _bits(mask: int) -> list[int]:
@@ -295,11 +287,6 @@ def _checked_indices(q: FiniteQO, s: Iterable[int]) -> list[int]:
             raise ValueError(f"element index {i} is outside range({q.n})")
         out.append(i)
     return out
-
-
-def _index_mask(q: FiniteQO, s: Iterable[int]) -> int:
-    'The mask of the element indices in s, rejecting any outside range(q.n).'
-    return sum(1 << i for i in set(_checked_indices(q, s)))
 
 
 def _directed_mask(down: list[int], mask: int) -> bool:
@@ -335,9 +322,9 @@ def all_downsets_of_poset(leq: np.ndarray, max_count: int | None = None) -> list
 
     Steps through the equivalence classes in a linear extension, by the
     (down-count, index) of their least members, and grows each downset so
-    far by a whole class once everything strictly below it is in.  The work
-    is proportional to the number of downsets, bounded by max_count, which
-    counts the empty set too.
+    far by a whole class once everything strictly below it is in, appending
+    the grown downsets after those so far.  The work is proportional to the
+    number of downsets, bounded by max_count, which counts the empty set too.
     """
     below, above = _row_masks(leq.T), _row_masks(leq)
     least = [i for i, b in enumerate(below) if not b & above[i] & (1 << i) - 1]
@@ -345,16 +332,11 @@ def all_downsets_of_poset(leq: np.ndarray, max_count: int | None = None) -> list
     for x in sorted(least, key=lambda i: (below[i].bit_count(), i)):
         cls = below[x] & above[x]
         preds = below[x] & ~cls
-        grown: list[int] = []
-        for d in downs:
-            grown.append(d)
-            if d & preds == preds:
-                grown.append(d | cls)
-        if max_count is not None and len(grown) > max_count:
+        downs += [d | cls for d in downs if d & preds == preds]
+        if max_count is not None and len(downs) > max_count:
             raise CombinatorialBlowupError(
                 f"more than {max_count} downward-closed subsets, the empty one included"
             )
-        downs = grown
     return downs
 
 

@@ -8,14 +8,13 @@ import pytest
 from idealforge.downsets import (
     Downset,
     Ideal,
-    _canonical_masks,
+    _canonical,
     downset_product,
     enumerate_downsets,
     enumerate_ideals,
     ideal_decomposition,
     principal,
     product_decomposition,
-    unit_downset,
 )
 from idealforge.errors import CombinatorialBlowupError
 from idealforge.fixtures import capped_addition, flat
@@ -30,6 +29,10 @@ from idealforge.qo import (
 )
 
 from conftest import DATA
+
+
+def _canonical_masks(q, masks):
+    return [d.mask for d in _canonical(q, masks, Downset)]
 
 
 def test_downset_requires_downward_closure(n_shape, antichain3):
@@ -284,9 +287,9 @@ def test_product_respects_ideals():
     prod = downset_product(one, two, m)
     assert isinstance(prod, Ideal)
     assert prod == principal(m.order, 3)
-    assert unit_downset(m) == principal(m.order, 0)
+    assert principal(m.order, m.unit) == principal(m.order, 0)
     # the unit downset is neutral for the product
-    assert downset_product(unit_downset(m), two, m) == two
+    assert downset_product(principal(m.order, m.unit), two, m) == two
 
 
 def test_product_decomposition_recovers_everything():

@@ -24,6 +24,7 @@ from idealforge.hierarchy import (
     sim_star,
     ur_elem,
 )
+from idealforge.higman import HWord
 from idealforge.qo import (
     FiniteQO,
     _bits,
@@ -52,9 +53,11 @@ def test_construction_guards():
         hset([])
     with pytest.raises(ValueError):
         ur_elem(-1)
-    # a non-integral index is no carrier index, and is not truncated to one
-    with pytest.raises(TypeError):
-        ur_elem(1.7)
+    # a non-integral index is no carrier index, and is not truncated to one;
+    # a bool is refused as _checked_indices refuses it
+    for bad in (1.7, True):
+        with pytest.raises(TypeError):
+            ur_elem(bad)
 
 
 def test_lesssim_frozen_cases(a2):
@@ -438,12 +441,12 @@ def test_plain_atoms_track_principal_classes(a2, chain2, chain3, antichain3, two
 
 def test_atom_system_helpers(a2):
     system = build_atoms(a2, 1)
-    w = system.word([0, system.atoms[2]])
+    w = HWord(system.alphabet, [0, 2])
     assert w.labels == ("a", "*{a,b}")
     # an index that is not an int is refused, not truncated
     for bad in ([1.7], ["2"], [1.7, "2"]):
         with pytest.raises(TypeError):
-            system.word(bad)
+            HWord(system.alphabet, bad)
 
 
 def test_atom_guards(a2):

@@ -147,29 +147,25 @@ def denote_member(system, w, s):
 
 def test_denote_member_frozen_cases(a2):
     system = build_atoms(a2, 1)
-    a, b, star_ab, star_a = (
-        system.atoms[0],
-        system.atoms[1],
-        system.atoms[2],
-        system.atoms[3],
-    )
-    w_a = system.word([a])
+    # letter indices: the plain letters a and b, then *{a,b} and *{a}
+    a, b, star_ab, star_a = 0, 1, 2, 3
+    w_a = HWord(system.alphabet, [a])
     assert denote_member(system, w_a, ())
     assert denote_member(system, w_a, (0,))
     assert not denote_member(system, w_a, (1,))
     assert not denote_member(system, w_a, (0, 0))
 
-    w_star = system.word([star_ab])
+    w_star = HWord(system.alphabet, [star_ab])
     assert denote_member(system, w_star, (0, 1, 0))
-    w_star_a = system.word([star_a])
+    w_star_a = HWord(system.alphabet, [star_a])
     assert denote_member(system, w_star_a, (0, 0, 0))
     assert not denote_member(system, w_star_a, (0, 1))
 
-    w_mixed = system.word([a, star_a])
+    w_mixed = HWord(system.alphabet, [a, star_a])
     assert denote_member(system, w_mixed, ("a", "a", "a"))
     assert not denote_member(system, w_mixed, ("b",))
     # the plain block may be empty
-    w_mixed2 = system.word([a, star_ab])
+    w_mixed2 = HWord(system.alphabet, [a, star_ab])
     assert denote_member(system, w_mixed2, ("b", "b"))
 
 
@@ -180,7 +176,7 @@ def test_block_recursion_agrees_with_mask_route(a2):
     for t in words:
         letters = tuple(system.atoms[i] for i in t)
         mask = ctx.word_mask(letters)
-        w = system.word(t)
+        w = HWord(system.alphabet, t)
         for k, s in enumerate(ctx.seqs):
             assert denote_member(system, w, s) == bool(mask >> k & 1)
 

@@ -14,9 +14,8 @@ from idealforge.errors import (
 from idealforge.qo import (
     FiniteQO,
     _bits,
-    _byte_image,
-    _byte_tables,
     _canonical_relation_key,
+    _closure_tables,
     _directed_mask,
     _down_mask,
     _element_masks,
@@ -148,15 +147,17 @@ def test_mask_primitives_match_matrix_and_definition_references():
 
 
 def test_byte_tables_match_the_union_on_every_mask():
-    # carriers of 0 to 10 elements, so the last table is short, full or the
-    # second of two; each element's mask is an arbitrary seeded int
+    # seeded quasi-orders of 0 to 10 elements, so the last table is short,
+    # full or the second of two
     rng = random.Random(0)
     for n in range(11):
-        masks = [rng.getrandbits(12) for _ in range(n)]
-        tables = _byte_tables(masks)
+        pairs = np.array([rng.random() < 0.2 for _ in range(n * n)]).reshape(n, n)
+        q = FiniteQO([f"x{i}" for i in range(n)], transitive_closure(pairs))
+        down = _element_masks(q)[0]
+        tables = _closure_tables(q)
         assert [len(t) for t in tables] == [1 << min(8, n - k) for k in range(0, n, 8)]
         for mask in range(1 << n):
-            assert _byte_image(tables, mask) == _union_mask(masks, _bits(mask))
+            assert _down_mask(q, mask) == _union_mask(down, _bits(mask))
 
 
 def test_star_extension(a2):
@@ -202,12 +203,7 @@ def _reference_downsets_of_poset(leq):
     for x in order:
         bit = 1 << x
         preds = below[x] & ~bit
-        grown = []
-        for d in downs:
-            grown.append(d)
-            if not preds & ~d:
-                grown.append(d | bit)
-        downs = grown
+        downs += [d | bit for d in downs if not preds & ~d]
     return downs
 
 

@@ -5,6 +5,9 @@ used when a package module other than __init__.py, a demo or a perfbench
 module names it: as a bare name, as an attribute, or in an import.  `main`
 is used through the console script in pyproject.toml.  Tests and the
 __init__ re-exports do not count: a definition only they name is not needed.
+Likewise every name a package module other than __init__.py imports at top
+level, __future__ aside, is read in that module: no linter runs here, so
+this test is the unused-import check.
 """
 import ast
 from pathlib import Path
@@ -52,5 +55,29 @@ def test_every_package_definition_is_referenced():
         for path in PACKAGE.glob("*.py")
         for name in _definitions(ast.parse(path.read_text(encoding="utf-8")))
         if name not in used
+    )
+    assert unused == []
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    # the names top-level imports bind, less those the module reads
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    # the base of an attribute, as in np.array, is itself a Name
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{line}:{name}" for name, line in bound.items() if name not in read]
+
+
+def test_no_package_module_imports_a_name_it_does_not_use():
+    unused = sorted(
+        f"{path.name}:{item}"
+        for path in PACKAGE.glob("*.py")
+        if path.name != "__init__.py"
+        for item in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     )
     assert unused == []
