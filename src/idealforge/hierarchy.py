@@ -11,7 +11,6 @@ treated as the definition of the other.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -21,7 +20,7 @@ from .errors import CombinatorialBlowupError, EmptyCarrierError, LevelCapExceede
 from .higman import AtomAlphabet
 from .monoid import MonoidalQO
 from .qo import FiniteQO, _bits, _checked_indices, _directed_mask, _element_masks
-from .qo import all_downsets_of_poset, equiv_classes
+from .qo import _as_index, all_downsets_of_poset, equiv_classes
 
 # The paper's hierarchy runs through every ordinal; this package stops here.
 LEVEL_CAP = 3
@@ -61,9 +60,7 @@ _SET_POOL: dict[frozenset[HSet], HSet] = {}
 
 def ur_elem(i: int) -> HSet:
     'The urelement with carrier index i.'
-    if type(i) is bool:
-        raise TypeError(f"element index {i!r} is a bool, not an integer")
-    i = operator.index(i)
+    i = _as_index(i)
     if i < 0:
         raise ValueError("urelement index must be a carrier index")
     node = _UR_POOL.get(i)

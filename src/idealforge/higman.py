@@ -164,6 +164,12 @@ def _weakly_increasing_maps(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return f, rep
 
 
+def _check_witness_len(length: int) -> None:
+    'Refuse a witness search over words longer than _BRUTEFORCE_MAX_LEN.'
+    if length > _BRUTEFORCE_MAX_LEN:
+        raise TooLargeError(f"witness search is capped at length {_BRUTEFORCE_MAX_LEN}")
+
+
 def _witness_table(
     U: np.ndarray, V: np.ndarray, leq: np.ndarray, idem: np.ndarray
 ) -> np.ndarray:
@@ -176,10 +182,9 @@ def _witness_table(
     every target hit more than once idempotent there.  Rows of U are taken in
     slices so the alphabet-by-row-by-map intermediate stays near
     _WITNESS_CELLS, and each slice is matched one position at a time.  Words
-    longer than _BRUTEFORCE_MAX_LEN raise TooLargeError before any map is built.
+    over the length cap are refused before any map is built.
     """
-    if max(U.shape[1], V.shape[1]) > _BRUTEFORCE_MAX_LEN:
-        raise TooLargeError(f"witness search is capped at length {_BRUTEFORCE_MAX_LEN}")
+    _check_witness_len(max(U.shape[1], V.shape[1]))
     f, rep = _weakly_increasing_maps(U.shape[1], V.shape[1])
     targets = V[:, f]
     # per alphabet, the maps whose repeated targets are all idempotent
@@ -438,10 +443,8 @@ def dp_agreement_sweep(
     length) block goes to _witness_table in one call over all of them; then
     every pair goes to _leq_letters on its alphabet's table and is compared
     with its cell.  After a disagreement the sweep finishes that quasi-order's
-    alphabets and stops.  The longest word must fit the witness search, which
-    refuses it before the first pair is compared: every block's table is
-    built first, and the block of a longest word and the empty word is
-    always swept.
+    alphabets and stops.  The longest word must fit the witness search; it
+    is checked on entry, before any word is built.
     """
     if max_atoms < 1:
         # no alphabet to sweep, and an empty sweep must not read as passed
@@ -451,6 +454,8 @@ def dp_agreement_sweep(
             f"word lengths must be at least 0, got max_pair_len={max_pair_len}, "
             f"full_len={full_len}"
         )
+    # no carrier size sweeps longer words than size 1 does
+    _check_witness_len(max(max_pair_len, full_len if full_atom_cap >= 1 else 0))
     disagreement = None
     systems = 0
     pairs = 0

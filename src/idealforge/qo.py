@@ -276,13 +276,18 @@ def _bits(mask: int) -> list[int]:
     return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
+def _as_index(x: object) -> int:
+    'x as an int by operator.index, rejecting the bools that index would accept.'
+    if type(x) is bool:
+        raise TypeError(f"element index {x!r} is a bool, not an integer")
+    return operator.index(x)
+
+
 def _checked_indices(q: FiniteQO, s: Iterable[int]) -> list[int]:
     'The element indices in s as ints, rejecting bools and any outside range(q.n).'
     out = []
     for x in s:
-        if type(x) is bool:
-            raise TypeError(f"element index {x!r} is a bool, not an integer")
-        i = operator.index(x)
+        i = _as_index(x)
         if not 0 <= i < q.n:
             raise ValueError(f"element index {i} is outside range({q.n})")
         out.append(i)

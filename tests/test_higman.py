@@ -326,6 +326,9 @@ def test_sweep_rejects_negative_lengths_and_overlong_words():
     # a full-length pass over one letter reaches the cap even when joint pairs do not
     with pytest.raises(TooLargeError):
         dp_agreement_sweep(max_atoms=2, max_pair_len=2, full_len=9, full_atom_cap=1)
+    # refused on entry: no word list of this length is ever built
+    with pytest.raises(TooLargeError):
+        dp_agreement_sweep(max_atoms=1, max_pair_len=10**6)
     report = dp_agreement_sweep(max_atoms=2, max_pair_len=2, full_len=9, full_atom_cap=0)
     assert report.passed and report.checks[0].stats == {"systems": 10, "pairs": 148}
 
