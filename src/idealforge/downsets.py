@@ -16,6 +16,7 @@ import numpy as np
 from .errors import EmptyCarrierError
 from .qo import (
     FiniteQO,
+    _as_index,
     _bits,
     _checked_indices,
     _closure_tables,
@@ -74,7 +75,8 @@ class Downset:
         return tuple(self.base.elements[i] for i in _bits(self.mask))
 
     def __contains__(self, i: int) -> bool:
-        return i in range(self.base.n) and bool(self.mask >> int(i) & 1)
+        i = _as_index(i)
+        return i in range(self.base.n) and bool(self.mask >> i & 1)
 
     def __le__(self, other: "Downset") -> bool:
         if self.base is not other.base:

@@ -11,6 +11,7 @@ treated as the definition of the other.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -205,8 +206,8 @@ def build_level(
     order come from one for-all-exists pass on int down-masks per stage
     (_stage_classes), audited in full against the _leq_table kernel.  A
     stage with more than max_members candidates raises
-    CombinatorialBlowupError; a vstar stage over k members has exactly
-    k + 2^k - 1 candidates, so that count is checked before any set is built.
+    CombinatorialBlowupError; each stage's candidates are counted before any
+    of its sets is built, so a doomed stage interns none.
     """
     q = base.order if isinstance(base, MonoidalQO) else base
     if kind not in _KINDS:
@@ -218,15 +219,17 @@ def build_level(
     # stage 0 keys its urelements by their down-masks over the carrier itself
     bit = {u: u.ur for u in candidates}
     down = _element_masks(q)[0]
+    prev, masks = (), ()
     for stage in range(alpha + 1):
-        prev = ()
         if stage:
             prev = level.members
-            candidates = list(prev) + _adjoined_sets(prev, down, kind, stage, max_members)
-        if len(candidates) > max_members:
+            candidates = list(prev)
+            masks = _adjoined_masks(down, kind, max_members - len(prev))
+        if len(candidates) + len(masks) > max_members:
             raise CombinatorialBlowupError(
                 f"stage {stage} exceeds {max_members} candidate members"
             )
+        candidates += [hset(prev[i] for i in _bits(mask)) for mask in masks]
         ordered = sorted(set(candidates), key=lambda h: h.serial)
         reps, bit, down = _stage_classes(ordered, prev, bit, down, q)
         level = HierLevel(stage, kind, tuple(reps), level)
@@ -294,37 +297,22 @@ def _stage_classes(
     return reps, new_bit, new_down
 
 
-def _adjoined_sets(
-    prev: tuple[HSet, ...], down: list[int], kind: str, stage: int, max_members: int
-) -> list[HSet]:
-    """The sets one stage of the given kind adjoins to the previous members,
-    where down[j] is the mask of the members below prev[j].
+def _adjoined_masks(down: list[int], kind: str, room: int) -> list[int] | range:
+    """The masks, over the previous stage's members, of the sets one stage of
+    the given kind adjoins, where down[j] masks the members below member j.
 
-    vstar checks its candidate count against max_members before the
-    enumeration, so a doomed stage interns no set; istar counts as it goes.
+    vstar's range has a known length without being built; istar stops after
+    room + 1 directed masks, enough to show a stage past its bound.
     """
-    k = len(prev)
+    k = len(down)
     if kind == "ihat":
-        return [hset(prev[i] for i in _bits(mask)) for mask in down]
+        return down
     if k > _SUBSET_CAP:
         raise CombinatorialBlowupError(f"subset enumeration over {k} members")
     if kind == "vstar":
-        # every nonempty subset is adjoined, so the count is known up front
-        if k + (1 << k) - 1 > max_members:
-            raise CombinatorialBlowupError(
-                f"stage {stage} exceeds {max_members} candidate members"
-            )
-        return [hset(prev[i] for i in _bits(mask)) for mask in range(1, 1 << k)]
-    new_sets: list[HSet] = []
-    for mask in range(1, 1 << k):
-        if not _directed_mask(down, mask):
-            continue
-        new_sets.append(hset(prev[i] for i in _bits(mask)))
-        if len(new_sets) > max_members:
-            raise CombinatorialBlowupError(
-                f"stage {stage} exceeds {max_members} candidate members"
-            )
-    return new_sets
+        return range(1, 1 << k)
+    directed = (mask for mask in range(1, 1 << k) if _directed_mask(down, mask))
+    return list(itertools.islice(directed, room + 1))
 
 
 class Atom:

@@ -21,13 +21,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .downsets import enumerate_downsets
 from .errors import AlphabetMismatchError, ScaleExceededError, TooLargeError
 from .monoid import MonoidalQO, primes as monoid_primes
 from .qo import (
     FiniteQO,
+    _bits,
     _canonical_relation_key,
     _checked_indices,
+    all_downsets_of_poset,
     all_quasi_orders,
     all_tuples,
     first_of_each_class,
@@ -329,7 +330,7 @@ def check_abstractly_higman(m: MonoidalQO) -> Report:
     ps = sorted(monoid_primes(m))
     if len(ps) ** _MAX_TUPLE > 200_000:
         raise ScaleExceededError("too many prime tuples")
-    idem = _idem_vector(m.order.n, (p for p in ps if m.order.equiv(int(M[p, p]), p)))[None]
+    idem = _idem_vector(m.order.n, (p for p in ps if leq[M[p, p], p] and leq[p, M[p, p]]))[None]
 
     def prod(tup: tuple[int, ...]) -> int:
         acc = m.unit
@@ -415,11 +416,9 @@ def bounded_word_monoid(
 
 def upward_closed_subsets(q: FiniteQO) -> list[frozenset[int]]:
     """All upward-closed subsets, empty and full included, ordered by
-    (size, members): the empty set, then the downsets of the reversed order."""
-    if q.n == 0:
-        return [frozenset()]
-    up = enumerate_downsets(FiniteQO(q.elements, q.leq.T), max_count=None)
-    return [frozenset(), *(d.members for d in up)]
+    (size, members): the downsets of the reversed order, the empty one first."""
+    ups = (frozenset(_bits(mask)) for mask in all_downsets_of_poset(q.leq.T))
+    return sorted(ups, key=lambda s: (len(s), sorted(s)))
 
 
 def dp_agreement_sweep(

@@ -76,10 +76,6 @@ class FiniteQO:
         except KeyError:
             raise UnknownLabelError(f"unknown element {label!r}") from None
 
-    def equiv(self, i: int, j: int) -> bool:
-        'Mutual comparability: i and j sit in the same equivalence class.'
-        return bool(self.leq[i, j] and self.leq[j, i])
-
     def __repr__(self) -> str:
         return f"FiniteQO({list(self.elements)!r}, {int(self.leq.sum())} pairs)"
 
@@ -109,13 +105,10 @@ def validate(elements: Iterable[str], order: Iterable[tuple[str, str]], close: b
     rejected with the specific axiom that failed.
     """
     elements = tuple(elements)
-    if len(set(elements)) != len(elements):
-        seen = set()
-        for lab in elements:
-            if lab in seen:
-                raise DuplicateLabelError(f"duplicate element {lab!r}")
-            seen.add(lab)
-    index = {lab: i for i, lab in enumerate(elements)}
+    index: dict[str, int] = {}
+    for i, lab in enumerate(elements):
+        if index.setdefault(lab, i) != i:
+            raise DuplicateLabelError(f"duplicate element {lab!r}")
     n = len(elements)
     table = np.zeros((n, n), dtype=bool)
     for a, b in order:

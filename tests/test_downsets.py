@@ -66,6 +66,10 @@ def test_indices_outside_the_carrier_are_rejected():
             call()
     d = Downset(two, {0, 1})
     assert [i in d for i in (-1, 0, 1, 2, 5, 64)] == [False, True, True, False, False, False]
+    # membership takes element indices by the same rule, bools and floats refused
+    for x in (True, 1.0):
+        with pytest.raises(TypeError):
+            x in d
 
 
 def test_mask_form_matches_member_form():

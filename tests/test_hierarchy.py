@@ -176,9 +176,8 @@ def test_directed_members_stay_directed_under_mult():
         down = [
             sum(1 << i for i, x in enumerate(urs) if lesssim_star(x, y, m.order)) for y in urs
         ]
-        members = urs + tuple(
-            hierarchy._adjoined_sets(urs, down, "istar", 1, hierarchy.DEFAULT_MAX_MEMBERS)
-        )
+        masks = hierarchy._adjoined_masks(down, "istar", hierarchy.DEFAULT_MAX_MEMBERS)
+        members = urs + tuple(hset(urs[i] for i in _bits(mask)) for mask in masks)
         directed = {}
         for x, y in itertools.product(members, repeat=2):
             xy = hset_mult(x, y, m)
@@ -256,6 +255,18 @@ def test_doomed_vstar_stage_interns_almost_nothing():
     with pytest.raises(CombinatorialBlowupError, match="stage 2 exceeds"):
         build_level(antichain4, 2, "vstar")
     assert len(hierarchy._SET_POOL) - before <= 15
+
+
+@pytest.mark.parametrize("kind", ["vstar", "istar", "ihat"])
+def test_doomed_stage_interns_no_set(kind, monkeypatch):
+    # stage 1 over a 12-point chain has 12 + 12 ihat, 12 + 4,095 istar and
+    # vstar candidates; each count is refused before any set is interned
+    labels = [f"c{i}" for i in range(12)]
+    chain12 = validate(labels, list(zip(labels, labels[1:])), close=True)
+    monkeypatch.setattr(hierarchy, "_SET_POOL", {})
+    with pytest.raises(CombinatorialBlowupError, match="stage 1 exceeds 20 candidate members"):
+        build_level(chain12, 1, kind, max_members=20)
+    assert hierarchy._SET_POOL == {}
 
 
 def _scanned_stages(q, alpha, kind):

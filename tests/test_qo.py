@@ -304,7 +304,7 @@ def _reference_equiv_classes(q):
     for i in range(q.n):
         if assigned[i] >= 0:
             continue
-        members = tuple(j for j in range(i, q.n) if q.equiv(i, j))
+        members = tuple(j for j in range(i, q.n) if q.leq[i, j] and q.leq[j, i])
         for j in members:
             assigned[j] = len(classes)
         classes.append(members)
