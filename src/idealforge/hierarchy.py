@@ -20,7 +20,7 @@ import numpy as np
 from .errors import CombinatorialBlowupError, EmptyCarrierError, LevelCapExceededError
 from .higman import AtomAlphabet
 from .monoid import MonoidalQO
-from .qo import FiniteQO, _bits, _checked_indices, _directed_mask, _element_masks
+from .qo import FiniteQO, _bits, _checked_indices, _element_masks
 from .qo import _as_index, all_downsets_of_poset, equiv_classes
 
 # The paper's hierarchy runs through every ordinal; this package stops here.
@@ -311,8 +311,16 @@ def _adjoined_masks(down: list[int], kind: str, room: int) -> list[int] | range:
         raise CombinatorialBlowupError(f"subset enumeration over {k} members")
     if kind == "vstar":
         return range(1, 1 << k)
-    directed = (mask for mask in range(1, 1 << k) if _directed_mask(down, mask))
-    return list(itertools.islice(directed, room + 1))
+    # on a finite stage the directed sets are those with a top; the members
+    # are pairwise inequivalent, so each is listed once, under its top j
+    below = [[1 << i for i in _bits(d & ~(1 << j))] for j, d in enumerate(down)]
+    topped = (
+        1 << j | sum(sub)
+        for j in range(k)
+        for r in range(len(below[j]) + 1)
+        for sub in itertools.combinations(below[j], r)
+    )
+    return list(itertools.islice(topped, room + 1))
 
 
 class Atom:

@@ -5,13 +5,10 @@ A word embeds into another when a weakly increasing map matches every letter
 to a letter above it, and only idempotent target letters may absorb more than
 one source letter.  With no idempotent letters this is the classical sequence
 embedding; with all letters idempotent it is domination of supports.  The
-decision procedure is a greedy leftmost match: each letter takes the first
-remaining target above it, and only a plain target is used up.  Its ground
-truth is the explicit search over all weakly increasing maps, one numpy
-kernel that decides a whole block of equal-length word pairs over a stack of
-alphabets of one carrier size at once, and the two are swept against each
-other exhaustively at small scale, with one kernel call per block and
-carrier size.
+decision is a greedy leftmost match, one numpy kernel that answers a table
+or a zip of padded words over a stack of alphabets; its ground truth is the
+explicit search over all weakly increasing maps, another such kernel, and
+the two are swept against each other a whole block at a time.
 """
 from __future__ import annotations
 
@@ -31,7 +28,6 @@ from .qo import (
     all_downsets_of_poset,
     all_quasi_orders,
     all_tuples,
-    first_of_each_class,
 )
 from .report import CheckResult, Report
 
@@ -42,6 +38,8 @@ _MAX_TUPLE = 3
 # cells one slice of the witness search, or of check_abstractly_higman's
 # tuple-pair table, holds at once
 _WITNESS_CELLS = 1 << 22
+# words per block of hword_primes_check's class search
+_CLASS_BLOCK = 512
 
 
 class AtomAlphabet:
@@ -51,7 +49,7 @@ class AtomAlphabet:
     a plain letter.  That is checked on construction.
     """
 
-    __slots__ = ("order", "idem", "_leq_rows")
+    __slots__ = ("order", "idem", "_stack")
 
     def __init__(self, order: FiniteQO, idem: Iterable[int]) -> None:
         # ascending, so the first offending letter depends only on the set
@@ -68,7 +66,8 @@ class AtomAlphabet:
             )
         self.order = order
         self.idem = frozenset(rows)
-        self._leq_rows = order.leq.tolist()
+        # the alphabet as a stack of one, the shape _embedding takes
+        self._stack = (order.leq[None], _idem_vector(order.n, rows)[None])
 
     def __repr__(self) -> str:
         return (
@@ -113,43 +112,62 @@ def concat(u: HWord, v: HWord) -> HWord:
     return HWord(u.alphabet, u.letters + v.letters)
 
 
-def _leq_letters(
-    lu: tuple[int, ...],
-    lv: tuple[int, ...],
-    leq_rows: Sequence[Sequence[bool]],
-    idem: frozenset[int],
-) -> bool:
-    """Embedding decision on raw letter tuples, by greedy leftmost match.
+def _embedding(
+    U: np.ndarray, V: np.ndarray, iu, iv, leq: np.ndarray, idem: np.ndarray
+) -> np.ndarray:
+    """The greedy leftmost match over a stack of alphabets of one carrier size.
 
-    Each letter of lu takes the first position at or after the cursor whose
-    letter lies above it; the cursor moves past that position only when its
-    letter is plain, so an idempotent target stays open to absorb more.
+    U is A x a and V is B x b, rows of letters padded on the right with -1,
+    leq is S x n x n and idem is S x n.  The row indices iu and iv broadcast
+    to the result's shape after the stack axis: iu = arange(A)[:, None] with
+    iv = arange(B) asks every pair (a table), iu = iv = arange(N) row i
+    against row i (a zip).  Per row of V a step table moves the cursor:
+    step[s, j, c, x] is past the first position p >= c of V[j] whose letter
+    lies above x, or p itself when that letter is idempotent, and b + 1 when
+    there is none; b + 1 stays, and the padding letter leaves the cursor
+    where it is.  Each letter of U is then one gather.
     """
-    j, m = 0, len(lv)
-    for a in lu:
-        row = leq_rows[a]
-        while j < m and not row[lv[j]]:
-            j += 1
-        if j == m:
-            return False
-        if lv[j] not in idem:
-            j += 1
-    return True
+    shape = (len(leq), *np.broadcast_shapes(np.shape(iu), np.shape(iv)))
+    if U.shape[1] == 0:
+        return np.ones(shape, dtype=bool)
+    (S, n), (B, b) = idem.shape, V.shape
+    cur = np.min_scalar_type(b + 1)
+    # letter n, which V's padding reads as -1, is above nothing
+    above = np.concatenate([leq.transpose(0, 2, 1), np.zeros((S, 1, n), dtype=bool)], 1)
+    stay = np.concatenate([idem, np.zeros((S, 1), dtype=bool)], 1).astype(cur)
+    step = np.empty((S, B, b + 2, n + 1), dtype=cur)
+    step[:, :, b:, :n] = b + 1
+    step[..., n] = np.arange(b + 2, dtype=cur)
+    for c in range(b - 1, -1, -1):
+        col = V[:, c]
+        moved = (c + 1 - stay[:, col])[..., None]
+        step[:, :, c, :n] = np.where(above[:, col], moved, step[:, :, c + 1, :n])
+    s = np.arange(S).reshape(-1, *[1] * (len(shape) - 1))
+    cursor = np.zeros(shape, dtype=cur)
+    for k in range(U.shape[1]):
+        # U's padding reads column n too
+        cursor = step[s, iv, cursor, U[iu, k]]
+    return cursor <= b
+
+
+def _word_order(alphabet: AtomAlphabet, U: np.ndarray, V: np.ndarray, table: bool) -> np.ndarray:
+    """The embedding of every row of U into every row of V, a table, or with
+    table unset of row i of U into row i of V, a zip."""
+    iu = np.arange(len(U))
+    return _embedding(U, V, iu[:, None] if table else iu, np.arange(len(V)), *alphabet._stack)[0]
 
 
 def leq_H(u: HWord, v: HWord) -> bool:
-    """Generalized embedding of u into v, decided by greedy leftmost match.
+    """Generalized embedding of u into v, the one-pair view of _embedding.
 
-    The greedy is complete by an exchange argument: by induction on the
-    letters of u, its cursor never passes the cursor of any witness map, so
-    it fails only when no witness exists.  Agreement with the explicit
-    witness search is a standing invariant of the test suite, not an
-    assumption.
+    The greedy is complete by an exchange argument: its cursor never passes
+    that of any witness map.  One pair costs tens of microseconds, about a
+    hundred times a scalar greedy loop, so no package loop asks pair by pair.
     """
     if u.alphabet is not v.alphabet:
         raise AlphabetMismatchError("cannot compare words over different alphabets")
-    alpha = u.alphabet
-    return _leq_letters(u.letters, v.letters, alpha._leq_rows, alpha.idem)
+    U, V = _letter_block([u.letters], len(u)), _letter_block([v.letters], len(v))
+    return bool(_word_order(u.alphabet, U, V, table=False)[0])
 
 
 @lru_cache(maxsize=None)
@@ -201,9 +219,10 @@ def _witness_table(
     return np.concatenate(out, axis=1)
 
 
-def _letter_block(words: Sequence[tuple[int, ...]], length: int) -> np.ndarray:
-    'Letter tuples of one length as a len(words) x length index array.'
-    return np.array(words, dtype=np.intp).reshape(len(words), length)
+def _letter_block(words: Sequence[tuple[int, ...]], width: int) -> np.ndarray:
+    'Letter tuples as a len(words) x width index array, each padded on the right with -1.'
+    pad = (-1,) * width
+    return np.array([w + pad[len(w) :] for w in words], dtype=np.intp).reshape(len(words), width)
 
 
 def _idem_vector(n: int, idem: Iterable[int]) -> np.ndarray:
@@ -218,9 +237,7 @@ def leq_H_bruteforce(u: HWord, v: HWord) -> bool:
     if u.alphabet is not v.alphabet:
         raise AlphabetMismatchError("cannot compare words over different alphabets")
     U, V = _letter_block([u.letters], len(u)), _letter_block([v.letters], len(v))
-    order = u.alphabet.order
-    idem = _idem_vector(order.n, u.alphabet.idem)
-    return bool(_witness_table(U, V, order.leq[None], idem[None])[0, 0, 0])
+    return bool(_witness_table(U, V, *u.alphabet._stack)[0, 0, 0])
 
 
 def equiv_H(u: HWord, v: HWord) -> bool:
@@ -232,22 +249,33 @@ def word_is_idempotent(w: HWord) -> bool:
     return equiv_H(concat(w, w), w)
 
 
-def canonical_word(w: HWord) -> HWord:
-    """Drop letters left to right while the word stays equivalent.
+def _canonical_rows(alphabet: AtomAlphabet, W: np.ndarray) -> np.ndarray:
+    """canonical_word on every row of a -1-padded letter block at once: each
+    round drops the letter at a row's position, from 0, if the row stays
+    equivalent to how it started, and moves the position on otherwise, one
+    zip each way over the rows not yet done, at most one round a letter."""
+    out, pos = W.copy(), np.zeros(len(W), dtype=np.intp)
+    length, cols = (W >= 0).sum(1), np.arange(W.shape[1])
+    live = np.flatnonzero(length)
+    while live.size:
+        padded = np.pad(out[live], ((0, 0), (0, 1)), constant_values=-1)
+        shorter = np.take_along_axis(padded, cols + (cols >= pos[live, None]), 1)
+        same = _word_order(alphabet, shorter, W[live], False)
+        same &= _word_order(alphabet, W[live], shorter, False)
+        out[live[same]] = shorter[same]
+        length[live[same]] -= 1
+        pos[live[~same]] += 1
+        live = live[pos[live] < length[live]]
+    return out
 
-    The scan is deterministic, so equal inputs canonicalize identically; that
-    equivalent words canonicalize to letterwise equivalent words is a tested
-    property, not something callers may assume without running the suite.
-    """
-    letters = list(w.letters)
-    i = 0
-    while i < len(letters):
-        shorter = HWord(w.alphabet, letters[:i] + letters[i + 1 :])
-        if equiv_H(shorter, w):
-            letters = list(shorter.letters)
-        else:
-            i += 1
-    return HWord(w.alphabet, letters)
+
+def canonical_word(w: HWord) -> HWord:
+    """Drop letters left to right while the word stays equivalent, the
+    one-word case of _canonical_rows.  Equal inputs canonicalize identically;
+    that equivalent words canonicalize to letterwise equivalent words is a
+    tested property, not something callers may assume."""
+    (row,) = _canonical_rows(w.alphabet, _letter_block([w.letters], len(w))).tolist()
+    return HWord(w.alphabet, [x for x in row if x >= 0])
 
 
 def all_words(alphabet: AtomAlphabet, maxlen: int) -> list[HWord]:
@@ -262,48 +290,60 @@ def hword_primes_check(alphabet: AtomAlphabet, maxlen: int = 4) -> Report:
     splitting into two factors leaves one factor equivalent to the whole.
     The claims checked: primes are exactly the words equivalent to a single
     letter, and the idempotent primes are exactly those equivalent to an
-    idempotent letter.  Factor pairs range over class representatives of
-    words up to maxlen; concatenation respects equivalence, so this covers
-    every factorization whose factor classes reach down to that length.
+    idempotent letter.  A class is represented by its first word in shortlex
+    order, found _CLASS_BLOCK words at a time against the representatives
+    so far, then within the block.
+
+    Splits are read off cuts.  w <= a.b exactly when some cut w = w1.w2 has
+    w1 <= a and w2 <= b, as a witness sends a prefix of w into a and the
+    rest into b.  Factors sit below their product, so w has a splitting with
+    neither factor equivalent to it exactly when some a.b ~ w has a < w and
+    b < w; its cut then has w1 < w and w2 < w, and such a cut is a splitting
+    itself.  So a nonempty class is prime exactly when no cut of its
+    representative has both parts strictly below it, for factors of any
+    length, and one zip of parts against representatives, each way, decides.
     """
     if maxlen > 6:
         raise TooLargeError("prime scan is capped at words of length 6")
-    words = all_words(alphabet, maxlen)
-    reps = first_of_each_class(words, equiv_H)
-
-    prime_bad = None
-    idem_bad = None
-    prime_classes = 0
-    idem_prime_classes = 0
-    for w in reps:
-        # a representative comes first in shortlex order, and no nonempty word embeds in ε
-        claimed = len(w) == 1
-        actual = len(w) > 0
-        if actual:
-            # both factors sit below their product, and neither may be equivalent to it
-            below = [a for a in reps if leq_H(a, w) and not leq_H(w, a)]
-            actual = not any(equiv_H(concat(a, b), w) for a in below for b in below)
-        if claimed != actual and prime_bad is None:
-            prime_bad = {"word": list(w.labels), "letter-class": claimed, "prime": actual}
-        if actual:
-            prime_classes += 1
-            # equivalent letters are of one kind, as the plain part is downward closed
-            idem_claimed = claimed and w.letters[0] in alphabet.idem
-            idem_actual = word_is_idempotent(w)
-            if idem_claimed != idem_actual and idem_bad is None:
-                idem_bad = {
-                    "word": list(w.labels),
-                    "idem-letter-class": idem_claimed,
-                    "idempotent": idem_actual,
-                }
-            if idem_actual:
-                idem_prime_classes += 1
-
+    words = all_tuples(alphabet.order.n, maxlen)
+    W = _letter_block(words, maxlen)
+    reps = np.zeros(0, dtype=np.intp)
+    for start in range(0, len(W), _CLASS_BLOCK):
+        rows = np.arange(start, min(start + _CLASS_BLOCK, len(W)))
+        R = W[reps]
+        known = _word_order(alphabet, W[rows], R, True) & _word_order(alphabet, R, W[rows], True).T
+        new = rows[~known.any(1)]
+        tied = _word_order(alphabet, W[new], W[new], True)
+        # a word tied to an earlier one is tied to that one's representative
+        reps = np.concatenate([reps, new[~np.tril(tied & tied.T, -1).any(1)]])
+    rep_words = [words[r] for r in reps]
+    cuts = [(r, w[:c], w[c:]) for r, w in enumerate(rep_words) for c in range(1, len(w))]
+    parts = _letter_block([x for _, w1, w2 in cuts for x in (w1, w2)], maxlen)
+    whole = W[reps[[r for r, _, _ in cuts for _ in (1, 2)]]]
+    below = _word_order(alphabet, parts, whole, False) & ~_word_order(alphabet, whole, parts, False)
+    split = np.zeros(len(reps), dtype=bool)
+    split[[r for (r, _, _), hit in zip(cuts, below[::2] & below[1::2]) if hit]] = True
+    # a representative comes first in shortlex order, and no nonempty word embeds in ε
+    lengths = np.array([len(w) for w in rep_words], dtype=np.intp)
+    claimed, actual = lengths == 1, (lengths > 0) & ~split
+    primes = np.flatnonzero(actual)
+    P = W[reps[primes]]
+    P2 = _letter_block([rep_words[r] * 2 for r in primes], 2 * maxlen)
+    idem_actual = _word_order(alphabet, P2, P, False) & _word_order(alphabet, P, P2, False)
+    # equivalent letters are of one kind, as the plain part is downward closed
+    idem_claimed = [bool(claimed[r]) and rep_words[r][0] in alphabet.idem for r in primes]
+    labels = [[alphabet.order.elements[i] for i in w] for w in rep_words]
+    prime_bad = idem_bad = None
+    for r in np.flatnonzero(claimed != actual)[:1]:
+        prime_bad = {"word": labels[r], "letter-class": bool(claimed[r]), "prime": bool(actual[r])}
+    for r, c, a in zip(primes, idem_claimed, idem_actual):
+        if c != a and idem_bad is None:
+            idem_bad = {"word": labels[r], "idem-letter-class": c, "idempotent": bool(a)}
     stats = {
         "words": len(words),
         "classes": len(reps),
-        "prime_classes": prime_classes,
-        "idem_prime_classes": idem_prime_classes,
+        "prime_classes": len(primes),
+        "idem_prime_classes": int(idem_actual.sum()),
     }
     return Report(
         "word-primes",
@@ -392,25 +432,21 @@ def bounded_word_monoid(
     shortened to canonical form, which keeps alphabets whose letters are all
     idempotent from overflowing at all.
     """
-    words = all_words(alphabet, maxlen)
+    words = all_tuples(alphabet.order.n, maxlen)
     k = len(words)
-    index = {w.letters: i for i, w in enumerate(words)}
-    labels = [".".join(w.labels) if w.letters else "ε" for w in words] + [_TOP]
-    table = np.zeros((k + 1, k + 1), dtype=bool)
-    for i, u in enumerate(words):
-        for j, v in enumerate(words):
-            table[i, j] = leq_H(u, v)
-    table[:, k] = True
+    index = {w: i for i, w in enumerate(words)}
+    labels = [".".join(alphabet.order.elements[i] for i in w) if w else "ε" for w in words]
+    W = _letter_block(words, maxlen)
+    table = np.ones((k + 1, k + 1), dtype=bool)
+    table[:k, :k] = _word_order(alphabet, W, W, True)
     table[k, :k] = False
-    table[k, k] = True
+    products = [u + v for u in words for v in words]
+    if reduce:
+        rows = _canonical_rows(alphabet, _letter_block(products, 2 * maxlen)).tolist()
+        products = [tuple(x for x in row if x >= 0) for row in rows]
     mult = np.full((k + 1, k + 1), k, dtype=np.int64)
-    for i, u in enumerate(words):
-        for j, v in enumerate(words):
-            w = concat(u, v)
-            if reduce:
-                w = canonical_word(w)
-            mult[i, j] = index.get(w.letters, k)
-    order = FiniteQO(labels, table)
+    mult[:k, :k] = np.reshape([index.get(w, k) for w in products], (k, k))
+    order = FiniteQO(labels + [_TOP], table)
     return MonoidalQO(order, mult, index[()])
 
 
@@ -438,10 +474,10 @@ def dp_agreement_sweep(
     lists them); the first disagreement is reported.
 
     Words are raw letter tuples, built once per carrier size.  The
-    alphabets of one size are collected first, and each (left length, right
-    length) block goes to _witness_table in one call over all of them; then
-    every pair goes to _leq_letters on its alphabet's table and is compared
-    with its cell.  After a disagreement the sweep finishes that quasi-order's
+    alphabets of one size are stacked, and each (left length, right length)
+    block gets one _embedding table and one _witness_table over all of them,
+    compared whole; a disagreement is located only in a block whose two
+    tables differ.  After one, the sweep finishes that quasi-order's
     alphabets and stops.  The longest word must fit the witness search; it
     is checked on entry, before any word is built.
     """
@@ -482,31 +518,35 @@ def dp_agreement_sweep(
                     continue
                 seen.add(key)
                 stack.append(AtomAlphabet(q, idem))
-        leq = np.stack([alphabet.order.leq for alphabet in stack])
-        idem_vecs = np.stack([_idem_vector(n, alphabet.idem) for alphabet in stack])
-        tables = [_witness_table(arrays[a], arrays[b], leq, idem_vecs) for a, b in blocks]
-        for s, alphabet in enumerate(stack):
-            q, rows, idem = alphabet.order, alphabet._leq_rows, alphabet.idem
-            # a disagreement ends the sweep with the alphabets of its carrier
-            if disagreement and q is not stack[s - 1].order:
-                break
-            systems += 1
-            for (a, b), table in zip(blocks, tables):
-                lhs, rhs = words[a], words[b]
-                pairs += len(lhs) * len(rhs)
-                fast = [_leq_letters(lu, lv, rows, idem) for lu in lhs for lv in rhs]
-                slow = table[s].ravel().tolist()
-                if fast != slow and disagreement is None:
-                    k = next(k for k, (x, y) in enumerate(zip(fast, slow)) if x != y)
-                    lu, lv = lhs[k // len(rhs)], rhs[k % len(rhs)]
-                    disagreement = {
-                        "alphabet": list(q.elements),
-                        "idem": sorted(q.elements[i] for i in idem),
-                        "lhs": [q.elements[i] for i in lu],
-                        "rhs": [q.elements[i] for i in lv],
-                        "dp": fast[k],
-                        "witness-search": slow[k],
-                    }
+        leq, idem = (np.concatenate(x) for x in zip(*(al._stack for al in stack)))
+        # each block's greedy table beside its witness search, all alphabets
+        # at once; only a block where the two differ is kept
+        differing = []
+        for a, b in blocks:
+            U, V = arrays[a], arrays[b]
+            fast = _embedding(U, V, np.arange(len(U))[:, None], np.arange(len(V)), leq, idem)
+            slow = _witness_table(U, V, leq, idem)
+            if (fast != slow).any():
+                differing.append((a, b, fast, slow))
+        swept = len(stack)
+        if differing:
+            # the first disagreement by alphabet, block and row-major cell;
+            # the sweep ends with the rest of that quasi-order's alphabets
+            s = min(int(np.argmax((f != w).any((1, 2)))) for _, _, f, w in differing)
+            q = stack[s].order
+            swept = next((t for t in range(s, len(stack)) if stack[t].order is not q), len(stack))
+            a, b, fast, slow = next(d for d in differing if (d[2][s] != d[3][s]).any())
+            i, j = divmod(int(np.argmax(fast[s] != slow[s])), len(words[b]))
+            disagreement = {
+                "alphabet": list(q.elements),
+                "idem": sorted(q.elements[x] for x in stack[s].idem),
+                "lhs": [q.elements[x] for x in words[a][i]],
+                "rhs": [q.elements[x] for x in words[b][j]],
+                "dp": bool(fast[s, i, j]),
+                "witness-search": bool(slow[s, i, j]),
+            }
+        systems += swept
+        pairs += swept * sum(len(words[a]) * len(words[b]) for a, b in blocks)
         if disagreement:
             break
     return Report(

@@ -18,7 +18,7 @@ import itertools
 import numpy as np
 
 from .errors import ScaleExceededError
-from .higman import HWord, hword_primes_check, leq_H
+from .higman import HWord, _letter_block, _word_order, hword_primes_check
 from .hierarchy import Atom, build_atoms
 from .qo import FiniteQO, _bits, _element_masks, all_tuples
 from .report import CheckResult, Report
@@ -120,13 +120,15 @@ def check_containment_agreement(
     words = all_tuples(len(system.atoms), max_word_len)
     hwords = [HWord(system.alphabet, t) for t in words]
     masks = [ctx.word_mask(tuple(system.atoms[i] for i in t)) for t in words]
+    W = _letter_block(words, max_word_len)
+    table = _word_order(system.alphabet, W, W, True).tolist()
 
     violation = None
     flagged: list[dict] = []
     confirmed = refuted = unresolved = 0
     for i, u in enumerate(hwords):
         for j, v in enumerate(hwords):
-            sym = leq_H(u, v)
+            sym = table[i][j]
             contained = masks[i] & ~masks[j] == 0
             if sym and not contained:
                 if violation is None:

@@ -195,19 +195,6 @@ def quotient(q: FiniteQO) -> QuotientMap:
     return QuotientMap(tuple(class_of), FiniteQO(labels, table))
 
 
-def first_of_each_class(items: Iterable, equiv) -> list:
-    """The first item of each equivalence class, in input order: an item is
-    kept unless equiv(item, kept) holds for some item kept before it."""
-    reps: list = []
-    for x in items:
-        for r in reps:
-            if equiv(x, r):
-                break
-        else:
-            reps.append(x)
-    return reps
-
-
 def all_tuples(n: int, maxlen: int) -> list[tuple[int, ...]]:
     'Tuples over range(n) up to length maxlen, shortest first, lexicographic within a length.'
     if maxlen < 0:
@@ -321,16 +308,22 @@ def all_downsets_of_poset(leq: np.ndarray, max_count: int | None = None) -> list
     Steps through the equivalence classes in a linear extension, by the
     (down-count, index) of their least members, and grows each downset so
     far by a whole class once everything strictly below it is in, appending
-    the grown downsets after those so far.  The work is proportional to the
-    number of downsets, bounded by max_count, which counts the empty set too.
+    the grown downsets after those so far.  A downset holding a class was
+    appended at or after that class's step, so a step scans only from the
+    step of its latest-stepped predecessor on.  The count is bounded by
+    max_count, which counts the empty set too.
     """
     below, above = _row_masks(leq.T), _row_masks(leq)
     least = [i for i, b in enumerate(below) if not b & above[i] & (1 << i) - 1]
     downs = [0]
+    # each class stepped so far, with the list's length before its step
+    steps: list[tuple[int, int]] = []
     for x in sorted(least, key=lambda i: (below[i].bit_count(), i)):
         cls = below[x] & above[x]
         preds = below[x] & ~cls
-        downs += [d | cls for d in downs if d & preds == preds]
+        start = next((k for c, k in reversed(steps) if c & preds), 0)
+        steps.append((cls, len(downs)))
+        downs += [d | cls for d in downs[start:] if d & preds == preds]
         if max_count is not None and len(downs) > max_count:
             raise CombinatorialBlowupError(
                 f"more than {max_count} downward-closed subsets, the empty one included"

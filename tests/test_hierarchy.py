@@ -28,9 +28,9 @@ from idealforge.higman import HWord
 from idealforge.qo import (
     FiniteQO,
     _bits,
+    _directed_mask,
     all_quasi_orders,
     equiv_classes,
-    first_of_each_class,
     validate,
 )
 from idealforge.reflect import build_reflection
@@ -269,6 +269,30 @@ def test_doomed_stage_interns_no_set(kind, monkeypatch):
     assert hierarchy._SET_POOL == {}
 
 
+def test_istar_lists_directed_sets_per_top(monkeypatch):
+    # a 20-point antichain adjoins its 20 singletons and nothing else
+    antichain20 = FiniteQO([f"p{i}" for i in range(20)], np.eye(20, dtype=bool))
+    level = build_level(antichain20, 1, "istar", max_members=40)
+    assert [s.cardinality for s in level.chain()] == [20, 20]
+    # over a 12-point chain every one of the 4,095 nonempty sets has a top
+    chain = list(range(12))
+    down = [sum(1 << i for i in chain[: j + 1]) for j in chain]
+    assert len(hierarchy._adjoined_masks(down, "istar", 10**6)) == 4_095
+    # the same members as the scan of all 2^k masks for directedness, on
+    # every quasi-order on at most 4 points at level 2
+    levels = [build_level(q, 2, "istar") for n in range(1, 5) for q in all_quasi_orders(n)]
+
+    def scanned(down, kind, room):
+        directed = (m for m in range(1, 1 << len(down)) if _directed_mask(down, m))
+        return list(itertools.islice(directed, room + 1))
+
+    monkeypatch.setattr(hierarchy, "_adjoined_masks", scanned)
+    wanted = [build_level(q, 2, "istar") for n in range(1, 5) for q in all_quasi_orders(n)]
+    assert len(levels) == 46
+    for got, want in zip(levels, wanted):
+        assert [s.members for s in got.chain()] == [s.members for s in want.chain()]
+
+
 def _scanned_stages(q, alpha, kind):
     """build_level's stages by the quadratic scan it replaced: the adjoined
     sets chosen by lesssim_star, and each candidate, in serial order, kept
@@ -294,7 +318,10 @@ def _scanned_stages(q, alpha, kind):
                     ):
                         candidates.append(hset(members[i] for i in chosen))
         ordered = sorted(set(candidates), key=lambda h: h.serial)
-        members = first_of_each_class(ordered, lambda x, y: sim_star(x, y, q))
+        members = []
+        for x in ordered:
+            if not any(sim_star(x, y, q) for y in members):
+                members.append(x)
         stages.append(tuple(members))
     return stages
 

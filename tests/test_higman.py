@@ -27,7 +27,7 @@ from idealforge.higman import (
 from idealforge.fixtures import capped_addition, flat
 from idealforge.hierarchy import build_atoms
 from idealforge.monoid import check_axioms
-from idealforge.qo import FiniteQO, all_quasi_orders, all_tuples, first_of_each_class, validate
+from idealforge.qo import FiniteQO, all_quasi_orders, all_tuples, validate
 from idealforge.report import CheckResult, Report
 
 
@@ -200,19 +200,65 @@ def test_dp_agrees_with_witness_search_smoke():
     assert report.checks[0].stats["pairs"] > 1000
 
 
-def test_sweep_catches_a_wrong_decision(monkeypatch):
-    def classical_rule(lu, lv, leq_rows, idem):
-        # the cursor always advances, so no idempotent target absorbs twice
-        j, m = 0, len(lv)
-        for a in lu:
-            while j < m and not leq_rows[a][lv[j]]:
-                j += 1
-            if j == m:
-                return False
+def greedy_leq(lu, lv, leq_rows, idem):
+    """The scalar greedy, the reference _embedding is compared with: each
+    letter of lu takes the first position at or after the cursor whose
+    letter lies above it, and the cursor moves past that position only when
+    its letter is plain, so an idempotent target stays open to absorb more."""
+    j, m = 0, len(lv)
+    for a in lu:
+        row = leq_rows[a]
+        while j < m and not row[lv[j]]:
             j += 1
-        return True
+        if j == m:
+            return False
+        if lv[j] not in idem:
+            j += 1
+    return True
 
-    monkeypatch.setattr(higman, "_leq_letters", classical_rule)
+
+def test_embedding_kernel_matches_the_scalar_reference():
+    # every quasi-order on at most 3 letters under every upward-closed
+    # idempotent set, every pair of words up to length 4: as one table over
+    # the stack of each size's alphabets, and as a zip per alphabet
+    pairs = 0
+    for n in range(4):
+        words = all_tuples(n, 4)
+        W = higman._letter_block(words, 4)
+        alphabets = [(q, idem) for q in all_quasi_orders(n) for idem in upward_closed_subsets(q)]
+        leq = np.stack([q.leq for q, _ in alphabets])
+        vecs = np.stack([higman._idem_vector(n, idem) for _, idem in alphabets])
+        rows = np.arange(len(words))
+        tables = higman._embedding(W, W, rows[:, None], rows, leq, vecs)
+        iu, iv = rows.repeat(len(words)), np.tile(rows, len(words))
+        for s, (q, idem) in enumerate(alphabets):
+            leq_rows = q.leq.tolist()
+            expected = [[greedy_leq(u, v, leq_rows, idem) for v in words] for u in words]
+            assert tables[s].tolist() == expected, (q, sorted(idem))
+            (zipped,) = higman._embedding(W, W, iu, iv, leq[s : s + 1], vecs[s : s + 1])
+            assert zipped.reshape(len(words), len(words)).tolist() == expected
+            pairs += len(words) ** 2
+    assert pairs == 594_340
+    # words past 255 letters need a wider cursor than one byte; a cursor
+    # that wrapped to 0 would find u in u[:-1]
+    al = classical(2)
+    rng = np.random.default_rng(5)
+    u, v = (tuple(rng.integers(0, 2, 300).tolist()) for _ in range(2))
+    leq_rows = al.order.leq.tolist()
+    cases = [(u, v), (v, u), (u, u), (u, u[:-1]), (u[:-1], u)]
+    got = [leq_H(HWord(al, x), HWord(al, y)) for x, y in cases]
+    assert got == [greedy_leq(x, y, leq_rows, al.idem) for x, y in cases]
+    assert True in got and False in got
+
+
+def test_sweep_catches_a_wrong_decision(monkeypatch):
+    kernel = higman._embedding
+
+    def classical_rule(U, V, iu, iv, leq, idem):
+        # the cursor always advances, so no idempotent target absorbs twice
+        return kernel(U, V, iu, iv, leq, np.zeros_like(idem))
+
+    monkeypatch.setattr(higman, "_embedding", classical_rule)
     report = dp_agreement_sweep(max_atoms=2, max_pair_len=4, full_len=4, full_atom_cap=2)
     (check,) = report.checks
     assert not check.passed
@@ -225,6 +271,24 @@ def test_sweep_catches_a_wrong_decision(monkeypatch):
         "witness-search": True,
     }
     assert check.stats["pairs"] == 50
+
+    def plain_b(U, V, iu, iv, leq, idem):
+        # only letter b stops absorbing: the first disagreement is cell
+        # (3, 1) of its block, and the sweep ends after its carrier's alphabets
+        return kernel(U, V, iu, iv, leq, idem & (np.arange(idem.shape[1]) != 1))
+
+    monkeypatch.setattr(higman, "_embedding", plain_b)
+    report = dp_agreement_sweep(max_atoms=2, max_pair_len=4, full_len=4, full_atom_cap=2)
+    (check,) = report.checks
+    assert check.counterexample == {
+        "alphabet": ["a", "b"],
+        "idem": ["a", "b"],
+        "lhs": ["b", "b"],
+        "rhs": ["b"],
+        "dp": False,
+        "witness-search": True,
+    }
+    assert check.stats == {"systems": 5, "pairs": 2_933}
 
 
 def test_sweep_catches_a_wrong_audit(monkeypatch):
@@ -344,17 +408,20 @@ def test_negative_word_length_is_rejected():
 @given(st.data())
 def test_order_axioms_hold_on_random_words(data):
     al = idem_top()
-    letters = st.lists(st.integers(0, 2), max_size=4)
-    u = HWord(al, data.draw(letters))
-    v = HWord(al, data.draw(letters))
-    w = HWord(al, data.draw(letters))
-    assert leq_H(u, u)
-    if leq_H(u, v) and leq_H(v, w):
-        assert leq_H(u, w)
+    rows = al.order.leq.tolist()
+
+    def leq(x, y):
+        return greedy_leq(x, y, rows, al.idem)
+
+    letters = st.lists(st.integers(0, 2), max_size=4).map(tuple)
+    u, v, w = (data.draw(letters) for _ in range(3))
+    assert leq(u, u)
+    if leq(u, v) and leq(v, w):
+        assert leq(u, w)
     # concatenation is monotone on both sides
-    if leq_H(u, v):
-        assert leq_H(concat(u, w), concat(v, w))
-        assert leq_H(concat(w, u), concat(w, v))
+    if leq(u, v):
+        assert leq(u + w, v + w)
+        assert leq(w + u, w + v)
 
 
 def test_prime_words_are_letter_classes():
@@ -366,34 +433,52 @@ def test_prime_words_are_letter_classes():
         )
 
 
+def first_of_each_class(items, equiv):
+    """The first item of each equivalence class, in input order: an item is
+    kept unless equiv(item, kept) holds for some item kept before it."""
+    reps = []
+    for x in items:
+        if not any(equiv(x, r) for r in reps):
+            reps.append(x)
+    return reps
+
+
 def _reference_primes_census(alphabet, maxlen):
-    """hword_primes_check by the double loop over class representatives: a
-    nonempty class is prime unless some pair below it, neither equivalent to
-    it, concatenates to it."""
-    words = all_words(alphabet, maxlen)
-    reps = first_of_each_class(words, equiv_H)
-    letters = [HWord(alphabet, (i,)) for i in range(alphabet.order.n)]
-    empty = HWord(alphabet, ())
+    """hword_primes_check by the double loop over class representatives, on
+    the scalar greedy: a nonempty class is prime unless some pair below it,
+    neither equivalent to it, concatenates to it."""
+    rows = alphabet.order.leq.tolist()
+
+    def leq(u, v):
+        return greedy_leq(u, v, rows, alphabet.idem)
+
+    def equiv(u, v):
+        return leq(u, v) and leq(v, u)
+
+    words = all_tuples(alphabet.order.n, maxlen)
+    reps = first_of_each_class(words, equiv)
+    letters = [(i,) for i in range(alphabet.order.n)]
     prime_bad = idem_bad = None
     prime_classes = idem_prime_classes = 0
     for w in reps:
-        claimed = any(equiv_H(w, l) for l in letters)
-        actual = not equiv_H(w, empty) and not any(
-            equiv_H(concat(a, b), w) and not equiv_H(a, w) and not equiv_H(b, w)
+        labels = [alphabet.order.elements[i] for i in w]
+        claimed = any(equiv(w, l) for l in letters)
+        actual = not equiv(w, ()) and not any(
+            equiv(a + b, w) and not equiv(a, w) and not equiv(b, w)
             for a in reps
-            if leq_H(a, w)
+            if leq(a, w)
             for b in reps
-            if leq_H(b, w)
+            if leq(b, w)
         )
         if claimed != actual and prime_bad is None:
-            prime_bad = {"word": list(w.labels), "letter-class": claimed, "prime": actual}
+            prime_bad = {"word": labels, "letter-class": claimed, "prime": actual}
         if actual:
             prime_classes += 1
-            idem_claimed = any(equiv_H(w, letters[i]) for i in sorted(alphabet.idem))
-            idem_actual = word_is_idempotent(w)
+            idem_claimed = any(equiv(w, letters[i]) for i in sorted(alphabet.idem))
+            idem_actual = equiv(w + w, w)
             if idem_claimed != idem_actual and idem_bad is None:
                 idem_bad = {
-                    "word": list(w.labels),
+                    "word": labels,
                     "idem-letter-class": idem_claimed,
                     "idempotent": idem_actual,
                 }
@@ -427,6 +512,21 @@ def test_prime_census_matches_the_triple_loop_reference():
     for al in alphabets:
         got = hword_primes_check(al, maxlen=3).to_json()
         assert got == _reference_primes_census(al, 3).to_json(), al
+
+
+def test_prime_census_reads_the_same_in_small_blocks(monkeypatch):
+    # blocks of one and of five words find most classes against the
+    # representatives of earlier blocks, not within their own block
+    alphabets = [
+        AtomAlphabet(q, idem)
+        for n in (1, 2, 3)
+        for q in all_quasi_orders(n)
+        for idem in upward_closed_subsets(q)
+    ]
+    whole = [hword_primes_check(al, maxlen=3).to_json() for al in alphabets]
+    for block in (1, 5):
+        monkeypatch.setattr(higman, "_CLASS_BLOCK", block)
+        assert [hword_primes_check(al, maxlen=3).to_json() for al in alphabets] == whole
 
 
 def idem_singleton():

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from idealforge import oracle
@@ -235,7 +236,9 @@ def test_two_forms_names_a_denotation_of_neither_shape(monkeypatch, a2):
 def test_containment_agreement_names_the_witness_of_a_lying_order(monkeypatch, a2):
     # an order that puts every word below every other is refuted by the
     # first pair, a below ε, through the sequence a that only the left denotes
-    monkeypatch.setattr(oracle, "leq_H", lambda u, v: True)
+    monkeypatch.setattr(
+        oracle, "_word_order", lambda alphabet, U, V, table: np.ones((len(U), len(V)), bool)
+    )
     report = check_containment_agreement(a2, 1, maxlen=3, max_word_len=2)
     assert not report.passed
     check = report.check("order-implies-containment")

@@ -11,6 +11,7 @@ from idealforge.errors import (
     NotTransitiveError,
     UnknownLabelError,
 )
+from idealforge.higman import AtomAlphabet, bounded_word_monoid
 from idealforge.qo import (
     FiniteQO,
     _bits,
@@ -20,6 +21,7 @@ from idealforge.qo import (
     _down_mask,
     _element_masks,
     _quote,
+    _row_masks,
     _union_mask,
     all_downsets_of_poset,
     all_quasi_orders,
@@ -222,6 +224,30 @@ def test_all_downsets_of_poset_steps_over_classes():
             assert found[0] == 0 and sorted(found) == closed
             classes = quotient(FiniteQO([str(i) for i in range(n)], table)).classes.leq
             assert all_downsets_of_poset(classes) == _reference_downsets_of_poset(classes)
+
+
+def _full_scan_downsets(leq):
+    # the class-stepping enumeration as it was before each step skipped the
+    # downsets listed before its latest-stepped predecessor's step
+    below, above = _row_masks(leq.T), _row_masks(leq)
+    least = [i for i, b in enumerate(below) if not b & above[i] & (1 << i) - 1]
+    downs = [0]
+    for x in sorted(least, key=lambda i: (below[i].bit_count(), i)):
+        cls = below[x] & above[x]
+        preds = below[x] & ~cls
+        downs += [d | cls for d in downs if d & preds == preds]
+    return downs
+
+
+def test_downset_steps_scan_only_what_can_grow():
+    # the same list in the same order as the full scan, on every labelled
+    # quasi-order on at most four points and on the 41-point word order
+    tables = [table for n in range(5) for table in _labeled_quasi_order_tables(n)]
+    vee = validate(["a", "b", "c"], [("a", "c"), ("b", "c")], close=True)
+    tables.append(bounded_word_monoid(AtomAlphabet(vee, ()), 3).order.leq)
+    for table in tables:
+        assert all_downsets_of_poset(table) == _full_scan_downsets(table)
+    assert len(tables) == 391 and len(all_downsets_of_poset(tables[-1])) == 41_268
 
 
 def test_all_quasi_orders_counts():
