@@ -10,6 +10,10 @@ factor products, and the bounded bitmasks guard that decision.  None of it
 consults the word-embedding decision procedure or the letter-order rules, so
 agreement between the two routes is evidence rather than wiring.  The
 check_* drivers are the only places both routes meet.
+
+Both inclusions are asked a table at a time: _contained_table runs the
+greedy over per-list step tables, and _included_table compares unpacked
+universe bits, in row blocks of at most _BLOCK_CELLS cells.
 """
 from __future__ import annotations
 
@@ -24,6 +28,9 @@ from .qo import FiniteQO, _bits, _element_masks, all_tuples
 from .report import CheckResult, Report
 
 _SEQ_UNIVERSE_CAP = 200_000
+# cells one block of a containment table, or of check_xy_wz's quadruple
+# rows, holds at once
+_BLOCK_CELLS = 1 << 20
 
 
 def seq_label(p: FiniteQO, s: tuple[int, ...]) -> str:
@@ -109,9 +116,14 @@ def check_containment_agreement(
     """Pit the word-order decision against raw denotation containment.
 
     A word below another must denote a subset; a word not below must be
-    refuted by a concrete short sequence.  Every pair the universe cannot
-    refute is counted, the first ten are flagged, and any such pair fails
-    the second check: an undecided pair is no evidence either way.
+    refuted by a concrete short sequence.  The word order is one table over
+    every pair of words, and bounded inclusion of their masks another
+    (_included_table); the counts are read off the two tables.  The first
+    violation in row-major order is reported, with the last sequence of the
+    universe that its left word denotes and its right word does not.  Every
+    pair the universe cannot refute is counted, the first ten in row-major
+    order are flagged, and any such pair fails the second check: an
+    undecided pair is no evidence either way.
     """
     if alpha > 2 or maxlen > 5:
         raise ScaleExceededError("containment sweep is sized for alpha <= 2, maxlen <= 5")
@@ -121,31 +133,24 @@ def check_containment_agreement(
     hwords = [HWord(system.alphabet, t) for t in words]
     masks = [ctx.word_mask(tuple(system.atoms[i] for i in t)) for t in words]
     W = _letter_block(words, max_word_len)
-    table = _word_order(system.alphabet, W, W, True).tolist()
-
+    order = _word_order(system.alphabet, W, W, True)
+    inside = _included_table(masks, masks, len(ctx.seqs))
+    confirmed = int(np.count_nonzero(order & inside))
+    unresolved = int(np.count_nonzero(inside)) - confirmed
+    lies = int(np.count_nonzero(order)) - confirmed
+    refuted = len(words) ** 2 - confirmed - unresolved - lies
     violation = None
-    flagged: list[dict] = []
-    confirmed = refuted = unresolved = 0
-    for i, u in enumerate(hwords):
-        for j, v in enumerate(hwords):
-            sym = table[i][j]
-            contained = masks[i] & ~masks[j] == 0
-            if sym and not contained:
-                if violation is None:
-                    bit = (masks[i] & ~masks[j]).bit_length() - 1
-                    violation = {
-                        "lhs": list(u.labels),
-                        "rhs": list(v.labels),
-                        "witness": seq_label(p, ctx.seqs[bit]),
-                    }
-            elif sym:
-                confirmed += 1
-            elif not contained:
-                refuted += 1
-            else:
-                unresolved += 1
-                if len(flagged) < 10:
-                    flagged.append({"lhs": list(u.labels), "rhs": list(v.labels)})
+    if lies:
+        i, j = np.argwhere(order & ~inside)[0]
+        violation = {
+            "lhs": list(hwords[i].labels),
+            "rhs": list(hwords[j].labels),
+            "witness": seq_label(p, ctx.seqs[(masks[i] & ~masks[j]).bit_length() - 1]),
+        }
+    flagged = [
+        {"lhs": list(hwords[i].labels), "rhs": list(hwords[j].labels)}
+        for i, j in np.argwhere(inside & ~order)[:10]
+    ]
     stats = {
         "atoms": len(system.atoms),
         "words": len(words),
@@ -250,37 +255,90 @@ def _concat(
     return tuple(out)
 
 
-def _product_contained(
-    fu: tuple[tuple[str, int], ...], fv: tuple[tuple[str, int], ...]
-) -> bool:
-    """Exact inclusion of two factor-product languages, no length bound.
-
-    The greedy scan for simple regular expressions (Abdulla,
-    Collomb-Annichini, Bouajjani and Jonsson, FMSD 2004): each factor of fu
-    takes the first factor of fv at or after the cursor whose letters cover
-    its own, and a star needs a star.  The cursor moves past an
-    optional-letter target and stays on a star.  The scan relies on the
-    shape of the factors: every letter set is a downset, and every
-    optional-letter set is a principal downset, because plain letters are
-    carrier classes.  So one covering factor exists whenever the top letter
-    fits.
-    """
-    j = 0
-    for kind, letters in fu:
-        while j < len(fv) and (letters & ~fv[j][1] or kind == "s" and fv[j][0] == "d"):
-            j += 1
-        if j == len(fv):
-            return False
-        if fv[j][0] == "d":
-            j += 1
-    return True
-
-
-def _intern(rows: list[list]) -> tuple[np.ndarray, list]:
+def _intern(rows: list) -> tuple[list[tuple[int, ...]], list]:
     'Replace each cell by an integer id; also return the distinct values by id.'
     ids: dict = {}
-    out = [[ids.setdefault(v, len(ids)) for v in row] for row in rows]
-    return np.array(out), list(ids)
+    out = [tuple(ids.setdefault(v, len(ids)) for v in row) for row in rows]
+    return out, list(ids)
+
+
+def _contained_table(
+    lists_u: list[tuple[tuple[str, int], ...]], lists_v: list[tuple[tuple[str, int], ...]]
+) -> np.ndarray:
+    """Exact inclusion of every factor-product language of lists_u in every
+    one of lists_v, no length bound.
+
+    The greedy scan for simple regular expressions (Abdulla,
+    Collomb-Annichini, Bouajjani and Jonsson, FMSD 2004): each factor of a
+    left list takes the first factor of the right list at or after the
+    cursor that covers it, its letters containing the factor's and a star
+    needing a star.  The cursor moves past an optional-letter target and
+    stays on a star.  The scan relies on the shape of the factors: every
+    letter set is a downset, and every optional-letter set is a principal
+    downset, because plain letters are carrier classes.  So one covering
+    factor exists whenever the top letter fits.
+
+    The distinct factors are interned, and per right list a step table
+    moves the cursor: step[j, c, f] is past the first position p >= c of
+    list j whose factor covers f, or p itself when that factor is a star,
+    and b + 1 when there is none; b + 1 stays, and the padding factor
+    leaves the cursor where it is.  Each left factor is then one gather over
+    all pairs.
+    """
+    rows, factors = _intern([*lists_u, *lists_v])
+    U, V = (
+        _letter_block(part, max(map(len, part), default=0))
+        for part in (rows[: len(lists_u)], rows[len(lists_u) :])
+    )
+    if U.shape[1] == 0:
+        return np.ones((len(U), len(V)), dtype=bool)
+    # cover[f, g]: g's letters contain f's, and f is no star over a plain g;
+    # the last column is the right padding, -1, which is no star and covers nothing
+    star = np.array([kind == "s" for kind, _ in factors] + [False])
+    cover = np.array([[f & ~g == 0 for _, g in factors] + [False] for _, f in factors])
+    cover &= ~(star[:-1, None] & ~star)
+    (B, b), F = V.shape, len(factors)
+    cur = np.min_scalar_type(b + 1)
+    step = np.empty((B, b + 2, F + 1), dtype=cur)
+    step[:, b:, :F] = b + 1
+    step[..., F] = np.arange(b + 2, dtype=cur)
+    for c in range(b - 1, -1, -1):
+        col = V[:, c]
+        moved = (c + 1 - star[col]).astype(cur)[:, None]
+        step[:, c, :F] = np.where(cover[:, col].T, moved, step[:, c + 1, :F])
+    iv = np.arange(B)
+    cursor = np.zeros((len(U), B), dtype=cur)
+    for k in range(U.shape[1]):
+        # the left padding reads column F too
+        cursor = step[iv, cursor, U[:, k, None]]
+    return cursor <= b
+
+
+def _included_table(masks_u: list[int], masks_v: list[int], nbits: int) -> np.ndarray:
+    """Bounded inclusion, mu & ~mv == 0, of every mask of masks_u in every
+    mask of masks_v over a universe of nbits sequences.
+
+    The masks are unpacked into rows of bits, and a block of rows of masks_u
+    at a time is one float32 product against the complements of masks_v: a
+    cell counts the sequences the left mask holds and the right one lacks.
+    The count is at most _SEQ_UNIVERSE_CAP < 2**24, so float32 holds it
+    exactly.  A block holds at most _BLOCK_CELLS cells.
+    """
+    width = (nbits + 7) // 8
+    u, v = (
+        np.unpackbits(
+            np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+            .reshape(len(masks), width),
+            axis=1, count=nbits, bitorder="little",
+        )
+        for masks in (masks_u, masks_v)
+    )
+    outside = (1 - v.T).astype(np.float32)
+    out = np.empty((len(u), len(v)), dtype=bool)
+    rows = max(1, _BLOCK_CELLS // max(1, len(v)))
+    for r in range(0, len(u), rows):
+        out[r : r + rows] = u[r : r + rows].astype(np.float32) @ outside == 0
+    return out
 
 
 def check_xy_wz(
@@ -298,15 +356,16 @@ def check_xy_wz(
 
     Each pair product is interned once, as its (normalised factor list,
     bounded mask) pair, and two dense tables over the distinct products are
-    filled up front: exact containment by greedy inclusion
-    (_product_contained) of the lists, and bounded inclusion of the masks.
-    A word is its product with the empty word, so single-word containment
-    is the first column of the id array.  Each (x, y) row then reads both
-    tables over all (w, z) at once.  Exact containment implies bounded
-    inclusion, which the guard checks on every pair of products, so only
-    cells inside the bounded inclusion are read; an exact miss there is
-    counted as saturated at the bound.  Counts stop at the first violation
-    in (x, y, w, z) order.
+    filled up front: exact containment of the lists (_contained_table) and
+    bounded inclusion of the masks (_included_table).  A word is its
+    product with the empty word, so single-word containment is the first
+    column of the id array.  The (x, y) rows are then read over all (w, z)
+    a block of rows at a time, at most _BLOCK_CELLS cells per block.  Exact
+    containment implies bounded inclusion, which the guard checks on every
+    pair of products, so only cells inside the bounded inclusion are read;
+    an exact miss there is counted as saturated at the bound.  Counts stop
+    at the first violation in (x, y, w, z) order, the quadruples' row-major
+    order, and include it.
     """
     if maxlen > 4:
         raise ScaleExceededError("product sweep is sized for maxlen <= 4")
@@ -318,11 +377,13 @@ def check_xy_wz(
     k = len(words)
     labels = [".".join(system.atoms[i].serial for i in t) or "ε" for t in words]
 
-    pid, products = _intern(
+    ids, products = _intern(
         [[(_concat(fa, fb), ctx.product(ma, mb)) for fb, mb in singles] for fa, ma in singles]
     )
-    contained = np.array([[_product_contained(fu, fv) for fv, _ in products] for fu, _ in products])
-    bounded = np.array([[mu & ~mv == 0 for _, mv in products] for _, mu in products])
+    pid = np.array(ids)
+    lists, masks = zip(*products)
+    contained = _contained_table(lists, lists)
+    bounded = _included_table(masks, masks, len(ctx.seqs))
     # words[0] is the empty word, and a product with it is the other factor
     exact = contained[np.ix_(pid[:, 0], pid[:, 0])]
     # a lying pair is labelled by the first (x, y) and (w, z) forming its products
@@ -334,16 +395,26 @@ def check_xy_wz(
 
     bad = None
     held = saturated = 0
-    for x, y in itertools.product(range(k), repeat=2):
-        inside = bounded[pid[x, y]][pid].ravel()
-        fits = inside & contained[pid[x, y]][pid].ravel()
-        misses = np.flatnonzero(fits & ~(exact[x][:, None] | exact[y]).ravel())
-        stop = misses[0] + 1 if len(misses) else k * k
-        held_here = np.count_nonzero(fits[:stop])
+    # a cell of reading is 0 outside the bounded inclusion, 1 inside it and
+    # 2 where the exact containment holds too; limit is 2 where a single-word
+    # containment holds and 1 where not, so a cell is a violation when it
+    # reads more than the or of its two limits, which is 1 only when both are
+    reading = np.add(bounded, bounded & contained, dtype=np.uint8)
+    limit = np.where(exact, 2, 1).astype(np.uint8)
+    wz = pid.ravel()
+    rows = max(1, _BLOCK_CELLS // (k * k))
+    for r in range(0, k * k, rows):
+        x, y = divmod(np.arange(r, min(r + rows, k * k)), k)
+        block = np.take(reading[wz[r : r + rows]], wz, axis=1).ravel()
+        over = block > (limit[x][:, :, None] | limit[y][:, None, :]).ravel()
+        miss = over.any()
+        read = block[: over.argmax() + 1] if miss else block
+        held_here = np.count_nonzero(read == 2)
         held += held_here
-        saturated += np.count_nonzero(inside[:stop]) - held_here
-        if len(misses):
-            bad = dict(zip("xywz", (labels[i] for i in (x, y, *divmod(misses[0], k)))))
+        saturated += np.count_nonzero(read) - held_here
+        if miss:
+            cell = np.unravel_index(r * k * k + len(read) - 1, (k,) * 4)
+            bad = dict(zip("xywz", (labels[i] for i in cell)))
             break
     stats = {
         "words": k,

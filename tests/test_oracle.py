@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -13,8 +14,9 @@ from idealforge.higman import AtomAlphabet, HWord, leq_H_bruteforce
 from idealforge.oracle import (
     DenotationContext,
     _concat,
+    _contained_table,
     _factor_list,
-    _product_contained,
+    _included_table,
     check_containment_agreement,
     check_two_forms,
     check_xy_wz,
@@ -293,16 +295,40 @@ def test_exact_product_containment(a2):
     )
     ctx = DenotationContext(a2, 1)
     f = lambda *atoms: _factor_list(tuple(atoms), ctx)
-    assert _product_contained(f(star_a), f(star_ab))
-    assert not _product_contained(f(star_ab), f(star_a))
-    assert _product_contained(f(a, a), f(star_a))
+    contained = lambda fu, fv: bool(_contained_table([fu], [fv])[0, 0])
+    assert contained(f(star_a), f(star_ab))
+    assert not contained(f(star_ab), f(star_a))
+    assert contained(f(a, a), f(star_a))
     # the unbounded star never fits inside a finite product of optionals
-    assert not _product_contained(f(star_a), f(a, a))
-    assert _product_contained(f(a), f(a, b))
-    assert not _product_contained(f(a, b), f(b, a))
-    assert _product_contained(f(a, b), f(star_ab))
+    assert not contained(f(star_a), f(a, a))
+    assert contained(f(a), f(a, b))
+    assert not contained(f(a, b), f(b, a))
+    assert contained(f(a, b), f(star_ab))
+    # the empty list denotes {ε}, which every list holds and only it fits in
+    assert contained(f(), f(a))
+    assert not contained(f(a), f())
 
 
+def _product_contained(
+    fu: tuple[tuple[str, int], ...], fv: tuple[tuple[str, int], ...]
+) -> bool:
+    """The scalar greedy, the reference _contained_table is compared with:
+    each factor of fu takes the first factor of fv at or after the cursor
+    whose letters cover its own, and a star needs a star.  The cursor moves
+    past an optional-letter target and stays on a star.
+    """
+    j = 0
+    for kind, letters in fu:
+        while j < len(fv) and (letters & ~fv[j][1] or kind == "s" and fv[j][0] == "d"):
+            j += 1
+        if j == len(fv):
+            return False
+        if fv[j][0] == "d":
+            j += 1
+    return True
+
+
+@functools.lru_cache(maxsize=None)
 def _step_table(factors: tuple[tuple[str, int], ...], n: int) -> list[list[int]]:
     """Greedy position automaton: from the earliest usable factor, a letter
     either loops on a star or moves past an optional letter; -1 is dead.
@@ -349,10 +375,13 @@ def _automaton_contained(
 
 
 def test_greedy_inclusion_matches_the_position_automaton():
-    # The reference is a breadth-first search over the product of two
-    # position automata, an independent exact decision.  Compared on every
-    # distinct pair list check_xy_wz builds, all pairs up to 20,000 and a
-    # seeded sample of 20,000 beyond that.
+    # The kernel against two references: the scalar greedy, and a
+    # breadth-first search over the product of two position automata, an
+    # independent exact decision.  Compared on every distinct pair list
+    # check_xy_wz builds, the empty list among them, plus seeded
+    # concatenations of two such lists, up to 8 factors long: all pairs up
+    # to 20,000 and a seeded sample of 20,000 beyond that.  A seeded share of
+    # the pairs is asked again alone, so each side is padded to its own width.
     rng = random.Random(5)
     compared = 0
     for n in (1, 2, 3):
@@ -364,12 +393,22 @@ def test_greedy_inclusion_matches_the_position_automaton():
                 for t in all_tuples(len(system.atoms), 2)
             ]
             lists = list(dict.fromkeys(_concat(fa, fb) for fa in factors for fb in factors))
+            assert () in lists
+            longer = [_concat(rng.choice(lists), rng.choice(lists)) for _ in range(8)]
+            lists = list(dict.fromkeys(lists + longer))
+            table = _contained_table(lists, lists)
+            cells = range(len(lists))
             if len(lists) ** 2 <= 20_000:
-                pairs = list(itertools.product(lists, repeat=2))
+                pairs = list(itertools.product(cells, repeat=2))
             else:
-                pairs = [(rng.choice(lists), rng.choice(lists)) for _ in range(20_000)]
-            for fu, fv in pairs:
-                assert _product_contained(fu, fv) == _automaton_contained(fu, fv, q.n), (fu, fv)
+                pairs = [(rng.choice(cells), rng.choice(cells)) for _ in range(20_000)]
+            for i, j in pairs:
+                fu, fv = lists[i], lists[j]
+                want = _automaton_contained(fu, fv, q.n)
+                assert _product_contained(fu, fv) == want, (fu, fv)
+                assert table[i, j] == want, (fu, fv)
+            for i, j in rng.sample(pairs, min(len(pairs), 50)):
+                assert _contained_table([lists[i]], [lists[j]])[0, 0] == table[i, j]
             compared += len(pairs)
     assert compared > 100_000
 
@@ -398,7 +437,9 @@ def test_product_sweep_frozen(singleton, chain2, a2):
 def test_product_sweep_guard_sees_a_lying_decision(monkeypatch, a2):
     # the containment tables must come from the live exact decision, and the
     # bounded guard must catch a decision that claims too much
-    monkeypatch.setattr(oracle, "_product_contained", lambda fu, fv: True)
+    monkeypatch.setattr(
+        oracle, "_contained_table", lambda lu, lv: np.ones((len(lu), len(lv)), dtype=bool)
+    )
     report = check_xy_wz(a2)
     assert not report.check("exact-implies-bounded").passed
     assert not report.passed
@@ -415,16 +456,20 @@ def test_product_sweep_guard_sees_a_lying_concatenation(monkeypatch, singleton, 
         assert guard.counterexample == {"x": "a", "y": "a", "w": "ε", "z": "a"}
 
 
+def _refusing_single_factors(kernel):
+    'A decision that refuses, cell by cell, single-factor containments between distinct lists.'
+
+    def lie(lu, lv):
+        refused = [[len(fu) == 1 and len(fv) == 1 and fu != fv for fv in lv] for fu in lu]
+        return kernel(lu, lv) & ~np.array(refused, dtype=bool).reshape(len(lu), len(lv))
+
+    return lie
+
+
 def test_product_sweep_pins_the_first_failure(monkeypatch, chain2, a2):
-    # a decision that refuses single-factor containments between distinct
-    # lists: the sweep stops at the first violation in (x, y, w, z) order
-    # and counts only the cells read up to it
-    orig = oracle._product_contained
-    monkeypatch.setattr(
-        oracle,
-        "_product_contained",
-        lambda fu, fv: orig(fu, fv) and not (len(fu) == 1 and len(fv) == 1 and fu != fv),
-    )
+    # the sweep stops at the first violation in (x, y, w, z) order and
+    # counts only the cells read up to it, that one included
+    monkeypatch.setattr(oracle, "_contained_table", _refusing_single_factors(_contained_table))
     for p, containments, saturated in ((a2, 16_530, 5_848), (chain2, 5_608, 2_076)):
         check = check_xy_wz(p).check("factor-containment-forced")
         assert not check.passed
@@ -433,3 +478,80 @@ def test_product_sweep_pins_the_first_failure(monkeypatch, chain2, a2):
             containments,
             saturated,
         )
+
+
+def test_sweeps_read_the_same_in_small_blocks(monkeypatch, singleton, chain2, a2):
+    # at a budget of one cell every block holds one row
+    def reports():
+        out = [check_xy_wz(p).to_json() for p in (singleton, chain2, a2)]
+        out += [
+            check_containment_agreement(p, alpha).to_json()
+            for p in (singleton, chain2)
+            for alpha in (1, 2)
+        ]
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_contained_table", _refusing_single_factors(_contained_table))
+            out += [check_xy_wz(p).to_json() for p in (chain2, a2)]
+            m.setattr(oracle, "_contained_table", lambda lu, lv: np.ones((len(lu), len(lv)), bool))
+            out.append(check_xy_wz(a2).to_json())
+        return out
+
+    whole = reports()
+    assert not all(r["passed"] for r in whole)
+    monkeypatch.setattr(oracle, "_BLOCK_CELLS", 1)
+    assert reports() == whole
+
+
+@pytest.mark.parametrize("cells", [oracle._BLOCK_CELLS, 50])
+def test_bounded_inclusion_matches_the_bit_test(monkeypatch, cells):
+    # universe sizes off the multiples of 8 and 64, so the last byte of a
+    # row is partial; half the left masks are drawn inside some right mask,
+    # and 50 cells make blocks of two rows, the last of them one row short
+    monkeypatch.setattr(oracle, "_BLOCK_CELLS", cells)
+    rng = random.Random(11)
+    for nbits in (1, 5, 13, 67, 130, 341):
+        right = [rng.getrandbits(nbits) | rng.getrandbits(nbits) for _ in range(23)]
+        left = [0] + [rng.getrandbits(nbits) for _ in range(9)]
+        left += [rng.choice(right) & rng.getrandbits(nbits) for _ in range(9)]
+        table = _included_table(left, right, nbits)
+        assert table.shape == (len(left), len(right))
+        want = [[mu & ~mv == 0 for mv in right] for mu in left]
+        assert table.tolist() == want, nbits
+        assert table.any() and not table.all()
+
+
+def test_oracle_claims_hold_on_every_small_carrier():
+    # containment at alpha=1, the two forms and the product sweep, each at
+    # its default sizes, on all 13 quasi-orders on at most 3 points
+    xy_wz = [0, 0, 0]
+    containment = [0, 0, 0, 0]
+    forms = [0, 0, 0]
+    for n in (1, 2, 3):
+        for q in all_quasi_orders(n):
+            for report, check, keys, sums in (
+                (
+                    check_containment_agreement(q, 1),
+                    "order-implies-containment",
+                    ("pairs", "confirmed", "refuted", "unresolved"),
+                    containment,
+                ),
+                (
+                    check_two_forms(q),
+                    "prime-ideal-shapes",
+                    ("prime_classes", "star_forms", "down_forms"),
+                    forms,
+                ),
+                (
+                    check_xy_wz(q),
+                    "factor-containment-forced",
+                    ("quadruples", "containments", "saturated_at_bound"),
+                    xy_wz,
+                ),
+            ):
+                assert report.passed, (q.elements, report.to_json())
+                stats = report.check(check).stats
+                for i, key in enumerate(keys):
+                    sums[i] += stats[key]
+    assert xy_wz == [207_173_773, 92_225_610, 32_233]
+    assert containment == [2_034_649, 858_931, 1_175_718, 0]
+    assert forms == [66, 38, 28]
