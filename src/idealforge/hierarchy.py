@@ -39,7 +39,9 @@ class HSet:
     urelement itself, (self,), or the set's children.  Structurally equal
     values are the same object, so identity works as equality and a family's
     payload members index a table by object.  Build through ur_elem and hset,
-    never directly.
+    never directly.  build_level interns only the representatives it keeps:
+    a candidate set that loses its class is never built, so the pools hold
+    no more than the stages return.
     """
 
     __slots__ = ("ur", "children", "payload", "serial", "rank")
@@ -103,34 +105,41 @@ def lesssim_star(x: HSet, y: HSet, q: FiniteQO) -> bool:
     return True
 
 
-def _leq_table(xs: list[HSet], ys: list[HSet], q: FiniteQO) -> np.ndarray:
-    """lesssim_star on every pair of xs x ys, as a bool array indexed [x, y].
+def _leq_table(hs: list[HSet], q: FiniteQO) -> np.ndarray:
+    """lesssim_star on every pair of hs, as a bool array indexed [x, y].
 
-    The payload members, one rank lower, are ordered first by this kernel,
-    down to urelements, which read q.leq.  With M a family's float32 payload
-    membership, uncovered = L_lower @ M_ys.T == 0 marks the members below no
-    payload member of y, and x is below y where M_xs @ uncovered == 0.
+    Urelements alone read q.leq; otherwise the family's payload layout
+    gives its table by one more float32 matrix product.
     """
-    if all(h.ur is not None for h in (*xs, *ys)):
-        return q.leq[np.ix_([x.ur for x in xs], [y.ur for y in ys])]
-    lower_xs, m_xs = _payload_matrix(xs)
-    lower_ys, m_ys = _payload_matrix(ys)
-    lower = _leq_table(lower_xs, lower_ys, q).astype(np.float32)
-    uncovered = (lower @ m_ys.T == 0).astype(np.float32)
-    return m_xs @ uncovered == 0
+    if all(h.ur is not None for h in hs):
+        urs = [h.ur for h in hs]
+        return q.leq[np.ix_(urs, urs)]
+    m, uncovered = _payload_layout(hs, q)
+    return m @ uncovered == 0
 
 
-def _payload_matrix(hs: list[HSet]) -> tuple[list[HSet], np.ndarray]:
-    'The payload members of hs, first seen first, and their membership matrix.'
-    column: dict[HSet, int] = {}
-    rows, cols = [], []
-    for i, h in enumerate(hs):
-        for p in h.payload:
-            rows.append(i)
-            cols.append(column.setdefault(p, len(column)))
-    m = np.zeros((len(hs), len(column)), dtype=np.float32)
-    m[rows, cols] = 1
-    return list(column), m
+def _payload_layout(
+    rows: list[HSet | list[int]], q: FiniteQO, lower: tuple[HSet, ...] = ()
+) -> tuple[np.ndarray, np.ndarray]:
+    """A family's float32 payload membership m and its uncovered table.
+
+    m's columns are the family's payload members, those of lower first and
+    the rest first seen first.  They are ordered by _leq_table, one rank
+    lower, and uncovered = below @ m.T == 0 marks [p, y] where member p lies
+    below no payload member of y; so x is below y exactly where
+    (m[x] @ uncovered)[y] == 0.  A row is an HSet, read through its
+    payload, or the indices in lower of the members of a set never built.
+    """
+    column = {p: i for i, p in enumerate(lower)}
+    at, cols = [], []
+    for i, h in enumerate(rows):
+        js = h if isinstance(h, list) else [column.setdefault(p, len(column)) for p in h.payload]
+        at += [i] * len(js)
+        cols += js
+    m = np.zeros((len(rows), len(column)), dtype=np.float32)
+    m[at, cols] = 1
+    below = _leq_table(list(column), q).astype(np.float32)
+    return m, (below @ m.T == 0).astype(np.float32)
 
 
 def sim_star(x: HSet, y: HSet, q: FiniteQO) -> bool:
@@ -204,10 +213,12 @@ def build_level(
     quotiented to canonical representatives, the least serial of each class,
     and keeps the urelements, so stages are cumulative.  Classes and their
     order come from one for-all-exists pass on int down-masks per stage
-    (_stage_classes), audited in full against the _leq_table kernel.  A
-    stage with more than max_members candidates raises
-    CombinatorialBlowupError; each stage's candidates are counted before any
-    of its sets is built, so a doomed stage interns none.
+    (_stage_classes), audited in full against the hereditary order.  An
+    adjoined set stays a mask over the previous stage until it wins its
+    class, and only the winners are interned.  A stage with more than
+    max_members candidates raises CombinatorialBlowupError; each stage's
+    candidates are counted before any of its sets is built, so a doomed
+    stage interns none.
     """
     q = base.order if isinstance(base, MonoidalQO) else base
     if kind not in _KINDS:
@@ -215,29 +226,27 @@ def build_level(
     _check_level(alpha, q)
 
     level = None
-    candidates = [ur_elem(cls[0]) for cls in equiv_classes(q)]
+    carried = tuple(ur_elem(cls[0]) for cls in equiv_classes(q))
     # stage 0 keys its urelements by their down-masks over the carrier itself
-    bit = {u: u.ur for u in candidates}
+    bit = {u: u.ur for u in carried}
     down = _element_masks(q)[0]
     prev, masks = (), ()
     for stage in range(alpha + 1):
         if stage:
-            prev = level.members
-            candidates = list(prev)
+            prev = carried = level.members
             masks = _adjoined_masks(down, kind, max_members - len(prev))
-        if len(candidates) + len(masks) > max_members:
+        if len(carried) + len(masks) > max_members:
             raise CombinatorialBlowupError(
                 f"stage {stage} exceeds {max_members} candidate members"
             )
-        candidates += [hset(prev[i] for i in _bits(mask)) for mask in masks]
-        ordered = sorted(set(candidates), key=lambda h: h.serial)
-        reps, bit, down = _stage_classes(ordered, prev, bit, down, q)
+        reps, bit, down = _stage_classes(carried, masks, prev, bit, down, q)
         level = HierLevel(stage, kind, tuple(reps), level)
     return level
 
 
 def _stage_classes(
-    candidates: list[HSet],
+    carried: tuple[HSet, ...],
+    masks: Iterable[int],
     prev: tuple[HSet, ...],
     bit: dict[HSet, int],
     down: list[int],
@@ -245,41 +254,67 @@ def _stage_classes(
 ) -> tuple[list[HSet], dict[HSet, int], list[int]]:
     """One stage's representatives, class index map and down-masks.
 
-    bit maps every earlier candidate to its class index in the stage below
-    (representatives prev), whose down[i] masks the classes below class i.
-    x is below y exactly when x's payload lies in the down-closure of y's;
-    so a candidate's key, the OR of down over its payload, decides both:
-    equal keys make one class, represented by its first candidate, and key
-    inclusion is the order.  Audited in full by _leq_table, candidates
-    against representatives and back: each candidate must be tied to its
-    representative, and the representatives' block must equal key inclusion;
-    a disagreement raises ValueError naming the pair.
+    The candidates are the carried members and one set per mask over prev
+    (the stage below's representatives), in serial order.  bit maps every
+    earlier set to its class index in the stage below, whose down[i] masks
+    the classes below class i.  x is below y exactly when x's payload lies
+    in the down-closure of y's; so a candidate's key, the OR of down over its
+    payload, decides both: equal keys make one class, represented by its
+    first candidate, and key inclusion is the order.
+
+    A mask's set is built only if it represents its class.  Until then it
+    is its bits; its serial joins its members' serials in bit order, which
+    is hset's order since prev is sorted by serial; its key is the OR of
+    down over its bits, as bit[prev[i]] == i; and a set that repeats a
+    carried member is dropped by that serial.  Audited in full by
+    _tied_tables, candidates against representatives and back: each
+    candidate must be tied to its representative, and the representatives'
+    block must equal key inclusion; a disagreement raises ValueError naming
+    the pair.
     """
-    reps: list[HSet] = []
-    keys: list[int] = []
-    firsts: list[int] = []
-    index: dict[int, int] = {}
-    new_bit: dict[HSet, int] = {}
-    for i, c in enumerate(candidates):
+    found: dict[str, tuple[int, HSet | list[int]]] = {}
+    for c in carried:
         key = 0
         for p in c.payload:
             key |= down[bit[p]]
+        found[c.serial] = (key, c)
+    names = [p.serial for p in prev]
+    for mask in masks:
+        idx = _bits(mask)
+        serial = "{" + ",".join([names[i] for i in idx]) + "}"
+        if serial not in found:
+            key = 0
+            for i in idx:
+                key |= down[i]
+            found[serial] = (key, idx)
+    serials = sorted(found)
+    candidates: list[HSet | list[int]] = []
+    reps: list[HSet] = []
+    firsts: list[int] = []
+    classes: list[int] = []
+    index: dict[int, int] = {}
+    for i, serial in enumerate(serials):
+        key, c = found[serial]
         j = index.setdefault(key, len(reps))
         if j == len(reps):
+            if isinstance(c, list):
+                c = hset(prev[k] for k in c)
             reps.append(c)
-            keys.append(key)
             firsts.append(i)
-        new_bit[c] = j
-    up = _leq_table(candidates, reps, q)
-    back = _leq_table(reps, candidates, q)
-    for i, c in enumerate(candidates):
-        j = new_bit[c]
-        if not (up[i, j] and back[j, i]):
-            raise ValueError(
-                f"{c.serial} and {reps[j].serial} share a down-closure but sim_star separates them"
-            )
+        candidates.append(c)
+        classes.append(j)
+    keys = list(index)
+    up, back = _tied_tables(candidates, prev, firsts, q)
+    tied = (up & back.T)[np.arange(len(classes)), classes]
+    if not tied.all():
+        i = int(tied.argmin())
+        raise ValueError(
+            f"{serials[i]} and {reps[classes[i]].serial} share a down-closure "
+            "but sim_star separates them"
+        )
+    new_bit = {c: j for c, j in zip(candidates, classes) if isinstance(c, HSet)}
     for y, i in bit.items():
-        # a candidate merged in an earlier stage follows its representative
+        # a set merged in an earlier stage follows its representative
         if y not in new_bit:
             new_bit[y] = new_bit[prev[i]]
     block = up[firsts].tolist()
@@ -295,6 +330,23 @@ def _stage_classes(
             if below:
                 new_down[j] |= 1 << k
     return reps, new_bit, new_down
+
+
+def _tied_tables(
+    candidates: list[HSet | list[int]],
+    prev: tuple[HSet, ...],
+    firsts: list[int],
+    q: FiniteQO,
+) -> tuple[np.ndarray, np.ndarray]:
+    """lesssim_star from every candidate to the representatives at firsts,
+    and back, as bool arrays indexed [candidate, rep] and [rep, candidate].
+
+    A candidate is an HSet or the indices in prev of a set never built.
+    Both directions read one payload layout and one table of the payload
+    members, which recurses to q.leq.
+    """
+    m, uncovered = _payload_layout(candidates, q, prev)
+    return m @ uncovered[:, firsts] == 0, m[firsts] @ uncovered == 0
 
 
 def _adjoined_masks(down: list[int], kind: str, room: int) -> list[int] | range:

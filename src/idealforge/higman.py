@@ -23,7 +23,7 @@ from .monoid import MonoidalQO, primes as monoid_primes
 from .qo import (
     FiniteQO,
     _bits,
-    _canonical_relation_key,
+    _canonical_relation_keys,
     _checked_indices,
     all_downsets_of_poset,
     all_quasi_orders,
@@ -511,9 +511,13 @@ def dp_agreement_sweep(
         # search over all of them in one call
         stack: list[AtomAlphabet] = []
         for q in all_quasi_orders(n):
+            ups = upward_closed_subsets(q)
+            members = np.zeros((len(ups), n), dtype=bool)
+            for row, idem in zip(members, ups):
+                row[list(idem)] = True
+            tables = np.broadcast_to(q.leq, (len(ups), n, n))
             seen: set[bytes] = set()
-            for idem in upward_closed_subsets(q):
-                key = _canonical_relation_key(np.asarray(q.leq), tuple(idem))
+            for idem, key in zip(ups, _canonical_relation_keys(tables, members)):
                 if key in seen:
                     continue
                 seen.add(key)

@@ -28,6 +28,9 @@ from .qo import FiniteQO, _bits, _element_masks, all_tuples
 from .report import CheckResult, Report
 
 _SEQ_UNIVERSE_CAP = 200_000
+# word pairs one containment sweep may ask: the discrete 4-point carrier at
+# alpha 1 asks 7,240^2, about 52.4 M
+_CONTAINMENT_PAIR_CAP = 1 << 26
 # cells one block of a containment table, or of check_xy_wz's quadruple
 # rows, holds at once
 _BLOCK_CELLS = 1 << 20
@@ -123,11 +126,19 @@ def check_containment_agreement(
     universe that its left word denotes and its right word does not.  Every
     pair the universe cannot refute is counted, the first ten in row-major
     order are flagged, and any such pair fails the second check: an
-    undecided pair is no evidence either way.
+    undecided pair is no evidence either way.  The sweep is refused before
+    any word is built when its words, sum of k^l over lengths l, make more
+    than _CONTAINMENT_PAIR_CAP pairs.
     """
     if alpha > 2 or maxlen > 5:
         raise ScaleExceededError("containment sweep is sized for alpha <= 2, maxlen <= 5")
     system = build_atoms(p, alpha)
+    count = sum(len(system.atoms) ** length for length in range(max_word_len + 1))
+    if count * count > _CONTAINMENT_PAIR_CAP:
+        raise ScaleExceededError(
+            f"containment sweep over {count:,} words asks {count * count:,} pairs, "
+            f"past the cap of {_CONTAINMENT_PAIR_CAP:,}"
+        )
     ctx = DenotationContext(p, maxlen)
     words = all_tuples(len(system.atoms), max_word_len)
     hwords = [HWord(system.alphabet, t) for t in words]

@@ -342,26 +342,38 @@ def _permutations(n: int) -> tuple[np.ndarray, np.ndarray]:
     return perms, cells.reshape(len(perms), n * n)
 
 
-def _canonical_relation_key(table: np.ndarray, extra: tuple[int, ...] = ()) -> bytes:
-    """Least byte encoding of (table, extra-subset) over all permutations.
+def _canonical_relation_keys(tables: np.ndarray, members: np.ndarray) -> list[bytes]:
+    """Least byte encoding of each (table, member row) over all permutations.
 
-    A permutation p encodes as the bytes of the relabelled table (cell (i, j)
-    read from (p[i], p[j])) followed by one byte per position i, 1 when p[i]
-    lies in extra, a tuple of element indices.  All n! encodings are built
-    at once from a cached index array and the least is taken row-wise.  Used
-    to deduplicate small structures up to isomorphism; factorial memory and
-    time, intended for carriers of at most ~6 elements.
+    tables is a (T, n, n) stack of bool tables and members a (T, n) stack of
+    bool rows.  A permutation p encodes a pair as the bytes of the
+    relabelled table (cell (i, j) read from (p[i], p[j])) followed by one
+    byte per position i, 1 when p[i] is a member.  Every encoding of the
+    stack is built at once from a cached index array; read as an integer,
+    first cell highest, each is one uint64, so the least per pair is an
+    argmin.  Used to deduplicate small structures up to isomorphism;
+    factorial memory and time, and n <= 7 so an encoding fits 64 bits.
     """
-    n = table.shape[0]
+    tables = np.asarray(tables, dtype=bool)
+    members = np.asarray(members, dtype=bool)
+    count, n = members.shape
+    if n * n + n > 64:
+        raise ValueError(f"canonical keys are sized for at most 7 elements, got {n}")
     perms, cells = _permutations(n)
-    relabelled = np.ascontiguousarray(table).ravel()[cells].view(np.uint8)
-    member = np.zeros(n, dtype=np.uint8)
-    member[list(extra)] = 1
-    keys = np.concatenate([relabelled, member[perms]], axis=1)
-    if not keys.size:
-        # n == 0: the one encoding is empty, and lexsort needs a key
-        return b""
-    return keys[np.lexsort(keys.T[::-1])[0]].tobytes()
+    codes = np.concatenate(
+        [tables.reshape(count, n * n)[:, cells], members[:, perms]], axis=2
+    ).view(np.uint8)
+    weights = np.uint64(1) << np.arange(codes.shape[2], dtype=np.uint64)[::-1]
+    least = (codes * weights).sum(axis=2, dtype=np.uint64).argmin(axis=1)
+    return [codes[t, k].tobytes() for t, k in enumerate(least.tolist())]
+
+
+def _canonical_relation_key(table: np.ndarray, extra: tuple[int, ...] = ()) -> bytes:
+    'The canonical key of one table with the element indices extra as its members.'
+    n = len(table)
+    member = np.zeros((1, n), dtype=bool)
+    member[0, list(extra)] = True
+    return _canonical_relation_keys(np.asarray(table)[None], member)[0]
 
 
 # candidate tables per stacked transitivity test; bounded because n = 5 has
@@ -376,8 +388,9 @@ def all_quasi_orders(n: int) -> list[FiniteQO]:
     Enumerates every relation extending the diagonal, in the order of the
     integer whose bit k sets the k-th off-diagonal cell (row-major), and
     keeps the transitive ones, the first of each isomorphism class.
-    Candidates are stacked _BATCH at a time and tested for transitivity by
-    one batched matmul each.  Meant for exhaustive sweeps at n <= 4.
+    Candidates are stacked _BATCH at a time, tested for transitivity by one
+    batched matmul each, and the transitive ones keyed in one stack.
+    Meant for exhaustive sweeps at n <= 4.
     """
     if n > 5:
         raise CombinatorialBlowupError("quasi-order enumeration is capped at n = 5")
@@ -393,9 +406,9 @@ def all_quasi_orders(n: int) -> list[FiniteQO]:
         flat[:, :: n + 1] = True
         flat[:, off_diag] = (bits[:, None] >> shifts) & 1
         tables = flat.reshape(len(bits), n, n)
-        transitive = ~(tables @ tables & ~tables).any(axis=(1, 2))
-        for table in tables[transitive]:
-            key = _canonical_relation_key(table)
+        kept = tables[~(tables @ tables & ~tables).any(axis=(1, 2))]
+        keys = _canonical_relation_keys(kept, np.zeros((len(kept), n), dtype=bool))
+        for table, key in zip(kept, keys):
             if key in seen:
                 continue
             seen.add(key)

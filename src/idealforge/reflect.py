@@ -90,7 +90,7 @@ def verify_reflection(table: ReflectionTable) -> Report:
     # images out of bounds are not ordered, so the order checks fail with them
     preserve_bad = reflect_bad = rank_bad
     if rank_bad is None:
-        below = hierarchy._leq_table(images, images, sq)
+        below = hierarchy._leq_table(images, sq)
         letters = hierarchy._letter_table(atoms)
         preserve_bad = first_pair(letters & ~below)
         reflect_bad = first_pair(below & ~letters)

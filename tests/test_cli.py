@@ -444,6 +444,12 @@ def test_verify_containment_fails_on_undecided_pairs(capsys):
         # 18 stage-2 members give 18 + 2^18 - 1 vstar candidates at stage 3
         (("hier", "build", "--qo", str(DATA / "antichain3.json"), "--alpha", "3",
           "--kind", "vstar"), "stage 3 exceeds 20000 candidate members"),
+        # 43 and 44 level-2 letters give 81,400 and 87,165 words up to
+        # length 3; both are refused before a word is built
+        (("verify", "containment", "--qo", str(DATA / "antichain3.json"), "--alpha", "2"),
+         "over 81,400 words asks 6,625,960,000 pairs"),
+        (("verify", "containment", "--qo", str(DATA / "n_shape.json"), "--alpha", "2"),
+         "over 87,165 words"),
     ],
 )
 def test_out_of_domain_level_or_bound_is_a_usage_error(capsys, argv, what):

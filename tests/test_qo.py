@@ -16,6 +16,7 @@ from idealforge.qo import (
     FiniteQO,
     _bits,
     _canonical_relation_key,
+    _canonical_relation_keys,
     _closure_tables,
     _directed_mask,
     _down_mask,
@@ -320,6 +321,28 @@ def test_canonical_keys_match_loop_reference():
                     assert _reference_relation_key(copy, moved) == key
                     checked += 1
     assert checked == 615
+
+
+def test_stacked_keys_match_per_table_keys():
+    # every quasi-order on at most 4 points with every member row, one
+    # stack per carrier size, against the stack-of-one view
+    for n in range(5):
+        tables, members = [], []
+        for q in all_quasi_orders(n):
+            for bits in range(1 << n):
+                tables.append(np.asarray(q.leq))
+                members.append([bits >> i & 1 == 1 for i in range(n)])
+        stacked = _canonical_relation_keys(
+            np.array(tables), np.array(members, dtype=bool).reshape(len(members), n)
+        )
+        single = [
+            _canonical_relation_key(t, tuple(np.flatnonzero(m).tolist()))
+            for t, m in zip(tables, members)
+        ]
+        assert stacked == single
+    # eight points would need a 72-bit encoding
+    with pytest.raises(ValueError, match="at most 7 elements"):
+        _canonical_relation_keys(np.zeros((1, 8, 8), dtype=bool), np.zeros((1, 8), dtype=bool))
 
 
 def _reference_equiv_classes(q):

@@ -20,7 +20,7 @@ def _first_disagreements(table):
     below and the image order does not, and the first the other way round."""
     atoms = table.system.atoms
     images = [table.entries[a] for a in atoms]
-    below = hierarchy._leq_table(images, images, table.star_qo)
+    below = hierarchy._leq_table(images, table.star_qo)
     preserve = reflect = None
     for x, row in zip(atoms, below.tolist()):
         for y, dst in zip(atoms, row):
@@ -110,9 +110,9 @@ def test_corrupted_set_kernel_is_reported(a2, monkeypatch):
     table = build_reflection(a2, 1)
     honest = hierarchy._leq_table
 
-    def corrupted(xs, ys, q):
-        out = honest(xs, ys, q)
-        out[np.ix_([x.ur is None for x in xs], [y.ur is not None for y in ys])] = True
+    def corrupted(hs, q):
+        out = honest(hs, q)
+        out[np.ix_([x.ur is None for x in hs], [y.ur is not None for y in hs])] = True
         return out
 
     # the set side now puts every idempotent image below every plain one,
