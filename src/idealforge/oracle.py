@@ -4,35 +4,43 @@ The semantic side here is deliberately primitive: symbolic letters denote
 explicit sets of short sequences over the carrier, and the theorem checks
 compare those sets bit by bit.  The bits follow the one layout of the
 universe that DenotationContext states, so a product of two sets is
-arithmetic on positions, with no split table.  Products of level-1
+arithmetic on positions, with no split table: one row kernel
+(DenotationContext.products) lays the outer products of the factors' length
+blocks into place, a table or a zip of rows at a time.  Products of level-1
 denotations are also decided with no length bound, by greedy inclusion of
-factor products, and the bounded bitmasks guard that decision.  None of it
+factor products, and the bounded rows guard that decision.  None of it
 consults the word-embedding decision procedure or the letter-order rules, so
 agreement between the two routes is evidence rather than wiring.  The
 check_* drivers are the only places both routes meet.
 
 Both inclusions are asked a table at a time: _contained_table runs the
-greedy over per-list step tables, and _included_table compares unpacked
-universe bits, in row blocks of at most _BLOCK_CELLS cells.
+greedy over per-list step tables, and _included_table compares universe
+rows, in row blocks of at most _BLOCK_CELLS cells.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ScaleExceededError
 from .higman import HWord, _letter_block, _word_order, hword_primes_check
 from .hierarchy import Atom, build_atoms
-from .qo import FiniteQO, _bits, _element_masks, all_tuples
+from .qo import FiniteQO, _bits, _element_masks, _row_masks, all_tuples
 from .report import CheckResult, Report
 
 _SEQ_UNIVERSE_CAP = 200_000
 # word pairs one containment sweep may ask: the discrete 4-point carrier at
 # alpha 1 asks 7,240^2, about 52.4 M
 _CONTAINMENT_PAIR_CAP = 1 << 26
-# cells one block of a containment table, or of check_xy_wz's quadruple
-# rows, holds at once
+# quadruples one product sweep may ask: the 15-letter 4-point carrier asks
+# 241^4, about 3.4 G, and the discrete 4-point carrier 381^4, about 21 G
+_QUADRUPLE_CAP = 1 << 32
+# cells one block of a product table, a containment table or check_xy_wz's
+# quadruple rows holds at once
 _BLOCK_CELLS = 1 << 20
 
 
@@ -43,7 +51,7 @@ def seq_label(p: FiniteQO, s: tuple[int, ...]) -> str:
 class DenotationContext:
     """Explicit denotations over the sequence universe up to maxlen.
 
-    Each denotation is an int bitmask over the universe seqs, which is
+    Each denotation is a set of the universe seqs, which is
     all_tuples(n, maxlen) and so has one layout: the length-k block starts
     at offset(k) = sum of n**j over j < k, and inside its block a sequence
     sits at its base-n value, first letter most significant.  So ε is bit 0,
@@ -51,9 +59,15 @@ class DenotationContext:
     letter denotes the empty sequence plus every single letter below its
     class representative; a star letter denotes all finite concatenations of
     members of its payload's denotations, clipped to the universe.
+
+    The sweeps hold denotations as bool rows in that bit order, one row per
+    denotation, and multiply them with one kernel (products) in two forms: a
+    table, every row against every row, or a zip, row i against row i.  A
+    letter's denotation is also held as an int mask, bit k for seqs[k];
+    product and word_mask are the kernel's one-pair views on such masks.
     """
 
-    __slots__ = ("base", "seqs", "_offsets", "_word_masks")
+    __slots__ = ("base", "seqs", "_offsets", "_stars")
 
     def __init__(self, p: FiniteQO, maxlen: int):
         if maxlen < 1:
@@ -64,50 +78,90 @@ class DenotationContext:
         if off[-1] > _SEQ_UNIVERSE_CAP:
             raise ScaleExceededError(f"{off[-1]} sequences exceed the cap of {_SEQ_UNIVERSE_CAP}")
         self.seqs = all_tuples(p.n, maxlen)
-        self._word_masks: dict[tuple[Atom, ...], int] = {}
+        self._stars: dict[Atom, int] = {}
 
     def single_letters(self, mask: int) -> int:
         'Bit i is set when the denotation holds the one-letter sequence (i,).'
         return mask >> 1 & (1 << self.base.n) - 1
 
-    def _star(self, mask: int) -> int:
-        # The least fixpoint of out = {ε} | mask·out; each round adds one
-        # more factor, so it settles within maxlen + 1 rounds.
-        out = 1
-        while (grown := out | self.product(mask, out)) != out:
-            out = grown
+    def products(self, X: np.ndarray, Y: np.ndarray, table: bool) -> Iterator[np.ndarray]:
+        """The product rows of X's rows with Y's, a block of X's rows at a time.
+
+        As a table a block is (rows, len(Y), width): every row of X against
+        every row of Y.  As a zip it is (rows, width): row i against row i.
+        Since offset(i + j) = offset(j) + nʲ·offset(i), a product x·y with
+        |y| = j sits at offset(j) + gx·nʲ + pos(y) for x's global position
+        gx.  So for each j the universe's tail from offset(j), read as a grid
+        of nʲ columns, takes the outer product of the rows' prefixes (every
+        x with |x| + j <= maxlen) and their length-j blocks, ORed over j.  A
+        block holds at most _BLOCK_CELLS cells.
+        """
+        off, n = self._offsets, self.base.n
+        width = off[-1]
+        rows = max(1, _BLOCK_CELLS // (width * len(Y) if table else width))
+        for r in range(0, len(X), rows):
+            x = X[r : r + rows, None] if table else X[r : r + rows]
+            y = Y if table else Y[r : r + rows]
+            # j = 0: y's length-0 block is its ε bit
+            out = x & y[..., :1]
+            for j in range(1, len(off) - 1):
+                # splitting the last axis of a slice is a view, so |= writes out
+                grid = out[..., off[j] :].reshape(*out.shape[:-1], off[-1 - j], n**j)
+                grid |= x[..., : off[-1 - j], None] & y[..., None, off[j] : off[j + 1]]
+            yield out
+
+    def _star(self, inner: np.ndarray) -> np.ndarray:
+        # The least fixpoint of out = {ε} | inner·out, one zip over every
+        # row.  Squaring out = {ε} | inner doubles the factors it spells, and
+        # a sequence in the universe needs at most maxlen non-empty factors.
+        out = inner.copy()
+        out[:, 0] = True
+        for _ in range((len(self._offsets) - 3).bit_length()):
+            out = np.concatenate([*self.products(out, out, False)])
         return out
+
+    def letter_masks(self, letters: Sequence[Atom]) -> list[int]:
+        """One mask per letter.  The stars not yet held settle together:
+        their payloads first, then one zip fixpoint over all of them."""
+        held = self._stars
+        stars = [a for a in dict.fromkeys(letters) if a.is_idem and a not in held]
+        if stars:
+            self.letter_masks([d for a in stars for d in a.downset])
+            # a payload may hold a star of the list, now settled
+            stars = [a for a in stars if a not in held]
+            inner = [functools.reduce(operator.or_, self.letter_masks(a.downset), 0) for a in stars]
+            held.update(zip(stars, _row_masks(self._star(self._rows(inner)))))
+        down = _element_masks(self.base)[0]
+        return [held[a] if a.is_idem else 1 | down[a.base_class] << 1 for a in letters]
+
+    def word_rows(self, letters: Sequence[Atom], max_len: int) -> np.ndarray:
+        """The rows of every word over letters up to max_len, in all_tuples
+        order.  That order lists each length's words prefix-major, so a
+        length's rows are one (prefix × letter) table over the length below."""
+        rows = self._rows([1, *self.letter_masks(letters)])
+        out = [rows[:1], rows[1:]]
+        for _ in range(max_len - 1):
+            table = np.concatenate([*self.products(out[-1], out[1], True)])
+            out.append(table.reshape(-1, rows.shape[1]))
+        return np.concatenate(out[: max_len + 1])
+
+    def _rows(self, masks: Sequence[int]) -> np.ndarray:
+        'Each mask as a bool row over the universe.'
+        width = self._offsets[-1]
+        packed = b"".join(m.to_bytes((width + 7) // 8, "little") for m in masks)
+        return np.unpackbits(
+            np.frombuffer(packed, np.uint8).reshape(len(masks), -1),
+            axis=1, count=width, bitorder="little",
+        ).view(bool)
 
     def product(self, mx: int, my: int) -> int:
-        # pos(x·y) = pos(x)·nʲ + pos(y) for |y| = j, so spreading mx's bits nʲ
-        # apart and multiplying by my's length-j block, which spans nʲ bits,
-        # lays one copy of that block at each x, without carries.
-        off, n = self._offsets, self.base.n
-        out = 0
-        for j in range(len(off) - 1):
-            x = mx & (1 << off[-1 - j]) - 1  # the x with |x| + j <= maxlen
-            y = my & (1 << off[j + 1]) - (1 << off[j])
-            if x and y:
-                out |= int(("0" * (n**j - 1)).join(format(x, "b")), 2) * y
-        return out
+        'The one-pair view of products.'
+        return _row_masks(next(self.products(self._rows([mx]), self._rows([my]), False)))[0]
 
     def word_mask(self, letters: tuple[Atom, ...]) -> int:
-        got = self._word_masks.get(letters)
-        if got is not None:
-            return got
-        if not letters:
-            out = 1
-        elif len(letters) > 1:
-            out = self.product(self.word_mask(letters[:-1]), self.word_mask(letters[-1:]))
-        elif not letters[0].is_idem:
-            out = 1 | _element_masks(self.base)[0][letters[0].base_class] << 1
-        else:
-            inner = 0
-            for d in letters[0].downset:
-                inner |= self.word_mask((d,))
-            out = self._star(inner)
-        self._word_masks[letters] = out
-        return out
+        'The one-word view: the letters\' masks folded left by product.'
+        masks = self.letter_masks(letters)
+        return functools.reduce(self.product, masks[1:], masks[0]) if masks else 1
 
 
 def check_containment_agreement(
@@ -120,13 +174,14 @@ def check_containment_agreement(
 
     A word below another must denote a subset; a word not below must be
     refuted by a concrete short sequence.  The word order is one table over
-    every pair of words, and bounded inclusion of their masks another
-    (_included_table); the counts are read off the two tables.  The first
-    violation in row-major order is reported, with the last sequence of the
-    universe that its left word denotes and its right word does not.  Every
-    pair the universe cannot refute is counted, the first ten in row-major
-    order are flagged, and any such pair fails the second check: an
-    undecided pair is no evidence either way.  The sweep is refused before
+    every pair of words, and bounded inclusion of their rows another
+    (_included_table); the counts are read off the two tables.  The rows
+    come from DenotationContext.word_rows, one product table per length.
+    The first violation in row-major order is reported, with the last
+    sequence of the universe that its left word denotes and its right word
+    does not.  Every pair the universe cannot refute is counted, the first
+    ten in row-major order are flagged, and any such pair fails the second
+    check: an undecided pair is no evidence either way.  The sweep is refused before
     any word is built when its words, sum of k^l over lengths l, make more
     than _CONTAINMENT_PAIR_CAP pairs.
     """
@@ -142,10 +197,10 @@ def check_containment_agreement(
     ctx = DenotationContext(p, maxlen)
     words = all_tuples(len(system.atoms), max_word_len)
     hwords = [HWord(system.alphabet, t) for t in words]
-    masks = [ctx.word_mask(tuple(system.atoms[i] for i in t)) for t in words]
+    rows = ctx.word_rows(system.atoms, max_word_len)
     W = _letter_block(words, max_word_len)
     order = _word_order(system.alphabet, W, W, True)
-    inside = _included_table(masks, masks, len(ctx.seqs))
+    inside = _included_table(rows, rows)
     confirmed = int(np.count_nonzero(order & inside))
     unresolved = int(np.count_nonzero(inside)) - confirmed
     lies = int(np.count_nonzero(order)) - confirmed
@@ -156,7 +211,7 @@ def check_containment_agreement(
         violation = {
             "lhs": list(hwords[i].labels),
             "rhs": list(hwords[j].labels),
-            "witness": seq_label(p, ctx.seqs[(masks[i] & ~masks[j]).bit_length() - 1]),
+            "witness": seq_label(p, ctx.seqs[np.flatnonzero(rows[i] & ~rows[j])[-1]]),
         }
     flagged = [
         {"lhs": list(hwords[i].labels), "rhs": list(hwords[j].labels)}
@@ -194,12 +249,19 @@ def check_two_forms(
     from the denoted single letters (star form) or the empty sequence plus
     those letters (down form).
     """
+    if maxlen < 2:
+        # below length 2 a letter's star form and down form are the same set
+        raise ValueError(f"two-forms sweep needs maxlen >= 2, got {maxlen}")
     if maxlen > 4:
         raise ScaleExceededError("two-forms sweep is sized for maxlen <= 4")
     system = build_atoms(p, 1)
     primes = hword_primes_check(system.alphabet, maxlen=max_word_len)
     ctx = DenotationContext(p, maxlen)
+    # every star letter settles in one zip fixpoint before word_mask reads it
+    ctx.letter_masks(system.atoms)
 
+    # the letters each sequence is spelled with
+    spelled = [functools.reduce(operator.or_, (1 << c for c in s), 0) for s in ctx.seqs]
     shape_bad = None
     star_forms = down_forms = 0
     for atom in system.atoms:
@@ -207,12 +269,9 @@ def check_two_forms(
         letters = ctx.single_letters(mask)
         # Both forms are spelled from the sequences: an idempotent letter's mask is
         # _star of its down form, so a star form read from _star could never differ.
-        star_mask = down_mask = 0
-        for k, s in enumerate(ctx.seqs):
-            if all(letters >> c & 1 for c in s):
-                star_mask |= 1 << k
-                if len(s) <= 1:
-                    down_mask |= 1 << k
+        star_mask = sum(1 << k for k, used in enumerate(spelled) if used & ~letters == 0)
+        # the down form keeps the sequences of length at most 1, bits 0 to n
+        down_mask = star_mask & (2 << p.n) - 1
         if mask == star_mask:
             star_forms += 1
         elif mask == down_mask:
@@ -248,7 +307,7 @@ def _factor_list(letters: tuple[Atom, ...], ctx: DenotationContext) -> tuple[tup
     carrier whose points are the level-1 letters.  Adjacent factors a star
     absorbs are dropped.
     """
-    sets = [ctx.single_letters(ctx.word_mask((a,))) for a in letters]
+    sets = [ctx.single_letters(m) for m in ctx.letter_masks(letters)]
     return _concat((), tuple(("s" if a.is_idem else "d", m) for a, m in zip(letters, sets)))
 
 
@@ -266,7 +325,7 @@ def _concat(
     return tuple(out)
 
 
-def _intern(rows: list) -> tuple[list[tuple[int, ...]], list]:
+def _intern(rows: Iterable[list]) -> tuple[list[tuple[int, ...]], list]:
     'Replace each cell by an integer id; also return the distinct values by id.'
     ids: dict = {}
     out = [tuple(ids.setdefault(v, len(ids)) for v in row) for row in rows]
@@ -325,26 +384,16 @@ def _contained_table(
     return cursor <= b
 
 
-def _included_table(masks_u: list[int], masks_v: list[int], nbits: int) -> np.ndarray:
-    """Bounded inclusion, mu & ~mv == 0, of every mask of masks_u in every
-    mask of masks_v over a universe of nbits sequences.
+def _included_table(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Bounded inclusion, no bit of the left row outside the right one, of
+    every bool row of u in every bool row of v.
 
-    The masks are unpacked into rows of bits, and a block of rows of masks_u
-    at a time is one float32 product against the complements of masks_v: a
-    cell counts the sequences the left mask holds and the right one lacks.
-    The count is at most _SEQ_UNIVERSE_CAP < 2**24, so float32 holds it
-    exactly.  A block holds at most _BLOCK_CELLS cells.
+    A block of rows of u at a time is one float32 product against the
+    complements of v: a cell counts the sequences the left row holds and
+    the right one lacks.  The count is at most _SEQ_UNIVERSE_CAP < 2**24, so
+    float32 holds it exactly.  A block holds at most _BLOCK_CELLS cells.
     """
-    width = (nbits + 7) // 8
-    u, v = (
-        np.unpackbits(
-            np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
-            .reshape(len(masks), width),
-            axis=1, count=nbits, bitorder="little",
-        )
-        for masks in (masks_u, masks_v)
-    )
-    outside = (1 - v.T).astype(np.float32)
+    outside = (~v.T).astype(np.float32)
     out = np.empty((len(u), len(v)), dtype=bool)
     rows = max(1, _BLOCK_CELLS // max(1, len(v)))
     for r in range(0, len(u), rows):
@@ -365,10 +414,11 @@ def check_xy_wz(
     letters), so the bounded universe serves here as a consistency guard on
     the exact decision rather than as the decision itself.
 
-    Each pair product is interned once, as its (normalised factor list,
-    bounded mask) pair, and two dense tables over the distinct products are
+    The k² pair products are one product table over the word rows, read a
+    block at a time.  Each is interned once, as its (normalised factor list,
+    packed row) pair, and two dense tables over the distinct products are
     filled up front: exact containment of the lists (_contained_table) and
-    bounded inclusion of the masks (_included_table).  A word is its
+    bounded inclusion of the rows (_included_table).  A word is its
     product with the empty word, so single-word containment is the first
     column of the id array.  The (x, y) rows are then read over all (w, z)
     a block of rows at a time, at most _BLOCK_CELLS cells per block.  Exact
@@ -376,25 +426,39 @@ def check_xy_wz(
     pair of products, so only cells inside the bounded inclusion are read;
     an exact miss there is counted as saturated at the bound.  Counts stop
     at the first violation in (x, y, w, z) order, the quadruples' row-major
-    order, and include it.
+    order, and include it.  The sweep is refused before any word is built
+    when its words, sum of k^l over lengths l, make more than
+    _QUADRUPLE_CAP quadruples.
     """
     if maxlen > 4:
         raise ScaleExceededError("product sweep is sized for maxlen <= 4")
     system = build_atoms(p, 1)
+    k = sum(len(system.atoms) ** length for length in range(max_word_len + 1))
+    if k**4 > _QUADRUPLE_CAP:
+        raise ScaleExceededError(
+            f"product sweep over {k:,} words asks {k**4:,} quadruples, "
+            f"past the cap of {_QUADRUPLE_CAP:,}"
+        )
     ctx = DenotationContext(p, maxlen)
     words = all_tuples(len(system.atoms), max_word_len)
-    atoms = [tuple(system.atoms[i] for i in t) for t in words]
-    singles = [(_factor_list(t, ctx), ctx.word_mask(t)) for t in atoms]
-    k = len(words)
+    word_bits = ctx.word_rows(system.atoms, max_word_len)
+    lists = [_factor_list(tuple(system.atoms[i] for i in t), ctx) for t in words]
     labels = [".".join(system.atoms[i].serial for i in t) or "ε" for t in words]
-
+    packed_rows = (
+        cells
+        for block in ctx.products(word_bits, word_bits, True)
+        for cells in np.packbits(block, axis=-1)
+    )
     ids, products = _intern(
-        [[(_concat(fa, fb), ctx.product(ma, mb)) for fb, mb in singles] for fa, ma in singles]
+        [(_concat(fa, fb), cell.tobytes()) for fb, cell in zip(lists, cells)]
+        for fa, cells in zip(lists, packed_rows)
     )
     pid = np.array(ids)
-    lists, masks = zip(*products)
-    contained = _contained_table(lists, lists)
-    bounded = _included_table(masks, masks, len(ctx.seqs))
+    product_lists, packed = zip(*products)
+    contained = _contained_table(product_lists, product_lists)
+    bits = np.frombuffer(b"".join(packed), np.uint8).reshape(len(packed), -1)
+    bits = np.unpackbits(bits, axis=1, count=word_bits.shape[1]).view(bool)
+    bounded = _included_table(bits, bits)
     # words[0] is the empty word, and a product with it is the other factor
     exact = contained[np.ix_(pid[:, 0], pid[:, 0])]
     # a lying pair is labelled by the first (x, y) and (w, z) forming its products

@@ -450,6 +450,14 @@ def test_verify_containment_fails_on_undecided_pairs(capsys):
          "over 81,400 words asks 6,625,960,000 pairs"),
         (("verify", "containment", "--qo", str(DATA / "n_shape.json"), "--alpha", "2"),
          "over 87,165 words"),
+        # 19 level-1 letters give 381 words up to length 2, about 2.1 x 10^10
+        # quadruples; refused before a word is built
+        (("verify", "xywz", "--qo", str(DATA / "antichain4.json")),
+         "over 381 words asks 21,071,715,921 quadruples"),
+        # at maxlen 1 a letter's star form and down form coincide, so the
+        # shape check could not fail
+        (("verify", "two-forms", "--qo", str(DATA / "a2.json"), "--maxlen", "1"),
+         "needs maxlen >= 2"),
     ],
 )
 def test_out_of_domain_level_or_bound_is_a_usage_error(capsys, argv, what):

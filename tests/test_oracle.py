@@ -22,7 +22,7 @@ from idealforge.oracle import (
     check_xy_wz,
     seq_label,
 )
-from idealforge.qo import all_quasi_orders, all_tuples
+from idealforge.qo import _row_masks, all_quasi_orders, all_tuples
 
 
 def test_truncated_universe_shape(a2, antichain3):
@@ -84,6 +84,70 @@ def test_product_matches_the_split_scan_reference(n_shape):
             assert ctx.seqs[1 + i] == (i,) and ctx.single_letters(1 << 1 + i) == 1 << i
         mx, my = rng.getrandbits(size) & rng.getrandbits(size), rng.getrandbits(size)
         assert ctx.product(mx, my) == _split_scan_product(splits[q.n][:size], mx, my), (q, maxlen)
+
+
+def _carry_free_product(ctx, mx, my):
+    """The reference for DenotationContext.products on int masks:
+    pos(x·y) = pos(x)·nʲ + pos(y) for |y| = j, so spreading mx's bits nʲ
+    apart and multiplying by my's length-j block, which spans nʲ bits, lays
+    one copy of that block at each x, without carries."""
+    off, n = ctx._offsets, ctx.base.n
+    out = 0
+    for j in range(len(off) - 1):
+        x = mx & (1 << off[-1 - j]) - 1  # the x with |x| + j <= maxlen
+        y = my & (1 << off[j + 1]) - (1 << off[j])
+        if x and y:
+            out |= int(("0" * (n**j - 1)).join(format(x, "b")), 2) * y
+    return out
+
+
+def _scalar_star(ctx, mask):
+    'The least fixpoint of out = {ε} | mask·out, one reference product a round.'
+    out = 1
+    while (grown := out | _carry_free_product(ctx, mask, out)) != out:
+        out = grown
+    return out
+
+
+def test_product_kernel_matches_the_carry_free_reference(monkeypatch):
+    # Every quasi-order on at most 3 points at maxlen 1-4.  A 100-cell block
+    # budget splits every table and most zips into several blocks.  Seeded
+    # masks, the empty set and {ε} among them, go through the table and the
+    # zip form; the star letters of levels 1 and 2 (level 2 where the
+    # carrier has at most 2 points) against the scalar fixpoint over their
+    # payloads; every word up to length 3 of the level-1 letters against the
+    # reference fold and word_mask.
+    monkeypatch.setattr(oracle, "_BLOCK_CELLS", 100)
+    rng = random.Random(17)
+    for n in (1, 2, 3):
+        for q in all_quasi_orders(n):
+            for maxlen in range(1, 5):
+                ctx = DenotationContext(q, maxlen)
+                reference = functools.partial(_carry_free_product, ctx)
+                size = len(ctx.seqs)
+                left = [0, 1] + [rng.getrandbits(size) & rng.getrandbits(size) for _ in range(7)]
+                right = [1] + [rng.getrandbits(size) for _ in range(6)]
+                X, Y = ctx._rows(left), ctx._rows(right)
+                table = np.concatenate([*ctx.products(X, Y, True)])
+                assert table.shape == (len(left), len(right), size)
+                got = [_row_masks(block) for block in table]
+                assert got == [[reference(x, y) for y in right] for x in left]
+                zipped = _row_masks(np.concatenate([*ctx.products(X[: len(right)], Y, False)]))
+                assert zipped == [reference(x, y) for x, y in zip(left, right)]
+                assert zipped == [ctx.product(x, y) for x, y in zip(left, right)]
+
+                letters = build_atoms(q, 2 if n <= 2 else 1).atoms
+                masks = dict(zip(letters, ctx.letter_masks(letters)))
+                for a in letters:
+                    if a.is_idem:
+                        inner = functools.reduce(int.__or__, (masks[d] for d in a.downset), 0)
+                        assert masks[a] == _scalar_star(ctx, inner), (q, maxlen, a)
+                level1 = build_atoms(q, 1).atoms
+                rows = _row_masks(ctx.word_rows(level1, 3))
+                for t, row in zip(all_tuples(len(level1), 3), rows, strict=True):
+                    word = tuple(level1[i] for i in t)
+                    want = functools.reduce(reference, (masks[a] for a in word), 1)
+                    assert row == want == ctx.word_mask(word), (q, maxlen, t)
 
 
 def test_truncated_ideals_have_tops():
@@ -513,7 +577,8 @@ def test_bounded_inclusion_matches_the_bit_test(monkeypatch, cells):
         right = [rng.getrandbits(nbits) | rng.getrandbits(nbits) for _ in range(23)]
         left = [0] + [rng.getrandbits(nbits) for _ in range(9)]
         left += [rng.choice(right) & rng.getrandbits(nbits) for _ in range(9)]
-        table = _included_table(left, right, nbits)
+        rows = lambda masks: np.array([[m >> b & 1 for b in range(nbits)] for m in masks], bool)
+        table = _included_table(rows(left), rows(right))
         assert table.shape == (len(left), len(right))
         want = [[mu & ~mv == 0 for mv in right] for mu in left]
         assert table.tolist() == want, nbits
