@@ -20,8 +20,8 @@ a2 = FiniteQO(["a", "b"], np.eye(2, dtype=bool))
 system = build_atoms(a2, 1)
 star_a = system.atoms[3]
 ctx = DenotationContext(a2, 4)
-star_a_mask = ctx.word_mask((star_a,))
-print("aaaa inside *{a}:", bool(star_a_mask >> ctx.seqs.index((0, 0, 0, 0)) & 1))
+(star_a_row,) = ctx.letter_rows([star_a])
+print("aaaa inside *{a}:", bool(star_a_row[ctx.seqs.index((0, 0, 0, 0))]))
 
 r = check_two_forms(a2)
 shapes = r.check("prime-ideal-shapes").stats

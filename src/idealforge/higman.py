@@ -306,6 +306,9 @@ def hword_primes_check(alphabet: AtomAlphabet, maxlen: int = 4) -> Report:
     if maxlen > 6:
         raise TooLargeError("prime scan is capped at words of length 6")
     words = all_tuples(alphabet.order.n, maxlen)
+    if maxlen < 2:
+        # no representative shorter than 2 has a cut, so the census could not fail
+        raise ValueError(f"prime scan needs words of length at least 2, got {maxlen}")
     W = _letter_block(words, maxlen)
     reps = np.zeros(0, dtype=np.intp)
     for start in range(0, len(W), _CLASS_BLOCK):

@@ -2,16 +2,17 @@
 
 The semantic side here is deliberately primitive: symbolic letters denote
 explicit sets of short sequences over the carrier, and the theorem checks
-compare those sets bit by bit.  The bits follow the one layout of the
-universe that DenotationContext states, so a product of two sets is
-arithmetic on positions, with no split table: one row kernel
-(DenotationContext.products) lays the outer products of the factors' length
-blocks into place, a table or a zip of rows at a time.  Products of level-1
-denotations are also decided with no length bound, by greedy inclusion of
-factor products, and the bounded rows guard that decision.  None of it
-consults the word-embedding decision procedure or the letter-order rules, so
-agreement between the two routes is evidence rather than wiring.  The
-check_* drivers are the only places both routes meet.
+compare those sets bit by bit.  Every denotation, from a letter's to a
+product's, is one bool row over the universe, in the one layout that
+DenotationContext states, so a product of two sets is arithmetic on
+positions, with no split table: one row kernel (DenotationContext.products)
+lays the outer products of the factors' length blocks into place, a table
+or a zip of rows at a time.  Products of level-1 denotations are also
+decided with no length bound, by greedy inclusion of factor products, and
+the bounded rows guard that decision.  None of it consults the
+word-embedding decision procedure or the letter-order rules, so agreement
+between the two routes is evidence rather than wiring.  The check_*
+sweeps are the only places both routes meet.
 
 Both inclusions are asked a table at a time: _contained_table runs the
 greedy over per-list step tables, and _included_table compares universe
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ScaleExceededError
 from .higman import HWord, _letter_block, _word_order, hword_primes_check
 from .hierarchy import Atom, build_atoms
-from .qo import FiniteQO, _bits, _element_masks, _row_masks, all_tuples
+from .qo import FiniteQO, _row_masks, all_tuples
 from .report import CheckResult, Report
 
 _SEQ_UNIVERSE_CAP = 200_000
@@ -60,11 +60,10 @@ class DenotationContext:
     class representative; a star letter denotes all finite concatenations of
     members of its payload's denotations, clipped to the universe.
 
-    The sweeps hold denotations as bool rows in that bit order, one row per
-    denotation, and multiply them with one kernel (products) in two forms: a
-    table, every row against every row, or a zip, row i against row i.  A
-    letter's denotation is also held as an int mask, bit k for seqs[k];
-    product and word_mask are the kernel's one-pair views on such masks.
+    A denotation is a bool row in that bit order, and a stack of them one
+    row per denotation.  One kernel (products) multiplies stacks in two
+    forms: a table, every row against every row, or a zip, row i against
+    row i.  product and word_mask are its one-pair and one-word views.
     """
 
     __slots__ = ("base", "seqs", "_offsets", "_stars")
@@ -78,11 +77,7 @@ class DenotationContext:
         if off[-1] > _SEQ_UNIVERSE_CAP:
             raise ScaleExceededError(f"{off[-1]} sequences exceed the cap of {_SEQ_UNIVERSE_CAP}")
         self.seqs = all_tuples(p.n, maxlen)
-        self._stars: dict[Atom, int] = {}
-
-    def single_letters(self, mask: int) -> int:
-        'Bit i is set when the denotation holds the one-letter sequence (i,).'
-        return mask >> 1 & (1 << self.base.n) - 1
+        self._stars: dict[Atom, np.ndarray] = {}
 
     def products(self, X: np.ndarray, Y: np.ndarray, table: bool) -> Iterator[np.ndarray]:
         """The product rows of X's rows with Y's, a block of X's rows at a time.
@@ -110,58 +105,53 @@ class DenotationContext:
                 grid |= x[..., : off[-1 - j], None] & y[..., None, off[j] : off[j + 1]]
             yield out
 
-    def _star(self, inner: np.ndarray) -> np.ndarray:
-        # The least fixpoint of out = {ε} | inner·out, one zip over every
-        # row.  Squaring out = {ε} | inner doubles the factors it spells, and
-        # a sequence in the universe needs at most maxlen non-empty factors.
-        out = inner.copy()
-        out[:, 0] = True
-        for _ in range((len(self._offsets) - 3).bit_length()):
-            out = np.concatenate([*self.products(out, out, False)])
-        return out
-
-    def letter_masks(self, letters: Sequence[Atom]) -> list[int]:
-        """One mask per letter.  The stars not yet held settle together:
-        their payloads first, then one zip fixpoint over all of them."""
-        held = self._stars
+    def letter_rows(self, letters: Sequence[Atom]) -> np.ndarray:
+        """One row per letter.  The plain letters' rows are one slice of
+        base.leq.  The stars not yet held settle together: their payloads
+        first, then the least fixpoint of out = {ε} | inner·out, one zip over
+        all of them.  Squaring out = {ε} | inner doubles the factors it
+        spells, and a sequence in the universe needs at most maxlen non-empty
+        factors."""
+        held, n, width = self._stars, self.base.n, self._offsets[-1]
         stars = [a for a in dict.fromkeys(letters) if a.is_idem and a not in held]
         if stars:
-            self.letter_masks([d for a in stars for d in a.downset])
-            # a payload may hold a star of the list, now settled
-            stars = [a for a in stars if a not in held]
-            inner = [functools.reduce(operator.or_, self.letter_masks(a.downset), 0) for a in stars]
-            held.update(zip(stars, _row_masks(self._star(self._rows(inner)))))
-        down = _element_masks(self.base)[0]
-        return [held[a] if a.is_idem else 1 | down[a.base_class] << 1 for a in letters]
+            # a payload may hold a star of the list, which settles twice
+            payloads = self.letter_rows([d for a in stars for d in a.downset])
+            # _idem_atom refuses an empty payload, so each star ORs its own rows
+            starts = np.cumsum([0, *(len(a.downset) for a in stars[:-1])])
+            out = np.logical_or.reduceat(payloads, starts)
+            out[:, 0] = True
+            for _ in range((len(self._offsets) - 3).bit_length()):
+                out = np.concatenate([*self.products(out, out, False)])
+            held.update(zip(stars, out))
+        # down[c]: ε and every single letter below class c
+        down = np.zeros((n, width), dtype=bool)
+        down[:, 0] = True
+        down[:, 1 : n + 1] = self.base.leq.T
+        rows = [held[a] if a.is_idem else down[a.base_class] for a in letters]
+        return np.array(rows, dtype=bool).reshape(-1, width)
 
     def word_rows(self, letters: Sequence[Atom], max_len: int) -> np.ndarray:
         """The rows of every word over letters up to max_len, in all_tuples
         order.  That order lists each length's words prefix-major, so a
         length's rows are one (prefix × letter) table over the length below."""
-        rows = self._rows([1, *self.letter_masks(letters)])
-        out = [rows[:1], rows[1:]]
+        rows = self.letter_rows(letters)
+        out = [np.eye(1, rows.shape[1], dtype=bool), rows]
         for _ in range(max_len - 1):
             table = np.concatenate([*self.products(out[-1], out[1], True)])
             out.append(table.reshape(-1, rows.shape[1]))
         return np.concatenate(out[: max_len + 1])
 
-    def _rows(self, masks: Sequence[int]) -> np.ndarray:
-        'Each mask as a bool row over the universe.'
-        width = self._offsets[-1]
-        packed = b"".join(m.to_bytes((width + 7) // 8, "little") for m in masks)
-        return np.unpackbits(
-            np.frombuffer(packed, np.uint8).reshape(len(masks), -1),
-            axis=1, count=width, bitorder="little",
-        ).view(bool)
+    def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        'The one-pair view of products: the row of x·y.'
+        return next(self.products(x[None], y[None], False))[0]
 
-    def product(self, mx: int, my: int) -> int:
-        'The one-pair view of products.'
-        return _row_masks(next(self.products(self._rows([mx]), self._rows([my]), False)))[0]
-
-    def word_mask(self, letters: tuple[Atom, ...]) -> int:
-        'The one-word view: the letters\' masks folded left by product.'
-        masks = self.letter_masks(letters)
-        return functools.reduce(self.product, masks[1:], masks[0]) if masks else 1
+    def word_mask(self, letters: tuple[Atom, ...]) -> np.ndarray:
+        'The one-word view: the letters\' rows folded left by product.'
+        rows = self.letter_rows(letters)
+        if not len(rows):
+            return np.eye(1, rows.shape[1], dtype=bool)[0]
+        return functools.reduce(self.product, rows[1:], rows[0])
 
 
 def check_containment_agreement(
@@ -247,7 +237,9 @@ def check_two_forms(
     Primality of word classes comes from the symbolic census; the shape of
     each denotation is then recomputed semantically, as all sequences spelled
     from the denoted single letters (star form) or the empty sequence plus
-    those letters (down form).
+    those letters (down form).  The star forms are one float32 product of
+    the letters' complemented single-letter sets against the letters each
+    sequence uses: a cell counts the letters a sequence uses outside the set.
     """
     if maxlen < 2:
         # below length 2 a letter's star form and down form are the same set
@@ -257,35 +249,26 @@ def check_two_forms(
     system = build_atoms(p, 1)
     primes = hword_primes_check(system.alphabet, maxlen=max_word_len)
     ctx = DenotationContext(p, maxlen)
-    # every star letter settles in one zip fixpoint before word_mask reads it
-    ctx.letter_masks(system.atoms)
-
-    # the letters each sequence is spelled with
-    spelled = [functools.reduce(operator.or_, (1 << c for c in s), 0) for s in ctx.seqs]
+    rows = ctx.letter_rows(system.atoms)
+    letters = rows[:, 1 : p.n + 1]
+    # Both forms are spelled from the sequences: an idempotent letter's row is
+    # the star fixpoint of its down form, so a star form read from it could never differ.
+    # uses[k, c]: sequence k is spelled with letter c
+    uses = (_letter_block(ctx.seqs, maxlen)[:, :, None] == np.arange(p.n)).any(1)
+    star = (~letters).astype(np.float32) @ uses.T.astype(np.float32) == 0
+    # the down form keeps the sequences of length at most 1, bits 0 to n
+    down = star & (np.arange(rows.shape[1]) <= p.n)
+    is_star = (rows == star).all(1)
+    is_down = ~is_star & (rows == down).all(1)
     shape_bad = None
-    star_forms = down_forms = 0
-    for atom in system.atoms:
-        mask = ctx.word_mask((atom,))
-        letters = ctx.single_letters(mask)
-        # Both forms are spelled from the sequences: an idempotent letter's mask is
-        # _star of its down form, so a star form read from _star could never differ.
-        star_mask = sum(1 << k for k, used in enumerate(spelled) if used & ~letters == 0)
-        # the down form keeps the sequences of length at most 1, bits 0 to n
-        down_mask = star_mask & (2 << p.n) - 1
-        if mask == star_mask:
-            star_forms += 1
-        elif mask == down_mask:
-            down_forms += 1
-        elif shape_bad is None:
-            shape_bad = {
-                "atom": atom.serial,
-                "letters": sorted(p.elements[i] for i in range(p.n) if letters >> i & 1),
-                "extra": [
-                    seq_label(p, ctx.seqs[k]) for k in _bits(mask & ~star_mask & ~down_mask)[:5]
-                ],
-            }
+    for i in np.flatnonzero(~is_star & ~is_down)[:1]:
+        shape_bad = {
+            "atom": system.atoms[i].serial,
+            "letters": sorted(p.elements[c] for c in np.flatnonzero(letters[i])),
+            "extra": [seq_label(p, ctx.seqs[k]) for k in np.flatnonzero(rows[i] & ~star[i])[:5]],
+        }
     census = dict(primes.check("primes-are-letter-classes").stats)
-    census.update({"star_forms": star_forms, "down_forms": down_forms})
+    census.update({"star_forms": int(is_star.sum()), "down_forms": int(is_down.sum())})
     return Report(
         "two-forms",
         (
@@ -295,20 +278,26 @@ def check_two_forms(
     )
 
 
-def _factor_list(letters: tuple[Atom, ...], ctx: DenotationContext) -> tuple[tuple[str, int], ...]:
-    """A word's denotation as a product of letter-set factors.
+def _factor_lists(
+    letters: Sequence[Atom], words: Iterable[tuple[int, ...]], ctx: DenotationContext
+) -> list[tuple[tuple[str, int], ...]]:
+    """Each word, a tuple of indices into letters, as a product of
+    letter-set factors.
 
     A plain letter contributes an optional-single-letter factor, a star
-    letter contributes a star factor over its single letters, each set read
-    off the one-letter block of the letter's mask.  That is exact
-    for the oracle's semantics, which flattens every level to sequences over
-    p (starring a union of star-or-down pieces stars their single letters),
-    and so for the paper's at level 1 only; level 2 waits for a derived
-    carrier whose points are the level-1 letters.  Adjacent factors a star
-    absorbs are dropped.
+    letter a star factor over its single letters, each set read off the
+    one-letter block of the letter's row, bit i for carrier point i.  The
+    product is exact at level 1, with no length bound: there a letter
+    denotes its down form or the star form of its single letters
+    (check_two_forms).  At level 2 it is exact only for the flattened sets
+    of sequences over p.  The paper's level 2 orders ideals of level 1,
+    where *{*{a},a} and *{a} differ though both flatten to a*, so level 2
+    waits for a derived carrier P₁ whose points are the level-1 letters.
+    Adjacent factors a star absorbs are dropped.
     """
-    sets = [ctx.single_letters(m) for m in ctx.letter_masks(letters)]
-    return _concat((), tuple(("s" if a.is_idem else "d", m) for a, m in zip(letters, sets)))
+    sets = _row_masks(ctx.letter_rows(letters)[:, 1 : ctx.base.n + 1])
+    factors = [("s" if a.is_idem else "d", m) for a, m in zip(letters, sets)]
+    return [_concat((), tuple(factors[i] for i in t)) for t in words]
 
 
 def _concat(
@@ -442,7 +431,7 @@ def check_xy_wz(
     ctx = DenotationContext(p, maxlen)
     words = all_tuples(len(system.atoms), max_word_len)
     word_bits = ctx.word_rows(system.atoms, max_word_len)
-    lists = [_factor_list(tuple(system.atoms[i] for i in t), ctx) for t in words]
+    lists = _factor_lists(system.atoms, words, ctx)
     labels = [".".join(system.atoms[i].serial for i in t) or "ε" for t in words]
     packed_rows = (
         cells

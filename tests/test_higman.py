@@ -404,6 +404,13 @@ def test_negative_word_length_is_rejected():
         bounded_word_monoid(idem_top(), -1)
 
 
+@pytest.mark.parametrize("maxlen", [0, 1])
+def test_prime_census_without_cuts_is_rejected(maxlen):
+    # no word shorter than 2 has a cut, so the census could not fail
+    with pytest.raises(ValueError, match="at least 2"):
+        hword_primes_check(idem_top(), maxlen=maxlen)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_order_axioms_hold_on_random_words(data):

@@ -15,14 +15,14 @@ from idealforge.oracle import (
     DenotationContext,
     _concat,
     _contained_table,
-    _factor_list,
+    _factor_lists,
     _included_table,
     check_containment_agreement,
     check_two_forms,
     check_xy_wz,
     seq_label,
 )
-from idealforge.qo import _row_masks, all_quasi_orders, all_tuples
+from idealforge.qo import FiniteQO, _row_masks, all_quasi_orders, all_tuples
 
 
 def test_truncated_universe_shape(a2, antichain3):
@@ -44,6 +44,18 @@ def test_negative_word_length_is_rejected(a2, check, args):
     # no words at all would let the sweep pass on nothing
     with pytest.raises(ValueError, match="at least 0"):
         check(a2, *args, max_word_len=-1)
+
+
+@pytest.mark.parametrize("max_word_len", [0, 1])
+def test_two_forms_without_cuts_is_rejected(a2, max_word_len):
+    # the census below it has no cut to find, so the sweep is refused with it
+    with pytest.raises(ValueError, match="at least 2"):
+        check_two_forms(a2, max_word_len=max_word_len)
+
+
+def _rows(masks, width):
+    'Each int mask as a bool row of width bits: the inverse of _row_masks.'
+    return np.array([[m >> k & 1 for k in range(width)] for m in masks], bool).reshape(-1, width)
 
 
 def _split_table(seqs):
@@ -79,11 +91,11 @@ def test_product_matches_the_split_scan_reference(n_shape):
         size = len(ctx.seqs)
         assert size <= 400 and ctx.seqs == all_tuples(q.n, maxlen)
         # the layout: ε is bit 0 and letter i is bit 1 + i
-        assert ctx.seqs[0] == () and ctx.word_mask(()) == 1
-        for i in range(q.n):
-            assert ctx.seqs[1 + i] == (i,) and ctx.single_letters(1 << 1 + i) == 1 << i
+        assert ctx.seqs[0] == () and _row_masks(ctx.word_mask(())[None]) == [1]
+        assert ctx.seqs[1 : q.n + 1] == [(i,) for i in range(q.n)]
         mx, my = rng.getrandbits(size) & rng.getrandbits(size), rng.getrandbits(size)
-        assert ctx.product(mx, my) == _split_scan_product(splits[q.n][:size], mx, my), (q, maxlen)
+        got = _row_masks(ctx.product(*_rows([mx, my], size))[None])
+        assert got == [_split_scan_product(splits[q.n][:size], mx, my)], (q, maxlen)
 
 
 def _carry_free_product(ctx, mx, my):
@@ -127,17 +139,17 @@ def test_product_kernel_matches_the_carry_free_reference(monkeypatch):
                 size = len(ctx.seqs)
                 left = [0, 1] + [rng.getrandbits(size) & rng.getrandbits(size) for _ in range(7)]
                 right = [1] + [rng.getrandbits(size) for _ in range(6)]
-                X, Y = ctx._rows(left), ctx._rows(right)
+                X, Y = _rows(left, size), _rows(right, size)
                 table = np.concatenate([*ctx.products(X, Y, True)])
                 assert table.shape == (len(left), len(right), size)
                 got = [_row_masks(block) for block in table]
                 assert got == [[reference(x, y) for y in right] for x in left]
                 zipped = _row_masks(np.concatenate([*ctx.products(X[: len(right)], Y, False)]))
                 assert zipped == [reference(x, y) for x, y in zip(left, right)]
-                assert zipped == [ctx.product(x, y) for x, y in zip(left, right)]
+                assert zipped == _row_masks(np.array([ctx.product(x, y) for x, y in zip(X, Y)]))
 
                 letters = build_atoms(q, 2 if n <= 2 else 1).atoms
-                masks = dict(zip(letters, ctx.letter_masks(letters)))
+                masks = dict(zip(letters, _row_masks(ctx.letter_rows(letters))))
                 for a in letters:
                     if a.is_idem:
                         inner = functools.reduce(int.__or__, (masks[d] for d in a.downset), 0)
@@ -147,7 +159,7 @@ def test_product_kernel_matches_the_carry_free_reference(monkeypatch):
                 for t, row in zip(all_tuples(len(level1), 3), rows, strict=True):
                     word = tuple(level1[i] for i in t)
                     want = functools.reduce(reference, (masks[a] for a in word), 1)
-                    assert row == want == ctx.word_mask(word), (q, maxlen, t)
+                    assert row == want == _row_masks(ctx.word_mask(word)[None])[0], (q, maxlen, t)
 
 
 def test_truncated_ideals_have_tops():
@@ -242,10 +254,10 @@ def test_block_recursion_agrees_with_mask_route(a2):
     words = [()] + [(i,) for i in range(5)] + list(itertools.product(range(5), repeat=2))
     for t in words:
         letters = tuple(system.atoms[i] for i in t)
-        mask = ctx.word_mask(letters)
+        row = ctx.word_mask(letters)
         w = HWord(system.alphabet, t)
         for k, s in enumerate(ctx.seqs):
-            assert denote_member(system, w, s) == bool(mask >> k & 1)
+            assert denote_member(system, w, s) == row[k]
 
 
 def test_denotations_are_downward_closed(a2):
@@ -256,13 +268,83 @@ def test_denotations_are_downward_closed(a2):
     rng = random.Random(7)
     words = [tuple(rng.randrange(5) for _ in range(rng.randrange(3))) for _ in range(30)]
     for word in words:
-        mask = ctx.word_mask(tuple(system.atoms[i] for i in word))
-        for j in range(len(ctx.seqs)):
-            if not mask >> j & 1:
-                continue
+        row = ctx.word_mask(tuple(system.atoms[i] for i in word))
+        for j in np.flatnonzero(row):
             for i in range(len(ctx.seqs)):
                 if leq_H_bruteforce(hwords[i], hwords[j]):
-                    assert mask >> i & 1
+                    assert row[i]
+
+
+def test_oracle_reports_frozen(a2, chain2):
+    # the whole report of each sweep at its default sizes
+    assert check_two_forms(a2).to_json() == {
+        "title": "two-forms",
+        "passed": True,
+        "checks": [
+            {
+                "name": "primes-are-letter-classes",
+                "passed": True,
+                "stats": {"classes": 42, "idem_prime_classes": 3, "prime_classes": 5, "words": 156},
+            },
+            {"name": "idempotent-primes-are-idempotent-letters", "passed": True},
+            {
+                "name": "prime-ideal-shapes",
+                "passed": True,
+                "stats": {
+                    "classes": 42,
+                    "down_forms": 2,
+                    "idem_prime_classes": 3,
+                    "prime_classes": 5,
+                    "star_forms": 3,
+                    "words": 156,
+                },
+            },
+        ],
+    }
+    assert check_containment_agreement(a2, 1).to_json() == {
+        "title": "containment-agreement",
+        "passed": True,
+        "checks": [
+            {
+                "name": "order-implies-containment",
+                "passed": True,
+                "stats": {
+                    "atoms": 5,
+                    "confirmed": 13_225,
+                    "pairs": 24_336,
+                    "refuted": 11_111,
+                    "unresolved": 0,
+                    "words": 156,
+                },
+            },
+            {
+                "name": "non-order-has-refuting-sequence",
+                "passed": True,
+                "stats": {"flagged": [], "unresolved": 0},
+            },
+        ],
+    }
+    assert check_xy_wz(chain2).to_json() == {
+        "title": "product-containment",
+        "passed": True,
+        "checks": [
+            {
+                "name": "factor-containment-forced",
+                "passed": True,
+                "stats": {
+                    "containments": 130_218,
+                    "quadruples": 194_481,
+                    "saturated_at_bound": 1_303,
+                    "words": 21,
+                },
+            },
+            {
+                "name": "exact-implies-bounded",
+                "passed": True,
+                "stats": {"pairs": 3_136, "products": 56},
+            },
+        ],
+    }
 
 
 def test_two_forms_census(a2, singleton):
@@ -283,20 +365,32 @@ def test_two_forms_census(a2, singleton):
 def test_two_forms_names_a_denotation_of_neither_shape(monkeypatch, a2):
     # a plain letter that also denotes the universe's last sequence, b.b.b,
     # is neither its down form nor the star form of its single letters
-    honest = DenotationContext.word_mask
+    honest = DenotationContext.letter_rows
 
     def padded(self, letters):
-        mask = honest(self, letters)
-        if len(letters) == 1 and not letters[0].is_idem:
-            mask |= 1 << (len(self.seqs) - 1)
-        return mask
+        rows = honest(self, letters)
+        rows[[not a.is_idem for a in letters], -1] = True
+        return rows
 
-    monkeypatch.setattr(DenotationContext, "word_mask", padded)
+    monkeypatch.setattr(DenotationContext, "letter_rows", padded)
     report = check_two_forms(a2, maxlen=3, max_word_len=2)
     assert not report.passed
     shape = report.check("prime-ideal-shapes")
     assert not shape.passed
     assert shape.counterexample == {"atom": "a", "letters": ["a"], "extra": ["b.b.b"]}
+    # a star letter over both points that lacks the sequence b.a is neither
+    # form either, and names its letters sorted by label, not by index
+    ba = FiniteQO(["b", "a"], np.eye(2, dtype=bool))
+
+    def holed(self, letters):
+        rows = honest(self, letters)
+        rows[[a.is_idem for a in letters], self.seqs.index((0, 1))] = False
+        return rows
+
+    monkeypatch.setattr(DenotationContext, "letter_rows", holed)
+    shape = check_two_forms(ba, maxlen=3, max_word_len=2).check("prime-ideal-shapes")
+    assert not shape.passed
+    assert shape.counterexample == {"atom": "*{a,b}", "letters": ["a", "b"], "extra": []}
 
 
 def test_containment_agreement_names_the_witness_of_a_lying_order(monkeypatch, a2):
@@ -335,30 +429,32 @@ def test_containment_agreement_small(chain2, singleton):
 
 def test_factor_lists_normalize(a2):
     system = build_atoms(a2, 1)
-    a, star_ab, star_a = system.atoms[0], system.atoms[2], system.atoms[3]
+    # letter indices: the plain letter a, then *{a,b} and *{a}
+    a, star_ab, star_a = 0, 2, 3
     ctx = DenotationContext(a2, 1)
-    assert ctx.single_letters(ctx.word_mask((a,))) == 0b01
-    assert ctx.single_letters(ctx.word_mask((star_ab,))) == 0b11
-    assert _factor_list((star_a, star_a), ctx) == (("s", 0b01),)
+    f = lambda *word: _factor_lists(system.atoms, [word], ctx)[0]
+    assert f(a) == (("d", 0b01),)
+    assert f(star_ab) == (("s", 0b11),)
+    assert f(star_a, star_a) == (("s", 0b01),)
     # a star swallows an adjacent plain letter it covers, on either side
-    assert _factor_list((a, star_a), ctx) == (("s", 0b01),)
-    assert _factor_list((star_a, a), ctx) == (("s", 0b01),)
-    assert _factor_list((a, star_ab, star_a), ctx) == (("s", 0b11),)
-    assert _factor_list((a, a), ctx) == (("d", 0b01), ("d", 0b01))
+    assert f(a, star_a) == (("s", 0b01),)
+    assert f(star_a, a) == (("s", 0b01),)
+    assert f(a, star_ab, star_a) == (("s", 0b11),)
+    assert f(a, a) == (("d", 0b01), ("d", 0b01))
     # a star absorbs every covered factor before it, not just the last one
-    assert _factor_list((a, a, star_a), ctx) == (("s", 0b01),)
+    assert f(a, a, star_a) == (("s", 0b01),)
+    # one call reads every word's list
+    assert _factor_lists(system.atoms, [(a, a), (), (star_a, a)], ctx) == [
+        f(a, a), (), f(star_a)
+    ]
 
 
 def test_exact_product_containment(a2):
     system = build_atoms(a2, 1)
-    a, b, star_ab, star_a = (
-        system.atoms[0],
-        system.atoms[1],
-        system.atoms[2],
-        system.atoms[3],
-    )
+    # letter indices: the plain letters a and b, then *{a,b} and *{a}
+    a, b, star_ab, star_a = 0, 1, 2, 3
     ctx = DenotationContext(a2, 1)
-    f = lambda *atoms: _factor_list(tuple(atoms), ctx)
+    f = lambda *word: _factor_lists(system.atoms, [word], ctx)[0]
     contained = lambda fu, fv: bool(_contained_table([fu], [fv])[0, 0])
     assert contained(f(star_a), f(star_ab))
     assert not contained(f(star_ab), f(star_a))
@@ -452,10 +548,7 @@ def test_greedy_inclusion_matches_the_position_automaton():
         for q in all_quasi_orders(n):
             system = build_atoms(q, 1)
             ctx = DenotationContext(q, 1)
-            factors = [
-                _factor_list(tuple(system.atoms[i] for i in t), ctx)
-                for t in all_tuples(len(system.atoms), 2)
-            ]
+            factors = _factor_lists(system.atoms, all_tuples(len(system.atoms), 2), ctx)
             lists = list(dict.fromkeys(_concat(fa, fb) for fa in factors for fb in factors))
             assert () in lists
             longer = [_concat(rng.choice(lists), rng.choice(lists)) for _ in range(8)]
@@ -577,8 +670,7 @@ def test_bounded_inclusion_matches_the_bit_test(monkeypatch, cells):
         right = [rng.getrandbits(nbits) | rng.getrandbits(nbits) for _ in range(23)]
         left = [0] + [rng.getrandbits(nbits) for _ in range(9)]
         left += [rng.choice(right) & rng.getrandbits(nbits) for _ in range(9)]
-        rows = lambda masks: np.array([[m >> b & 1 for b in range(nbits)] for m in masks], bool)
-        table = _included_table(rows(left), rows(right))
+        table = _included_table(_rows(left, nbits), _rows(right, nbits))
         assert table.shape == (len(left), len(right))
         want = [[mu & ~mv == 0 for mv in right] for mu in left]
         assert table.tolist() == want, nbits
