@@ -468,8 +468,9 @@ def compare_atoms(x: Atom, y: Atom) -> bool:
     - so every payload letter of x lies in the letter set over which y's
       payload was closed downward, and "below some payload letter of y"
       reduces to membership in it.
-    These rules are this package's own construction, and the oracle sweeps
-    and verify_reflection exist to hold them to account.
+    These rules are this package's own construction.  verify_reflection and
+    AtomAlphabet's plain-part check audit them; the oracle sweeps do not
+    yet, as they only read the alphabet's order.
     """
     if x.base is not y.base:
         raise ValueError("letters over different carriers")

@@ -25,6 +25,7 @@ from .qo import (
     _bits,
     _canonical_relation_keys,
     _checked_indices,
+    _row_blocks,
     all_downsets_of_poset,
     all_quasi_orders,
     all_tuples,
@@ -35,9 +36,6 @@ from .report import CheckResult, Report
 _BRUTEFORCE_MAX_LEN = 8
 # longest prime product on each side of check_abstractly_higman
 _MAX_TUPLE = 3
-# cells one slice of the witness search, or of check_abstractly_higman's
-# tuple-pair table, holds at once
-_WITNESS_CELLS = 1 << 22
 # words per block of hword_primes_check's class search
 _CLASS_BLOCK = 512
 
@@ -198,20 +196,19 @@ def _witness_table(
     U is A x a and V is B x b, leq is S x n x n and idem is S x n; entry
     (s, i, j) of the S x A x B result says whether some weakly increasing map
     sends each letter of U[i] below its target in V[j] in alphabet s, with
-    every target hit more than once idempotent there.  Rows of U are taken in
-    slices so the alphabet-by-row-by-map intermediate stays near
-    _WITNESS_CELLS, and each slice is matched one position at a time.  Words
-    over the length cap are refused before any map is built.
+    every target hit more than once idempotent there.  Rows of U are taken
+    in qo._row_blocks slices of the alphabet-by-row-by-map intermediate, and
+    each slice is matched one position at a time.  Words over the length
+    cap are refused before any map is built.
     """
     _check_witness_len(max(U.shape[1], V.shape[1]))
     f, rep = _weakly_increasing_maps(U.shape[1], V.shape[1])
     targets = V[:, f]
     # per alphabet, the maps whose repeated targets are all idempotent
     absorbs = (~rep | idem[:, targets]).all(-1)[:, None]
-    step = max(1, _WITNESS_CELLS // max(1, absorbs.size))
     out = []
-    for i in range(0, max(1, len(U)), step):
-        rows = U[i : i + step, None, None]
+    for s in _row_blocks(len(U), absorbs.size):
+        rows = U[s, None, None]
         found = np.repeat(absorbs, len(rows), axis=1)
         for k in range(U.shape[1]):
             found &= leq[:, rows[..., k], targets[..., k]]
@@ -388,8 +385,7 @@ def check_abstractly_higman(m: MonoidalQO) -> Report:
     blocks = [
         _letter_block([t for t in tuples if len(t) == k], k) for k in range(_MAX_TUPLE + 1)
     ]
-    step = max(1, _WITNESS_CELLS // len(tuples))
-    slices = [U[s : s + step] for U in blocks for s in range(0, len(U), step)]
+    slices = [U[s] for U in blocks for s in _row_blocks(len(U), len(tuples))]
 
     bad = None
     checked = len(tuples) ** 2

@@ -15,21 +15,21 @@ between the two routes is evidence rather than wiring.  The check_*
 sweeps are the only places both routes meet.
 
 Both inclusions are asked a table at a time: _contained_table runs the
-greedy over per-list step tables, and _included_table compares universe
-rows, in row blocks of at most _BLOCK_CELLS cells.
+greedy over per-list step tables, and bounded inclusion of row u in row v
+is qo._disjoint_table(u, ~v), no bit of u outside v.
 """
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ScaleExceededError
-from .higman import HWord, _letter_block, _word_order, hword_primes_check
+from .higman import _letter_block, _word_order, hword_primes_check
 from .hierarchy import Atom, build_atoms
-from .qo import FiniteQO, _row_masks, all_tuples
+from .qo import FiniteQO, _disjoint_table, _row_blocks, _row_masks, all_tuples
 from .report import CheckResult, Report
 
 _SEQ_UNIVERSE_CAP = 200_000
@@ -39,9 +39,6 @@ _CONTAINMENT_PAIR_CAP = 1 << 26
 # quadruples one product sweep may ask: the 15-letter 4-point carrier asks
 # 241^4, about 3.4 G, and the discrete 4-point carrier 381^4, about 21 G
 _QUADRUPLE_CAP = 1 << 32
-# cells one block of a product table, a containment table or check_xy_wz's
-# quadruple rows holds at once
-_BLOCK_CELLS = 1 << 20
 
 
 def seq_label(p: FiniteQO, s: tuple[int, ...]) -> str:
@@ -79,31 +76,31 @@ class DenotationContext:
         self.seqs = all_tuples(p.n, maxlen)
         self._stars: dict[Atom, np.ndarray] = {}
 
-    def products(self, X: np.ndarray, Y: np.ndarray, table: bool) -> Iterator[np.ndarray]:
-        """The product rows of X's rows with Y's, a block of X's rows at a time.
-
-        As a table a block is (rows, len(Y), width): every row of X against
-        every row of Y.  As a zip it is (rows, width): row i against row i.
-        Since offset(i + j) = offset(j) + nʲ·offset(i), a product x·y with
-        |y| = j sits at offset(j) + gx·nʲ + pos(y) for x's global position
-        gx.  So for each j the universe's tail from offset(j), read as a grid
-        of nʲ columns, takes the outer product of the rows' prefixes (every
-        x with |x| + j <= maxlen) and their length-j blocks, ORed over j.  A
-        block holds at most _BLOCK_CELLS cells.
+    def products(self, X: np.ndarray, Y: np.ndarray, table: bool) -> np.ndarray:
+        """The product rows of X's rows with Y's, filled a block of X's rows
+        at a time.  As a table they are (len(X), len(Y), width): every row of
+        X against every row of Y.  As a zip, (len(X), width): row i against
+        row i.  Since offset(i + j) = offset(j) + nʲ·offset(i), a product x·y
+        with |y| = j sits at offset(j) + gx·nʲ + pos(y) for x's global
+        position gx.  So for each j the universe's tail from offset(j), read
+        as a grid of nʲ columns, takes the outer product of the rows'
+        prefixes (every x with |x| + j <= maxlen) and their length-j blocks,
+        ORed over j.
         """
         off, n = self._offsets, self.base.n
         width = off[-1]
-        rows = max(1, _BLOCK_CELLS // (width * len(Y) if table else width))
-        for r in range(0, len(X), rows):
-            x = X[r : r + rows, None] if table else X[r : r + rows]
-            y = Y if table else Y[r : r + rows]
+        out = np.empty((len(X), len(Y), width) if table else (len(X), width), dtype=bool)
+        for s in _row_blocks(len(X), width * len(Y) if table else width):
+            x = X[s, None] if table else X[s]
+            y = Y if table else Y[s]
+            block = out[s]
             # j = 0: y's length-0 block is its ε bit
-            out = x & y[..., :1]
+            np.logical_and(x, y[..., :1], out=block)
             for j in range(1, len(off) - 1):
                 # splitting the last axis of a slice is a view, so |= writes out
-                grid = out[..., off[j] :].reshape(*out.shape[:-1], off[-1 - j], n**j)
+                grid = block[..., off[j] :].reshape(*block.shape[:-1], off[-1 - j], n**j)
                 grid |= x[..., : off[-1 - j], None] & y[..., None, off[j] : off[j + 1]]
-            yield out
+        return out
 
     def letter_rows(self, letters: Sequence[Atom]) -> np.ndarray:
         """One row per letter.  The plain letters' rows are one slice of
@@ -122,7 +119,7 @@ class DenotationContext:
             out = np.logical_or.reduceat(payloads, starts)
             out[:, 0] = True
             for _ in range((len(self._offsets) - 3).bit_length()):
-                out = np.concatenate([*self.products(out, out, False)])
+                out = self.products(out, out, False)
             held.update(zip(stars, out))
         # down[c]: ε and every single letter below class c
         down = np.zeros((n, width), dtype=bool)
@@ -138,13 +135,12 @@ class DenotationContext:
         rows = self.letter_rows(letters)
         out = [np.eye(1, rows.shape[1], dtype=bool), rows]
         for _ in range(max_len - 1):
-            table = np.concatenate([*self.products(out[-1], out[1], True)])
-            out.append(table.reshape(-1, rows.shape[1]))
+            out.append(self.products(out[-1], out[1], True).reshape(-1, rows.shape[1]))
         return np.concatenate(out[: max_len + 1])
 
     def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         'The one-pair view of products: the row of x·y.'
-        return next(self.products(x[None], y[None], False))[0]
+        return self.products(x[None], y[None], False)[0]
 
     def word_mask(self, letters: tuple[Atom, ...]) -> np.ndarray:
         'The one-word view: the letters\' rows folded left by product.'
@@ -165,15 +161,16 @@ def check_containment_agreement(
     A word below another must denote a subset; a word not below must be
     refuted by a concrete short sequence.  The word order is one table over
     every pair of words, and bounded inclusion of their rows another
-    (_included_table); the counts are read off the two tables.  The rows
-    come from DenotationContext.word_rows, one product table per length.
-    The first violation in row-major order is reported, with the last
-    sequence of the universe that its left word denotes and its right word
-    does not.  Every pair the universe cannot refute is counted, the first
-    ten in row-major order are flagged, and any such pair fails the second
-    check: an undecided pair is no evidence either way.  The sweep is refused before
-    any word is built when its words, sum of k^l over lengths l, make more
-    than _CONTAINMENT_PAIR_CAP pairs.
+    (_disjoint_table against the complements); the counts are read off the
+    two tables.  The rows come from DenotationContext.word_rows, one
+    product table per length.  The first violation in row-major order is
+    reported, with the last sequence of the universe that its left word
+    denotes and its right word does not.  Every pair the universe cannot
+    refute is counted, the first ten in row-major order are flagged, and
+    any such pair fails the second check: an undecided pair is no evidence
+    either way.  The sweep is refused before any word is built when its
+    words, sum of k^l over lengths l, make more than _CONTAINMENT_PAIR_CAP
+    pairs.
     """
     if alpha > 2 or maxlen > 5:
         raise ScaleExceededError("containment sweep is sized for alpha <= 2, maxlen <= 5")
@@ -186,11 +183,11 @@ def check_containment_agreement(
         )
     ctx = DenotationContext(p, maxlen)
     words = all_tuples(len(system.atoms), max_word_len)
-    hwords = [HWord(system.alphabet, t) for t in words]
+    labels = [[system.atoms[x].serial for x in t] for t in words]
     rows = ctx.word_rows(system.atoms, max_word_len)
     W = _letter_block(words, max_word_len)
     order = _word_order(system.alphabet, W, W, True)
-    inside = _included_table(rows, rows)
+    inside = _disjoint_table(rows, ~rows)
     confirmed = int(np.count_nonzero(order & inside))
     unresolved = int(np.count_nonzero(inside)) - confirmed
     lies = int(np.count_nonzero(order)) - confirmed
@@ -199,12 +196,12 @@ def check_containment_agreement(
     if lies:
         i, j = np.argwhere(order & ~inside)[0]
         violation = {
-            "lhs": list(hwords[i].labels),
-            "rhs": list(hwords[j].labels),
+            "lhs": labels[i],
+            "rhs": labels[j],
             "witness": seq_label(p, ctx.seqs[np.flatnonzero(rows[i] & ~rows[j])[-1]]),
         }
     flagged = [
-        {"lhs": list(hwords[i].labels), "rhs": list(hwords[j].labels)}
+        {"lhs": labels[i], "rhs": labels[j]}
         for i, j in np.argwhere(inside & ~order)[:10]
     ]
     stats = {
@@ -239,7 +236,8 @@ def check_two_forms(
     from the denoted single letters (star form) or the empty sequence plus
     those letters (down form).  The star forms are one float32 product of
     the letters' complemented single-letter sets against the letters each
-    sequence uses: a cell counts the letters a sequence uses outside the set.
+    sequence uses (qo._disjoint_table): a sequence is in the star form when
+    it uses no letter outside the set.
     """
     if maxlen < 2:
         # below length 2 a letter's star form and down form are the same set
@@ -255,7 +253,7 @@ def check_two_forms(
     # the star fixpoint of its down form, so a star form read from it could never differ.
     # uses[k, c]: sequence k is spelled with letter c
     uses = (_letter_block(ctx.seqs, maxlen)[:, :, None] == np.arange(p.n)).any(1)
-    star = (~letters).astype(np.float32) @ uses.T.astype(np.float32) == 0
+    star = _disjoint_table(~letters, uses)
     # the down form keeps the sequences of length at most 1, bits 0 to n
     down = star & (np.arange(rows.shape[1]) <= p.n)
     is_star = (rows == star).all(1)
@@ -373,23 +371,6 @@ def _contained_table(
     return cursor <= b
 
 
-def _included_table(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Bounded inclusion, no bit of the left row outside the right one, of
-    every bool row of u in every bool row of v.
-
-    A block of rows of u at a time is one float32 product against the
-    complements of v: a cell counts the sequences the left row holds and
-    the right one lacks.  The count is at most _SEQ_UNIVERSE_CAP < 2**24, so
-    float32 holds it exactly.  A block holds at most _BLOCK_CELLS cells.
-    """
-    outside = (~v.T).astype(np.float32)
-    out = np.empty((len(u), len(v)), dtype=bool)
-    rows = max(1, _BLOCK_CELLS // max(1, len(v)))
-    for r in range(0, len(u), rows):
-        out[r : r + rows] = u[r : r + rows].astype(np.float32) @ outside == 0
-    return out
-
-
 def check_xy_wz(
     p: FiniteQO, maxlen: int = 4, max_word_len: int = 2
 ) -> Report:
@@ -403,14 +384,15 @@ def check_xy_wz(
     letters), so the bounded universe serves here as a consistency guard on
     the exact decision rather than as the decision itself.
 
-    The k² pair products are one product table over the word rows, read a
-    block at a time.  Each is interned once, as its (normalised factor list,
-    packed row) pair, and two dense tables over the distinct products are
-    filled up front: exact containment of the lists (_contained_table) and
-    bounded inclusion of the rows (_included_table).  A word is its
-    product with the empty word, so single-word containment is the first
-    column of the id array.  The (x, y) rows are then read over all (w, z)
-    a block of rows at a time, at most _BLOCK_CELLS cells per block.  Exact
+    The k² pair products are one product table over the word rows, asked
+    a _row_blocks slice of left words at a time.  Each is interned once, as
+    its (normalised factor list, packed row) pair, and two dense tables
+    over the distinct products are filled up front: exact containment of
+    the lists (_contained_table) and bounded inclusion of the rows
+    (_disjoint_table against the complements).  A word is its product with
+    the empty word, so single-word containment is the first column of the
+    id array.  The (x, y) rows are then read over all (w, z) a _row_blocks
+    slice at a time.  Exact
     containment implies bounded inclusion, which the guard checks on every
     pair of products, so only cells inside the bounded inclusion are read;
     an exact miss there is counted as saturated at the bound.  Counts stop
@@ -435,8 +417,8 @@ def check_xy_wz(
     labels = [".".join(system.atoms[i].serial for i in t) or "ε" for t in words]
     packed_rows = (
         cells
-        for block in ctx.products(word_bits, word_bits, True)
-        for cells in np.packbits(block, axis=-1)
+        for s in _row_blocks(k, k * word_bits.shape[1])
+        for cells in np.packbits(ctx.products(word_bits[s], word_bits, True), axis=-1)
     )
     ids, products = _intern(
         [(_concat(fa, fb), cell.tobytes()) for fb, cell in zip(lists, cells)]
@@ -447,7 +429,7 @@ def check_xy_wz(
     contained = _contained_table(product_lists, product_lists)
     bits = np.frombuffer(b"".join(packed), np.uint8).reshape(len(packed), -1)
     bits = np.unpackbits(bits, axis=1, count=word_bits.shape[1]).view(bool)
-    bounded = _included_table(bits, bits)
+    bounded = _disjoint_table(bits, ~bits)
     # words[0] is the empty word, and a product with it is the other factor
     exact = contained[np.ix_(pid[:, 0], pid[:, 0])]
     # a lying pair is labelled by the first (x, y) and (w, z) forming its products
@@ -466,10 +448,9 @@ def check_xy_wz(
     reading = np.add(bounded, bounded & contained, dtype=np.uint8)
     limit = np.where(exact, 2, 1).astype(np.uint8)
     wz = pid.ravel()
-    rows = max(1, _BLOCK_CELLS // (k * k))
-    for r in range(0, k * k, rows):
-        x, y = divmod(np.arange(r, min(r + rows, k * k)), k)
-        block = np.take(reading[wz[r : r + rows]], wz, axis=1).ravel()
+    for s in _row_blocks(k * k, k * k):
+        x, y = divmod(np.arange(*s.indices(k * k)), k)
+        block = np.take(reading[wz[s]], wz, axis=1).ravel()
         over = block > (limit[x][:, :, None] | limit[y][:, None, :]).ravel()
         miss = over.any()
         read = block[: over.argmax() + 1] if miss else block
@@ -477,7 +458,7 @@ def check_xy_wz(
         held += held_here
         saturated += np.count_nonzero(read) - held_here
         if miss:
-            cell = np.unravel_index(r * k * k + len(read) - 1, (k,) * 4)
+            cell = np.unravel_index(s.start * k * k + len(read) - 1, (k,) * 4)
             bad = dict(zip("xywz", (labels[i] for i in cell)))
             break
     stats = {

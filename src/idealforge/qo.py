@@ -12,7 +12,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -80,18 +80,36 @@ class FiniteQO:
         return f"FiniteQO({list(self.elements)!r}, {int(self.leq.sum())} pairs)"
 
 
-def transitive_closure(table: np.ndarray) -> np.ndarray:
-    """Reflexive-transitive closure of a boolean relation, by repeated squaring.
+# cells one block of a blocked table holds at once
+_BLOCK_CELLS = 1 << 20
 
-    Each square is a float32 matrix product, which BLAS runs and a boolean
-    one is not; a cell is set when its count of two-step paths is positive,
-    and counts of 0/1 products stay exact below 2**24 points.
-    """
+
+def _row_blocks(count: int, cells_per_row: int) -> Iterator[slice]:
+    """Slices covering range(count), each of as many rows as _BLOCK_CELLS
+    holds at max(1, cells_per_row) cells a row, and at least one row; one
+    slice if count is 0."""
+    step = max(1, _BLOCK_CELLS // max(1, cells_per_row))
+    return (slice(r, r + step) for r in range(0, max(1, count), step))
+
+
+def _disjoint_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cell [i, j] holds when bool rows a[i] and b[j] share no true column:
+    one float32 product per _row_blocks slice of a (BLAS runs float32, not
+    bool) counts the shared columns, exact below 2**24 columns."""
+    right = b.T.astype(np.float32)
+    out = np.empty((len(a), len(b)), dtype=bool)
+    for s in _row_blocks(len(a), len(b)):
+        out[s] = a[s].astype(np.float32) @ right == 0
+    return out
+
+
+def transitive_closure(table: np.ndarray) -> np.ndarray:
+    'Reflexive-transitive closure of a boolean relation, by repeated squaring.'
     closed = np.array(table, dtype=bool)
     np.fill_diagonal(closed, True)
     while True:
-        paths = closed.astype(np.float32)
-        step = paths @ paths > 0
+        # i reaches j in two steps when row i and column j meet
+        step = ~_disjoint_table(closed, closed.T)
         if np.array_equal(step, closed):
             return step
         closed = step
@@ -123,7 +141,7 @@ def validate(elements: Iterable[str], order: Iterable[tuple[str, str]], close: b
         for i in range(n):
             if not table[i, i]:
                 raise NotReflexiveError(f"missing reflexive pair for {elements[i]!r}")
-        reach = table | (table @ table)
+        reach = table | ~_disjoint_table(table, table.T)
         if not np.array_equal(reach, table):
             i, j = np.argwhere(reach & ~table)[0]
             raise NotTransitiveError(

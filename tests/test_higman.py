@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idealforge import higman
+from idealforge import higman, qo
 from idealforge.downsets import Downset, principal
 from idealforge.errors import AlphabetMismatchError, TooLargeError
 from idealforge.higman import (
@@ -326,12 +326,12 @@ def witness_exists(lu, lv, leq_rows, idem):
     return False
 
 
-@pytest.mark.parametrize("cells", [higman._WITNESS_CELLS, 1])
+@pytest.mark.parametrize("cells", [qo._BLOCK_CELLS, 1])
 def test_witness_kernel_matches_the_scalar_reference(monkeypatch, cells):
     # every block of words up to length 4 over every alphabet of at most 2
     # letters, the empty alphabet, empty words and longer left sides included;
     # one cell per slice takes the rows one at a time
-    monkeypatch.setattr(higman, "_WITNESS_CELLS", cells)
+    monkeypatch.setattr(qo, "_BLOCK_CELLS", cells)
     pairs = 0
     for n in range(3):
         words = [[t for t in all_tuples(n, 4) if len(t) == k] for k in range(5)]
@@ -353,12 +353,12 @@ def test_witness_kernel_matches_the_scalar_reference(monkeypatch, cells):
     assert pairs == 8_700
 
 
-@pytest.mark.parametrize("cells", [higman._WITNESS_CELLS, 1])
+@pytest.mark.parametrize("cells", [qo._BLOCK_CELLS, 1])
 def test_stacked_witness_kernel_matches_each_alphabet(monkeypatch, cells):
     # every alphabet of one carrier size, every quasi-order with every
     # upward-closed idempotent set, stacked into one call per block; each
     # slice must be that alphabet's own scalar search
-    monkeypatch.setattr(higman, "_WITNESS_CELLS", cells)
+    monkeypatch.setattr(qo, "_BLOCK_CELLS", cells)
     pairs = 0
     for n, maxlen in ((1, 4), (2, 3), (3, 2)):
         words = [[t for t in all_tuples(n, maxlen) if len(t) == k] for k in range(maxlen + 1)]
@@ -580,7 +580,7 @@ def test_abstract_matching_fails_on_commuting_primes():
 
 def test_abstract_matching_reads_the_same_in_row_slices(monkeypatch):
     whole = [check_abstractly_higman(m).to_json() for m in (capped_addition(4), flat(2), flat(3))]
-    monkeypatch.setattr(higman, "_WITNESS_CELLS", 1)
+    monkeypatch.setattr(qo, "_BLOCK_CELLS", 1)
     sliced = [check_abstractly_higman(m).to_json() for m in (capped_addition(4), flat(2), flat(3))]
     assert sliced == whole
 

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from idealforge import oracle
+from idealforge import oracle, qo
 from idealforge.downsets import enumerate_ideals
 from idealforge.errors import ScaleExceededError
 from idealforge.fixtures import capped_addition
@@ -16,13 +16,12 @@ from idealforge.oracle import (
     _concat,
     _contained_table,
     _factor_lists,
-    _included_table,
     check_containment_agreement,
     check_two_forms,
     check_xy_wz,
     seq_label,
 )
-from idealforge.qo import FiniteQO, _row_masks, all_quasi_orders, all_tuples
+from idealforge.qo import FiniteQO, _disjoint_table, _row_masks, all_quasi_orders, all_tuples
 
 
 def test_truncated_universe_shape(a2, antichain3):
@@ -129,7 +128,7 @@ def test_product_kernel_matches_the_carry_free_reference(monkeypatch):
     # carrier has at most 2 points) against the scalar fixpoint over their
     # payloads; every word up to length 3 of the level-1 letters against the
     # reference fold and word_mask.
-    monkeypatch.setattr(oracle, "_BLOCK_CELLS", 100)
+    monkeypatch.setattr(qo, "_BLOCK_CELLS", 100)
     rng = random.Random(17)
     for n in (1, 2, 3):
         for q in all_quasi_orders(n):
@@ -140,11 +139,11 @@ def test_product_kernel_matches_the_carry_free_reference(monkeypatch):
                 left = [0, 1] + [rng.getrandbits(size) & rng.getrandbits(size) for _ in range(7)]
                 right = [1] + [rng.getrandbits(size) for _ in range(6)]
                 X, Y = _rows(left, size), _rows(right, size)
-                table = np.concatenate([*ctx.products(X, Y, True)])
+                table = ctx.products(X, Y, True)
                 assert table.shape == (len(left), len(right), size)
                 got = [_row_masks(block) for block in table]
                 assert got == [[reference(x, y) for y in right] for x in left]
-                zipped = _row_masks(np.concatenate([*ctx.products(X[: len(right)], Y, False)]))
+                zipped = _row_masks(ctx.products(X[: len(right)], Y, False))
                 assert zipped == [reference(x, y) for x, y in zip(left, right)]
                 assert zipped == _row_masks(np.array([ctx.product(x, y) for x, y in zip(X, Y)]))
 
@@ -160,6 +159,18 @@ def test_product_kernel_matches_the_carry_free_reference(monkeypatch):
                     word = tuple(level1[i] for i in t)
                     want = functools.reduce(reference, (masks[a] for a in word), 1)
                     assert row == want == _row_masks(ctx.word_mask(word)[None])[0], (q, maxlen, t)
+
+
+def test_products_against_an_empty_stack(a2):
+    # no letters spell only ε, and a table against no rows has no columns
+    ctx = DenotationContext(a2, 3)
+    width = len(ctx.seqs)
+    for k in (1, 2, 3):
+        assert np.array_equal(ctx.word_rows([], k), np.eye(1, width, dtype=bool))
+    X = ctx.letter_rows(build_atoms(a2, 1).atoms)
+    empty = np.zeros((0, width), dtype=bool)
+    assert ctx.products(X, empty, True).shape == (len(X), 0, width)
+    assert ctx.products(empty, X, True).shape == (0, len(X), width)
 
 
 def test_truncated_ideals_have_tops():
@@ -655,22 +666,22 @@ def test_sweeps_read_the_same_in_small_blocks(monkeypatch, singleton, chain2, a2
 
     whole = reports()
     assert not all(r["passed"] for r in whole)
-    monkeypatch.setattr(oracle, "_BLOCK_CELLS", 1)
+    monkeypatch.setattr(qo, "_BLOCK_CELLS", 1)
     assert reports() == whole
 
 
-@pytest.mark.parametrize("cells", [oracle._BLOCK_CELLS, 50])
+@pytest.mark.parametrize("cells", [qo._BLOCK_CELLS, 50])
 def test_bounded_inclusion_matches_the_bit_test(monkeypatch, cells):
     # universe sizes off the multiples of 8 and 64, so the last byte of a
     # row is partial; half the left masks are drawn inside some right mask,
     # and 50 cells make blocks of two rows, the last of them one row short
-    monkeypatch.setattr(oracle, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(qo, "_BLOCK_CELLS", cells)
     rng = random.Random(11)
     for nbits in (1, 5, 13, 67, 130, 341):
         right = [rng.getrandbits(nbits) | rng.getrandbits(nbits) for _ in range(23)]
         left = [0] + [rng.getrandbits(nbits) for _ in range(9)]
         left += [rng.choice(right) & rng.getrandbits(nbits) for _ in range(9)]
-        table = _included_table(_rows(left, nbits), _rows(right, nbits))
+        table = _disjoint_table(_rows(left, nbits), ~_rows(right, nbits))
         assert table.shape == (len(left), len(right))
         want = [[mu & ~mv == 0 for mv in right] for mu in left]
         assert table.tolist() == want, nbits

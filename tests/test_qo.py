@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from idealforge import qo
 from idealforge.errors import (
     CombinatorialBlowupError,
     DuplicateLabelError,
@@ -37,7 +38,7 @@ from idealforge.qo import (
 )
 
 
-def test_validate_rejects_bad_input():
+def test_validate_rejects_bad_input(monkeypatch):
     with pytest.raises(DuplicateLabelError):
         validate(["a", "a"], [])
     with pytest.raises(UnknownLabelError):
@@ -46,6 +47,13 @@ def test_validate_rejects_bad_input():
         validate(["a", "b"], [("a", "a"), ("a", "b")])
     with pytest.raises(NotTransitiveError):
         validate(["a", "b", "c"], [("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c")])
+    # a < c < f and e < d < b lack only (a, f) and (e, b); (a, f) comes first
+    # row-major and (e, b) column-major.  One cell per block reads a row at a time.
+    pairs = [(x, x) for x in "abcdef"] + [("a", "c"), ("c", "f"), ("e", "d"), ("d", "b")]
+    for cells in (qo._BLOCK_CELLS, 1):
+        monkeypatch.setattr(qo, "_BLOCK_CELLS", cells)
+        with pytest.raises(NotTransitiveError, match=r"^missing transitive pair \('a', 'f'\)$"):
+            validate("abcdef", pairs)
 
 
 def test_validate_close_takes_closure():
@@ -74,9 +82,12 @@ def _reference_closure(table):
         closed = step
 
 
-def test_transitive_closure_matches_the_boolean_reference():
+@pytest.mark.parametrize("cells", [qo._BLOCK_CELLS, 1])
+def test_transitive_closure_matches_the_boolean_reference(monkeypatch, cells):
     # every relation on up to 4 points, whose closures are every labelled
-    # quasi-order table there and which include those tables themselves
+    # quasi-order table there and which include those tables themselves;
+    # one cell per block squares a row at a time
+    monkeypatch.setattr(qo, "_BLOCK_CELLS", cells)
     checked = 0
     for n in range(5):
         off = [(i, j) for i in range(n) for j in range(n) if i != j]

@@ -5,9 +5,11 @@ used when a package module other than __init__.py, a demo or a perfbench
 module names it: as a bare name, as an attribute, or in an import.  `main`
 is used through the console script in pyproject.toml.  Tests and the
 __init__ re-exports do not count: a definition only they name is not needed.
-Likewise every name a package module other than __init__.py imports at top
-level, __future__ aside, is read in that module: no linter runs here, so
-this test is the unused-import check.
+A top-level name a package module binds by assignment, dunders aside, such
+as a cap, a budget or a pool, counts as used the same way, but only where
+it is read: binding it again is no use.  Likewise every name a package module other than
+__init__.py imports at top level, __future__ aside, is read in that module:
+no linter runs here, so this test is the unused-import check.
 """
 import ast
 from pathlib import Path
@@ -31,32 +33,54 @@ def _definitions(tree: ast.Module) -> list[str]:
     return out
 
 
+def _assignments(tree: ast.Module) -> list[str]:
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            out += [t.id for t in ast.walk(target) if isinstance(t, ast.Name)]
+    return [name for name in out if not (name.startswith("__") and name.endswith("__"))]
+
+
 def _references(tree: ast.Module) -> set[str]:
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             out.add(node.attr)
         elif isinstance(node, ast.alias):
             out.add(node.name.split(".")[-1])
     return out
 
 
-def test_every_package_definition_is_referenced():
+def _unused(defined) -> list[str]:
+    'The names defined(tree) gives in a package module that no caller reads.'
     used = {"main"}
     callers = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     for folder in ("demos", "perfbench"):
         callers += (ROOT / folder).rglob("*.py")
     for path in callers:
         used |= _references(ast.parse(path.read_text(encoding="utf-8")))
-    unused = sorted(
+    return sorted(
         f"{path.name}:{name}"
         for path in PACKAGE.glob("*.py")
-        for name in _definitions(ast.parse(path.read_text(encoding="utf-8")))
+        for name in defined(ast.parse(path.read_text(encoding="utf-8")))
         if name not in used
     )
-    assert unused == []
+
+
+def test_every_package_definition_is_referenced():
+    assert _unused(_definitions) == []
+
+
+def test_every_module_constant_is_read():
+    assert _unused(_assignments) == []
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
