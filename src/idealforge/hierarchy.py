@@ -381,11 +381,11 @@ class Atom:
 
     Hash-consed in the base carrier's own pool (FiniteQO._atom_pool), so
     letters live exactly as long as their carrier; build through
-    non_idem_atom, and build idempotent letters only inside build_atoms,
-    which closes each payload downward.
-    downset is None for a plain letter and the payload letters, sorted by
-    serial, for an idempotent one, so every walk over a payload visits it in
-    the same order on every run.
+    non_idem_atom, and idempotent letters inside build_atoms, which closes
+    each payload downward, or as the oracle's stars over a derived carrier,
+    which are denoted, never ordered.  downset is None for a plain letter
+    and the payload letters, sorted by serial, for an idempotent one, so
+    every walk over a payload visits it in the same order on every run.
     The level is the stage where the letter first appears: 0 for plain
     letters, one past the deepest payload letter otherwise.  bit is
     1 << (the letter's position in its carrier's pool); mask is the OR of
@@ -430,7 +430,7 @@ def _idem_atom(base: FiniteQO, downset: Iterable[Atom]) -> Atom:
     """The idempotent letter over a set of lower letters.
 
     compare_atoms is sound only when that set is downward closed in the
-    order on the letters built so far, which build_atoms guarantees.
+    letters built so far, as in build_atoms; the oracle's stars go unordered.
     """
     downset = frozenset(downset)
     if not downset:
@@ -468,9 +468,9 @@ def compare_atoms(x: Atom, y: Atom) -> bool:
     - so every payload letter of x lies in the letter set over which y's
       payload was closed downward, and "below some payload letter of y"
       reduces to membership in it.
-    These rules are this package's own construction.  verify_reflection and
-    AtomAlphabet's plain-part check audit them; the oracle sweeps do not
-    yet, as they only read the alphabet's order.
+    These rules are this package's own construction.  verify_reflection,
+    AtomAlphabet's plain-part check and letter-order-is-containment (the
+    oracle's exact containment of letters) audit them.
     """
     if x.base is not y.base:
         raise ValueError("letters over different carriers")

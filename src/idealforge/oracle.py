@@ -1,18 +1,23 @@
 """Brute-force ground truth over bounded-length sequences.
 
-The semantic side here is deliberately primitive: symbolic letters denote
-explicit sets of short sequences over the carrier, and the theorem checks
-compare those sets bit by bit.  Every denotation, from a letter's to a
-product's, is one bool row over the universe, in the one layout that
-DenotationContext states, so a product of two sets is arithmetic on
-positions, with no split table: one row kernel (DenotationContext.products)
-lays the outer products of the factors' length blocks into place, a table
-or a zip of rows at a time.  Products of level-1 denotations are also
-decided with no length bound, by greedy inclusion of factor products, and
-the bounded rows guard that decision.  None of it consults the
-word-embedding decision procedure or the letter-order rules, so agreement
-between the two routes is evidence rather than wiring.  The check_*
-sweeps are the only places both routes meet.
+The semantic side here is deliberately primitive: symbolic level-1
+letters denote explicit sets of short sequences over a carrier, and the
+theorem checks compare those sets bit by bit.  Every denotation, from a
+letter's to a product's, is one bool row over the universe in the layout
+DenotationContext states, so products are arithmetic on positions, a
+table or a zip of rows at a time (DenotationContext.products).  Products
+are also decided with no length bound, by greedy inclusion of factor
+products, and the bounded rows guard that decision.  None of it consults
+the word-embedding decision procedure or the letter-order rules, so
+agreement between the two routes is evidence rather than wiring.  The
+check_* sweeps are the only places both routes meet.
+
+The paper orders level α + 1 by inclusion of the ideals of level α, so
+level α is level 1 over a derived carrier P_{α-1}, the word-ideal normal
+form of Finkel and Goubault-Larrecq ("Forward analysis for WSTS, Part I:
+completions", STACS 2009) one level up: P_0 is the carrier, and P_k's
+points are the level-k letters, ordered by exact containment of their
+level-1 images over P_{k-1}.
 
 Both inclusions are asked a table at a time: _contained_table runs the
 greedy over per-list step tables, and bounded inclusion of row u in row v
@@ -28,7 +33,7 @@ import numpy as np
 
 from .errors import ScaleExceededError
 from .higman import _letter_block, _word_order, hword_primes_check
-from .hierarchy import Atom, build_atoms
+from .hierarchy import Atom, _idem_atom, _letter_table, build_atoms, non_idem_atom
 from .qo import FiniteQO, _disjoint_table, _row_blocks, _row_masks, all_tuples
 from .report import CheckResult, Report
 
@@ -41,8 +46,8 @@ _CONTAINMENT_PAIR_CAP = 1 << 26
 _QUADRUPLE_CAP = 1 << 32
 
 
-def seq_label(p: FiniteQO, s: tuple[int, ...]) -> str:
-    return ".".join(p.elements[i] for i in s) if s else "ε"
+def seq_label(names: Sequence[str], s: tuple[int, ...]) -> str:
+    return ".".join(names[i] for i in s) if s else "ε"
 
 
 class DenotationContext:
@@ -103,28 +108,28 @@ class DenotationContext:
         return out
 
     def letter_rows(self, letters: Sequence[Atom]) -> np.ndarray:
-        """One row per letter.  The plain letters' rows are one slice of
-        base.leq.  The stars not yet held settle together: their payloads
-        first, then the least fixpoint of out = {ε} | inner·out, one zip over
-        all of them.  Squaring out = {ε} | inner doubles the factors it
-        spells, and a sequence in the universe needs at most maxlen non-empty
-        factors."""
+        """One row per level-1 letter.  The plain letters' rows are one
+        slice of base.leq.  The stars not yet held settle together, a star
+        over a star refused: the least fixpoint of out = {ε} | inner·out
+        over their payloads' plain rows, one zip over all of them.  Squaring
+        out = {ε} | inner doubles the factors it spells, and a sequence in
+        the universe needs at most maxlen non-empty factors."""
         held, n, width = self._stars, self.base.n, self._offsets[-1]
-        stars = [a for a in dict.fromkeys(letters) if a.is_idem and a not in held]
-        if stars:
-            # a payload may hold a star of the list, which settles twice
-            payloads = self.letter_rows([d for a in stars for d in a.downset])
-            # _idem_atom refuses an empty payload, so each star ORs its own rows
-            starts = np.cumsum([0, *(len(a.downset) for a in stars[:-1])])
-            out = np.logical_or.reduceat(payloads, starts)
-            out[:, 0] = True
-            for _ in range((len(self._offsets) - 3).bit_length()):
-                out = self.products(out, out, False)
-            held.update(zip(stars, out))
         # down[c]: ε and every single letter below class c
         down = np.zeros((n, width), dtype=bool)
         down[:, 0] = True
         down[:, 1 : n + 1] = self.base.leq.T
+        stars = [a for a in dict.fromkeys(letters) if a.is_idem and a not in held]
+        if any(d.is_idem for a in stars for d in a.downset):
+            raise ValueError("a star over a star is denoted over a derived carrier")
+        if stars:
+            payloads = down[[d.base_class for a in stars for d in a.downset]]
+            # _idem_atom refuses an empty payload, so each star ORs its own rows
+            starts = np.cumsum([0, *(len(a.downset) for a in stars[:-1])])
+            out = np.logical_or.reduceat(payloads, starts)
+            for _ in range((len(self._offsets) - 3).bit_length()):
+                out = self.products(out, out, False)
+            held.update(zip(stars, out))
         rows = [held[a] if a.is_idem else down[a.base_class] for a in letters]
         return np.array(rows, dtype=bool).reshape(-1, width)
 
@@ -170,10 +175,13 @@ def check_containment_agreement(
     any such pair fails the second check: an undecided pair is no evidence
     either way.  The sweep is refused before any word is built when its
     words, sum of k^l over lengths l, make more than _CONTAINMENT_PAIR_CAP
-    pairs.
+    pairs.  Words are denoted over P_{alpha-1}, a plain letter by its
+    point's plain letter, a star by the star over its payload's points; a
+    witness spells those points, named p0, p1, ..., by serial.  Each P_k's
+    order must equal _letter_table's (letter-order-is-containment).
     """
-    if alpha > 2 or maxlen > 5:
-        raise ScaleExceededError("containment sweep is sized for alpha <= 2, maxlen <= 5")
+    if maxlen > 5:
+        raise ScaleExceededError("containment sweep is sized for maxlen <= 5")
     system = build_atoms(p, alpha)
     count = sum(len(system.atoms) ** length for length in range(max_word_len + 1))
     if count * count > _CONTAINMENT_PAIR_CAP:
@@ -181,10 +189,29 @@ def check_containment_agreement(
             f"containment sweep over {count:,} words asks {count * count:,} pairs, "
             f"past the cap of {_CONTAINMENT_PAIR_CAP:,}"
         )
-    ctx = DenotationContext(p, maxlen)
+    carrier, names, audit = p, p.elements, None
+    # the level-1 letters are their own images over P_0
+    letters = system.atoms[: system.level_counts[min(alpha, 1)]]
+    for k in range(1, alpha):
+        level = system.atoms[: system.level_counts[k]]
+        lists = _factor_lists(letters, all_tuples(len(level), 1)[1:], DenotationContext(carrier, 1))
+        leq = _contained_table(lists, lists)
+        wrong = np.argwhere(leq != _letter_table(level))
+        if len(wrong) and audit is None:
+            i, j = wrong[0]
+            audit = {"level": k, "lhs": level[i].serial, "rhs": level[j].serial}
+            audit["contained"] = bool(leq[i, j])
+        carrier = FiniteQO([f"p{i}" for i in range(len(level))], leq)
+        names = [a.serial for a in level]
+        plain = {a: non_idem_atom(carrier, i) for i, a in enumerate(level)}
+        letters = [
+            _idem_atom(carrier, (plain[d] for d in a.downset)) if a.is_idem else plain[a]
+            for a in system.atoms[: system.level_counts[k + 1]]
+        ]
+    ctx = DenotationContext(carrier, maxlen)
     words = all_tuples(len(system.atoms), max_word_len)
     labels = [[system.atoms[x].serial for x in t] for t in words]
-    rows = ctx.word_rows(system.atoms, max_word_len)
+    rows = ctx.word_rows(letters, max_word_len)
     W = _letter_block(words, max_word_len)
     order = _word_order(system.alphabet, W, W, True)
     inside = _disjoint_table(rows, ~rows)
@@ -198,7 +225,7 @@ def check_containment_agreement(
         violation = {
             "lhs": labels[i],
             "rhs": labels[j],
-            "witness": seq_label(p, ctx.seqs[np.flatnonzero(rows[i] & ~rows[j])[-1]]),
+            "witness": seq_label(names, ctx.seqs[np.flatnonzero(rows[i] & ~rows[j])[-1]]),
         }
     flagged = [
         {"lhs": labels[i], "rhs": labels[j]}
@@ -212,6 +239,10 @@ def check_containment_agreement(
         "refuted": refuted,
         "unresolved": unresolved,
     }
+    letter_order = CheckResult(
+        "letter-order-is-containment", audit is None, audit,
+        {"points": list(system.level_counts[1:alpha])},
+    )
     return Report(
         "containment-agreement",
         (
@@ -222,6 +253,7 @@ def check_containment_agreement(
                 None,
                 {"unresolved": unresolved, "flagged": flagged},
             ),
+            *([letter_order] if alpha >= 2 else []),
         ),
     )
 
@@ -263,7 +295,9 @@ def check_two_forms(
         shape_bad = {
             "atom": system.atoms[i].serial,
             "letters": sorted(p.elements[c] for c in np.flatnonzero(letters[i])),
-            "extra": [seq_label(p, ctx.seqs[k]) for k in np.flatnonzero(rows[i] & ~star[i])[:5]],
+            "extra": [
+                seq_label(p.elements, ctx.seqs[k]) for k in np.flatnonzero(rows[i] & ~star[i])[:5]
+            ],
         }
     census = dict(primes.check("primes-are-letter-classes").stats)
     census.update({"star_forms": int(is_star.sum()), "down_forms": int(is_down.sum())})
@@ -285,12 +319,8 @@ def _factor_lists(
     A plain letter contributes an optional-single-letter factor, a star
     letter a star factor over its single letters, each set read off the
     one-letter block of the letter's row, bit i for carrier point i.  The
-    product is exact at level 1, with no length bound: there a letter
-    denotes its down form or the star form of its single letters
-    (check_two_forms).  At level 2 it is exact only for the flattened sets
-    of sequences over p.  The paper's level 2 orders ideals of level 1,
-    where *{*{a},a} and *{a} differ though both flatten to a*, so level 2
-    waits for a derived carrier P₁ whose points are the level-1 letters.
+    product is exact, with no length bound: a level-1 letter denotes its
+    down form or the star form of its single letters (check_two_forms).
     Adjacent factors a star absorbs are dropped.
     """
     sets = _row_masks(ctx.letter_rows(letters)[:, 1 : ctx.base.n + 1])

@@ -7,7 +7,7 @@ import pytest
 
 from idealforge import oracle, qo
 from idealforge.downsets import enumerate_ideals
-from idealforge.errors import ScaleExceededError
+from idealforge.errors import LevelCapExceededError, ScaleExceededError
 from idealforge.fixtures import capped_addition
 from idealforge.hierarchy import build_atoms
 from idealforge.higman import AtomAlphabet, HWord, leq_H_bruteforce
@@ -28,8 +28,8 @@ def test_truncated_universe_shape(a2, antichain3):
     seqs = all_tuples(a2.n, 3)
     assert len(seqs) == 1 + 2 + 4 + 8
     assert seqs[0] == ()
-    assert seq_label(a2, ()) == "ε"
-    assert seq_label(a2, (0, 1)) == "a.b"
+    assert seq_label(a2.elements, ()) == "ε"
+    assert seq_label(a2.elements, (0, 1)) == "a.b"
     # 265,720 sequences of length at most 11 over three letters
     with pytest.raises(ScaleExceededError):
         DenotationContext(antichain3, 11)
@@ -120,14 +120,26 @@ def _scalar_star(ctx, mask):
     return out
 
 
+def _assert_stars_are_scalar_fixpoints(ctx, letters):
+    'Each star letter\'s row against the scalar fixpoint over its payload\'s rows.'
+    masks = dict(zip(letters, _row_masks(ctx.letter_rows(letters))))
+    for a in letters:
+        if a.is_idem:
+            inner = functools.reduce(int.__or__, (masks[d] for d in a.downset), 0)
+            assert masks[a] == _scalar_star(ctx, inner), (ctx.base.elements, a)
+    return masks
+
+
 def test_product_kernel_matches_the_carry_free_reference(monkeypatch):
     # Every quasi-order on at most 3 points at maxlen 1-4.  A 100-cell block
     # budget splits every table and most zips into several blocks.  Seeded
     # masks, the empty set and {ε} among them, go through the table and the
-    # zip form; the star letters of levels 1 and 2 (level 2 where the
-    # carrier has at most 2 points) against the scalar fixpoint over their
-    # payloads; every word up to length 3 of the level-1 letters against the
-    # reference fold and word_mask.
+    # zip form; the star letters of level 1, and where the carrier has at
+    # most 2 points the stars over its derived carrier P₁ (the level-1
+    # letters, ordered by exact containment), against the scalar fixpoint
+    # over their payloads; every word up to length 3 of the level-1 letters
+    # against the reference fold and word_mask.  The level-2 letters hold
+    # stars in their payloads, which are denoted over P₁ and refused here.
     monkeypatch.setattr(qo, "_BLOCK_CELLS", 100)
     rng = random.Random(17)
     for n in (1, 2, 3):
@@ -147,13 +159,17 @@ def test_product_kernel_matches_the_carry_free_reference(monkeypatch):
                 assert zipped == [reference(x, y) for x, y in zip(left, right)]
                 assert zipped == _row_masks(np.array([ctx.product(x, y) for x, y in zip(X, Y)]))
 
-                letters = build_atoms(q, 2 if n <= 2 else 1).atoms
-                masks = dict(zip(letters, _row_masks(ctx.letter_rows(letters))))
-                for a in letters:
-                    if a.is_idem:
-                        inner = functools.reduce(int.__or__, (masks[d] for d in a.downset), 0)
-                        assert masks[a] == _scalar_star(ctx, inner), (q, maxlen, a)
                 level1 = build_atoms(q, 1).atoms
+                masks = _assert_stars_are_scalar_fixpoints(ctx, level1)
+                if n <= 2:
+                    singles = all_tuples(len(level1), 1)[1:]
+                    lists = _factor_lists(level1, singles, DenotationContext(q, 1))
+                    names = [f"p{i}" for i in range(len(level1))]
+                    p1 = FiniteQO(names, _contained_table(lists, lists))
+                    derived = build_atoms(p1, 1).atoms
+                    _assert_stars_are_scalar_fixpoints(DenotationContext(p1, maxlen), derived)
+                    with pytest.raises(ValueError, match="star over a star"):
+                        ctx.letter_rows(build_atoms(q, 2).atoms)
                 rows = _row_masks(ctx.word_rows(level1, 3))
                 for t, row in zip(all_tuples(len(level1), 3), rows, strict=True):
                     word = tuple(level1[i] for i in t)
@@ -404,38 +420,109 @@ def test_two_forms_names_a_denotation_of_neither_shape(monkeypatch, a2):
     assert shape.counterexample == {"atom": "*{a,b}", "letters": ["a", "b"], "extra": []}
 
 
-def test_containment_agreement_names_the_witness_of_a_lying_order(monkeypatch, a2):
+def test_containment_agreement_names_the_witness_of_a_lying_order(monkeypatch, a2, singleton):
     # an order that puts every word below every other is refuted by the
     # first pair, a below ε, through the sequence a that only the left denotes
+    honest = oracle._word_order
     monkeypatch.setattr(
         oracle, "_word_order", lambda alphabet, U, V, table: np.ones((len(U), len(V)), bool)
     )
-    report = check_containment_agreement(a2, 1, maxlen=3, max_word_len=2)
-    assert not report.passed
+    for alpha in (1, 2):
+        report = check_containment_agreement(a2, alpha, maxlen=3, max_word_len=2)
+        assert not report.passed
+        check = report.check("order-implies-containment")
+        assert not check.passed
+        # at level 2 the witness is a sequence over P₁, spelled in the
+        # level-1 letters' serials rather than P₁'s positional names
+        assert check.counterexample == {"lhs": ["a"], "rhs": [], "witness": "a"}
+    # an order that puts every word starting with the top letter, *{*{a},a},
+    # below every other is refuted at level 2 by a sequence over P₁ whose
+    # points are a and *{a}: the last one the star denotes and ε does not
+    monkeypatch.setattr(
+        oracle, "_word_order",
+        lambda alphabet, U, V, table: honest(alphabet, U, V, table) | (U[:, :1] == 2),
+    )
+    report = check_containment_agreement(singleton, 2, maxlen=3, max_word_len=2)
     check = report.check("order-implies-containment")
     assert not check.passed
-    assert check.counterexample == {"lhs": ["a"], "rhs": [], "witness": "a"}
+    assert check.counterexample == {
+        "lhs": ["*{*{a},a}"], "rhs": [], "witness": "*{a}.*{a}.*{a}"
+    }
+    # the lie is in the word order alone; the letter order still holds
+    assert report.check("letter-order-is-containment").passed
 
 
-def test_containment_agreement_small(chain2, singleton):
+def test_letter_order_audit_names_the_first_disagreement(monkeypatch, singleton, chain2, a2):
+    # a letter table with cells flipped disagrees with P_k's exact order;
+    # the counterexample names the level and the first flipped cell in
+    # row-major order, and whether containment holds there
+    honest = oracle._letter_table
+
+    def flipped(cells):
+        def table(atoms):
+            out = honest(atoms).copy()
+            for size, i, j in cells:
+                if len(atoms) == size:
+                    out[i, j] ^= True
+            return out
+
+        return table
+
+    # (carrier, alpha, flipped (table size, row, column) cells, level, lhs,
+    # rhs, contained); a table's size tells its level
+    cases = [
+        (a2, 2, [(5, 1, 0), (5, 0, 1)], 1, "a", "b", False),
+        (chain2, 3, [(4, 0, 1)], 1, "a", "b", True),
+        (singleton, 3, [(3, 2, 0)], 2, "*{*{a},a}", "a", False),
+    ]
+    for p, alpha, cells, *named in cases:
+        want = dict(zip(("level", "lhs", "rhs", "contained"), named))
+        monkeypatch.setattr(oracle, "_letter_table", flipped(cells))
+        report = check_containment_agreement(p, alpha, maxlen=3, max_word_len=2)
+        audit = report.check("letter-order-is-containment")
+        assert not audit.passed
+        assert audit.counterexample == want
+        assert not report.passed
+        # the sweep reads the exact order, not the audited table
+        assert report.check("order-implies-containment").passed
+
+
+def test_containment_agreement_small(chain2, singleton, a2):
     report = check_containment_agreement(chain2, 1, maxlen=3, max_word_len=2)
     assert report.passed
     stats = report.check("order-implies-containment").stats
     assert stats["unresolved"] == 0
     assert stats["confirmed"] + stats["refuted"] == stats["pairs"]
-    # every undecided pair is counted; only the flagged sample is capped
+    # at level 2 every pair is decided over P₁, the level-1 letters
     report = check_containment_agreement(singleton, 2, maxlen=3, max_word_len=2)
+    assert report.passed
     stats = report.check("order-implies-containment").stats
-    assert (stats["pairs"], stats["confirmed"], stats["refuted"]) == (169, 112, 33)
-    assert stats["unresolved"] == 24
+    counts = (stats["pairs"], stats["confirmed"], stats["refuted"], stats["unresolved"])
+    assert counts == (169, 112, 57, 0)
+    assert report.check("letter-order-is-containment").stats == {"points": [2]}
+    # at level 3 over P₂, which is ordered over P₁
+    report = check_containment_agreement(singleton, 3)
+    assert report.passed
+    stats = report.check("order-implies-containment").stats
+    counts = (stats["pairs"], stats["confirmed"], stats["refuted"], stats["unresolved"])
+    assert counts == (7_225, 5_000, 2_225, 0)
+    assert report.check("letter-order-is-containment").stats == {"points": [2, 3]}
+    # every undecided pair is counted; only the flagged sample is capped
+    report = check_containment_agreement(singleton, 2, maxlen=3, max_word_len=3)
+    stats = report.check("order-implies-containment").stats
+    counts = (stats["pairs"], stats["confirmed"], stats["refuted"], stats["unresolved"])
+    assert counts == (1_600, 1_175, 414, 11)
     refuting = report.check("non-order-has-refuting-sequence")
-    assert refuting.stats["unresolved"] == 24
+    assert refuting.stats["unresolved"] == 11
     assert len(refuting.stats["flagged"]) == 10
     # an undecided pair is not a pass
     assert not refuting.passed
     assert not report.passed
-    with pytest.raises(ScaleExceededError):
-        check_containment_agreement(chain2, 3)
+    # 28 level-3 letters give 22,765 words, past the pair cap
+    with pytest.raises(ScaleExceededError, match="22,765 words"):
+        check_containment_agreement(a2, 3)
+    with pytest.raises(LevelCapExceededError):
+        check_containment_agreement(singleton, 4)
 
 
 def test_factor_lists_normalize(a2):
@@ -690,9 +777,11 @@ def test_bounded_inclusion_matches_the_bit_test(monkeypatch, cells):
 
 def test_oracle_claims_hold_on_every_small_carrier():
     # containment at alpha=1, the two forms and the product sweep, each at
-    # its default sizes, on all 13 quasi-orders on at most 3 points
+    # its default sizes, and containment at alpha=2 at maxlen 3 with words
+    # up to length 2, on all 13 quasi-orders on at most 3 points
     xy_wz = [0, 0, 0]
     containment = [0, 0, 0, 0]
+    level2 = [0, 0, 0, 0]
     forms = [0, 0, 0]
     for n in (1, 2, 3):
         for q in all_quasi_orders(n):
@@ -702,6 +791,12 @@ def test_oracle_claims_hold_on_every_small_carrier():
                     "order-implies-containment",
                     ("pairs", "confirmed", "refuted", "unresolved"),
                     containment,
+                ),
+                (
+                    check_containment_agreement(q, 2, maxlen=3, max_word_len=2),
+                    "order-implies-containment",
+                    ("pairs", "confirmed", "refuted", "unresolved"),
+                    level2,
                 ),
                 (
                     check_two_forms(q),
@@ -722,4 +817,5 @@ def test_oracle_claims_hold_on_every_small_carrier():
                     sums[i] += stats[key]
     assert xy_wz == [207_173_773, 92_225_610, 32_233]
     assert containment == [2_034_649, 858_931, 1_175_718, 0]
+    assert level2 == [4_226_829, 1_501_176, 2_725_653, 0]
     assert forms == [66, 38, 28]
