@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -113,7 +113,7 @@ def _leq_table(hs: list[HSet], q: FiniteQO) -> np.ndarray:
     """
     if all(h.ur is not None for h in hs):
         urs = [h.ur for h in hs]
-        return q.leq[np.ix_(urs, urs)]
+        return q.leq[urs][:, urs]
     m, uncovered = _payload_layout(hs, q)
     return m @ uncovered == 0
 
@@ -213,8 +213,9 @@ def build_level(
     quotiented to canonical representatives, the least serial of each class,
     and keeps the urelements, so stages are cumulative.  Classes and their
     order come from one for-all-exists pass on int down-masks per stage
-    (_stage_classes), audited in full against the hereditary order.  An
-    adjoined set stays a mask over the previous stage until it wins its
+    (_stage_classes), audited in full against the hereditary order; stage 0
+    and its audit run once per carrier, shared by the kinds (_stage_zero).
+    An adjoined set stays a mask over the previous stage until it wins its
     class, and only the winners are interned.  A stage with more than
     max_members candidates raises CombinatorialBlowupError; each stage's
     candidates are counted before any of its sets is built, so a doomed
@@ -226,54 +227,58 @@ def build_level(
     _check_level(alpha, q)
 
     level = None
-    carried = tuple(ur_elem(cls[0]) for cls in equiv_classes(q))
-    # stage 0 keys its urelements by their down-masks over the carrier itself
-    bit = {u: u.ur for u in carried}
-    down = _element_masks(q)[0]
-    prev, masks = (), ()
     for stage in range(alpha + 1):
         if stage:
-            prev = carried = level.members
-            masks = _adjoined_masks(down, kind, max_members - len(prev))
-        if len(carried) + len(masks) > max_members:
+            masks = _adjoined_masks(down, kind, max_members - len(reps))
+        count = len(reps) + len(masks) if stage else len(equiv_classes(q))
+        if count > max_members:
             raise CombinatorialBlowupError(
                 f"stage {stage} exceeds {max_members} candidate members"
             )
-        reps, bit, down = _stage_classes(carried, masks, prev, bit, down, q)
+        reps, bit, down = _stage_classes(reps, masks, bit, down, q) if stage else _stage_zero(q)
         level = HierLevel(stage, kind, tuple(reps), level)
     return level
 
 
+def _stage_zero(q: FiniteQO) -> tuple[list[HSet], dict[HSet, int], list[int]]:
+    """Stage 0 of every kind, one urelement per carrier class keyed by its
+    down-mask over the carrier, built and audited once and kept on q."""
+    if q._stage0 is None:
+        urs = [ur_elem(cls[0]) for cls in equiv_classes(q)]
+        q._stage0 = _stage_classes(urs, (), {u: u.ur for u in urs}, _element_masks(q)[0], q)
+    return q._stage0
+
+
 def _stage_classes(
-    carried: tuple[HSet, ...],
+    prev: Sequence[HSet],
     masks: Iterable[int],
-    prev: tuple[HSet, ...],
     bit: dict[HSet, int],
     down: list[int],
     q: FiniteQO,
 ) -> tuple[list[HSet], dict[HSet, int], list[int]]:
     """One stage's representatives, class index map and down-masks.
 
-    The candidates are the carried members and one set per mask over prev
-    (the stage below's representatives), in serial order.  bit maps every
-    earlier set to its class index in the stage below, whose down[i] masks
-    the classes below class i.  x is below y exactly when x's payload lies
-    in the down-closure of y's; so a candidate's key, the OR of down over its
-    payload, decides both: equal keys make one class, represented by its
-    first candidate, and key inclusion is the order.
+    The candidates are prev's members, which every stage keeps, and one set
+    per mask over prev (the stage below's representatives), in serial
+    order.  bit maps every earlier set to its class index in the stage
+    below, whose down[i] masks the classes below class i.  x is below y
+    exactly when x's payload lies in the down-closure of y's; so a
+    candidate's key, the OR of down over its payload, decides both: equal
+    keys make one class, represented by its first candidate, and key
+    inclusion is the order.
 
     A mask's set is built only if it represents its class.  Until then it
     is its bits; its serial joins its members' serials in bit order, which
     is hset's order since prev is sorted by serial; its key is the OR of
     down over its bits, as bit[prev[i]] == i; and a set that repeats a
-    carried member is dropped by that serial.  Audited in full by
+    member of prev is dropped by that serial.  Audited in full by
     _tied_tables, candidates against representatives and back: each
     candidate must be tied to its representative, and the representatives'
     block must equal key inclusion; a disagreement raises ValueError naming
     the pair.
     """
     found: dict[str, tuple[int, HSet | list[int]]] = {}
-    for c in carried:
+    for c in prev:
         key = 0
         for p in c.payload:
             key |= down[bit[p]]
@@ -305,7 +310,8 @@ def _stage_classes(
         classes.append(j)
     keys = list(index)
     up, back = _tied_tables(candidates, prev, firsts, q)
-    tied = (up & back.T)[np.arange(len(classes)), classes]
+    rows, at = np.arange(len(classes)), np.array(classes)
+    tied = up[rows, at] & back[at, rows]
     if not tied.all():
         i = int(tied.argmin())
         raise ValueError(

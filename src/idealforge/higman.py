@@ -309,10 +309,12 @@ def hword_primes_check(alphabet: AtomAlphabet, maxlen: int = 4) -> Report:
     W = _letter_block(words, maxlen)
     reps = np.zeros(0, dtype=np.intp)
     for start in range(0, len(W), _CLASS_BLOCK):
-        rows = np.arange(start, min(start + _CLASS_BLOCK, len(W)))
-        R = W[reps]
-        known = _word_order(alphabet, W[rows], R, True) & _word_order(alphabet, R, W[rows], True).T
-        new = rows[~known.any(1)]
+        new = np.arange(start, min(start + _CLASS_BLOCK, len(W)))
+        # with no representatives yet, every word of the block is new
+        if len(reps):
+            R, B = W[reps], W[new]
+            known = _word_order(alphabet, B, R, True) & _word_order(alphabet, R, B, True).T
+            new = new[~known.any(1)]
         tied = _word_order(alphabet, W[new], W[new], True)
         # a word tied to an earlier one is tied to that one's representative
         reps = np.concatenate([reps, new[~np.tril(tied & tied.T, -1).any(1)]])

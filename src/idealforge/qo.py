@@ -40,12 +40,13 @@ class FiniteQO:
     Closures, downsets and their enumeration work on int bitmasks, bit i
     standing for element i.  Each element's down-mask and up-mask are
     computed from leq on first use and kept on the carrier, as are the
-    per-byte tables that close a whole mask one byte at a time.
+    per-byte tables that close a whole mask one byte at a time and stage 0
+    of its hierarchies, which every set-formation rule starts from.
     """
 
     __slots__ = (
         "elements", "leq", "_index", "_classes", "_masks", "_down_bytes",
-        "_atom_pool",
+        "_stage0", "_atom_pool",
     )
 
     def __init__(self, elements: Iterable[str], leq) -> None:
@@ -63,6 +64,7 @@ class FiniteQO:
         self._classes: tuple[tuple[int, ...], ...] | None = None
         self._masks: tuple[list[int], list[int]] | None = None
         self._down_bytes: list[list[int]] | None = None
+        self._stage0: tuple | None = None
         # hierarchy letters over this carrier, hash-consed on their payload
         self._atom_pool: dict = {}
 

@@ -20,7 +20,7 @@ from .hierarchy import (
     hset,
     ur_elem,
 )
-from .qo import FiniteQO, disjoint_union_with_star
+from .qo import FiniteQO, _bits, disjoint_union_with_star
 from .report import CheckResult, Report
 
 
@@ -49,27 +49,30 @@ def build_reflection(p: FiniteQO, alpha: int) -> ReflectionTable:
     return ReflectionTable(system, star_qo, entries)
 
 
-def _urelements_of(x: HSet) -> set[int]:
-    if x.ur is not None:
-        return {x.ur}
-    out: set[int] = set()
-    for c in x.children:
-        out |= _urelements_of(c)
-    return out
-
-
 def verify_reflection(table: ReflectionTable) -> Report:
     """Check the translation against the letter order, both directions.
 
     The letter side is one _letter_table, which consults the live comparison
     rule rather than the alphabet frozen at the build, so a rule swapped in
     after the build is still what gets verified here.  The set side is one
-    _leq_table over the images.
+    _leq_table over the images.  The bounds check reads each distinct set's
+    urelements once, as an int mask ORed over its members, through a dict
+    that lives for the call: a payload image is shared by every letter
+    above it.
     """
     atoms = table.system.atoms
     images = [table.entries[a] for a in atoms]
     sq = table.star_qo
     star_ur = ur_elem(sq.n - 1)
+    ur_masks: dict[HSet, int] = {}
+
+    def ur_mask(x: HSet) -> int:
+        if x not in ur_masks:
+            mask = 1 << x.ur if x.ur is not None else 0
+            for c in x.children or ():
+                mask |= ur_mask(c)
+            ur_masks[x] = mask
+        return ur_masks[x]
 
     # A level-l letter should land exactly at rank l - 1, hence below alpha,
     # and mention no urelement outside the extended carrier.
@@ -78,8 +81,8 @@ def verify_reflection(table: ReflectionTable) -> Report:
         if fa.rank != a.level - 1 or fa.rank >= table.system.alpha:
             rank_bad = {"atom": a.serial, "rank": fa.rank}
             break
-        if any(u >= sq.n for u in _urelements_of(fa)):
-            rank_bad = {"atom": a.serial, "urelements": sorted(_urelements_of(fa))}
+        if ur_mask(fa) >> sq.n:
+            rank_bad = {"atom": a.serial, "urelements": _bits(ur_mask(fa))}
             break
 
     def first_pair(cells) -> dict | None:

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -369,11 +370,14 @@ def test_stage_classes_match_the_quadratic_scan():
 @pytest.mark.parametrize(
     "verdict, caught_by",
     [
-        # every set below every urelement: the order audit sees it
-        (True, "lesssim_star disagrees"),
+        # every set below every urelement: the order audit sees it, at the
+        # first representative's column and its lowest failing row
+        (True, "down-closures put {u0,u1} not below u0, lesssim_star disagrees"),
         # no set below any urelement: the merged {a} is no longer tied to a
-        (False, "sim_star separates"),
+        (False, "{u0} and u0 share a down-closure but sim_star separates them"),
     ],
+    # each id names the verdict and the audit that catches it
+    ids=["True-lesssim_star disagrees", "False-sim_star separates"],
 )
 def test_corrupted_set_rule_is_caught(monkeypatch, verdict, caught_by):
     honest = hierarchy._tied_tables
@@ -389,8 +393,31 @@ def test_corrupted_set_rule_is_caught(monkeypatch, verdict, caught_by):
         return up, back
 
     monkeypatch.setattr(hierarchy, "_tied_tables", corrupted)
-    with pytest.raises(ValueError, match=caught_by):
+    with pytest.raises(ValueError) as caught:
         build_level(validate(["a", "b"], [], close=True), 1, "vstar")
+    assert str(caught.value) == caught_by
+
+
+def test_stage_zero_is_built_once_per_carrier(monkeypatch, two_cycle):
+    # stage 0 depends only on the carrier: the three kinds at level 1 make
+    # one stage-0 pass and three stage-1 passes, and share its members
+    calls = []
+    honest = hierarchy._stage_classes
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return honest(*args)
+
+    monkeypatch.setattr(hierarchy, "_stage_classes", counted)
+    levels = [build_level(two_cycle, 1, kind) for kind in ("vstar", "istar", "ihat")]
+    assert calls == [0, 3, 3, 2]
+    assert [level.kind for level in levels] == ["vstar", "istar", "ihat"]
+    assert {level.previous.members for level in levels} == {(ur_elem(0), ur_elem(2))}
+    assert {level.previous.kind for level in levels} == {"vstar", "istar", "ihat"}
+    # the member bound still covers the held stage 0
+    with pytest.raises(CombinatorialBlowupError, match="stage 0 exceeds 1 "):
+        build_level(two_cycle, 0, "ihat", max_members=1)
+    assert len(calls) == 4
 
 
 def test_atom_interning_and_validation(a2, chain2):
@@ -443,6 +470,23 @@ def test_letters_are_freed_with_their_carrier(a2):
     del system
     gc.collect()
     assert _live_atoms() == before
+
+
+def test_held_stage_is_freed_with_its_carrier(a2):
+    # stage 0 is held on the carrier itself, so no module table keeps it,
+    # or the carrier, alive once the carrier is dropped
+    class Carrier(FiniteQO):
+        __slots__ = ("__weakref__",)
+
+    carriers = [Carrier(a2.elements, a2.leq) for _ in range(3)]
+    for carrier in carriers:
+        for kind in ("vstar", "istar", "ihat"):
+            build_level(carrier, 2, kind)
+        assert carrier._stage0[0] == [ur_elem(0), ur_elem(1)]
+    refs = [weakref.ref(carrier) for carrier in carriers]
+    del carriers, carrier
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 3
 
 
 def test_atom_order_frozen(a2, singleton):

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from idealforge.hierarchy import build_atoms
 from idealforge.monoid import check_axioms
 from idealforge.qo import FiniteQO, all_quasi_orders, all_tuples, validate
 from idealforge.report import CheckResult, Report
+
+from conftest import DATA
 
 
 def classical(n):
@@ -534,6 +537,22 @@ def test_prime_census_reads_the_same_in_small_blocks(monkeypatch):
     for block in (1, 5):
         monkeypatch.setattr(higman, "_CLASS_BLOCK", block)
         assert [hword_primes_check(al, maxlen=3).to_json() for al in alphabets] == whole
+
+
+def test_prime_census_compares_no_words_with_an_empty_stack(monkeypatch):
+    # the first block has no representatives yet, so all its words are new
+    # without a table against the empty stack
+    with open(DATA / "a2.json") as f:
+        alphabet = build_atoms(qo.from_json(json.load(f)), 1).alphabet
+    honest = higman._word_order
+
+    def nonempty(alphabet, U, V, table):
+        assert len(U) and len(V), (U.shape, V.shape)
+        return honest(alphabet, U, V, table)
+
+    monkeypatch.setattr(higman, "_word_order", nonempty)
+    stats = hword_primes_check(alphabet).check("primes-are-letter-classes").stats
+    assert (stats["words"], stats["classes"], stats["prime_classes"]) == (781, 110, 5)
 
 
 def idem_singleton():

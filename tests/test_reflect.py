@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from idealforge import hierarchy
-from idealforge.hierarchy import ur_elem
+from idealforge.hierarchy import hset, ur_elem
 from idealforge.qo import all_quasi_orders
 from idealforge.reflect import build_reflection, verify_reflection
 
@@ -89,6 +89,22 @@ def test_out_of_bounds_image_is_reported_unordered(a2):
         assert not report.check(name).passed, name
         assert report.check(name).counterexample == bounds.counterexample
     assert report.check("order-preserving").stats["pairs"] == 0
+
+
+def test_nested_out_of_bounds_urelement_is_reported(a2):
+    # the bad urelement sits one level down, in a member of a level-2
+    # letter's image, which keeps its rank and its star
+    table = build_reflection(a2, 2)
+    atom = next(a for a in table.system.atoms if a.serial == "*{*{a},a}")
+    table.entries[atom] = hset([hset([ur_elem(0), ur_elem(7)]), ur_elem(0), ur_elem(2)])
+    report = verify_reflection(table)
+    bounds = report.check("image-bounds")
+    assert not bounds.passed
+    assert bounds.counterexample == {"atom": "*{*{a},a}", "urelements": [0, 2, 7]}
+    for name in ("order-preserving", "order-reflecting"):
+        assert not report.check(name).passed, name
+        assert report.check(name).counterexample == bounds.counterexample
+    assert report.check("star-membership").passed
 
 
 def test_plain_letter_on_the_fresh_point_fails_star_membership(a2):
