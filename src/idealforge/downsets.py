@@ -5,11 +5,12 @@ Ideals are the directed downward-closed sets; on a finite carrier each one is
 the down-closure of a single equivalence class, which the enumeration exploits
 and the test suite verifies against the definition.  The pointwise product
 turns the downsets of a multiplicative quasi-order into a monoid with the
-down-closure of the unit as neutral element.
+down-closure of the unit as neutral element; it reads the down-masks of
+products from rows held on the monoid.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -153,20 +154,48 @@ def _sort_keys(q: FiniteQO, masks: np.ndarray) -> list[np.ndarray]:
     return [*keys.T[::-1], size]
 
 
-def _canonical(q: FiniteQO, masks: Iterable[int], kind: type[Downset]) -> list:
-    """Masks as kind values over q in (size, member tuple) order, each checked
-    within range(q.n), nonempty and downward closed, in one array pass over
-    all of them: one lexsort on _sort_keys, then one take.  The limb rows are
-    freed before the sort, so its workspace and the taken list can reuse their
-    memory.  Values are built with __new__, without a second check; Ideal
-    callers pass principal down-masks, closed and directed by construction."""
+def _canonical(q: FiniteQO, masks: Iterable[int]) -> list[int]:
+    """Masks over q in (size, member tuple) order, each checked within
+    range(q.n), nonempty and downward closed, in one array pass over all of
+    them: one lexsort on _sort_keys, then one take.  The limb rows are freed
+    before the sort, so its workspace and the taken list can reuse their
+    memory."""
     masks = np.fromiter(masks, object)  # callers pass lists and generators
-    out = []
-    for m in masks[np.lexsort(_sort_keys(q, masks))].tolist():
-        d = kind.__new__(kind)
-        d.base, d.mask = q, m
-        out.append(d)
-    return out
+    return masks[np.lexsort(_sort_keys(q, masks))].tolist()
+
+
+def _built(kind: type[Downset], q: FiniteQO, mask: int) -> Downset:
+    """A kind value over q, built with __new__ and no second check: callers
+    pass masks that _canonical checked, and Ideal callers principal
+    down-masks, directed by construction."""
+    d = kind.__new__(kind)
+    d.base, d.mask = q, mask
+    return d
+
+
+class DownsetSequence(Sequence[Downset]):
+    """The downsets of one carrier as a read-only sequence over their checked
+    masks, in (size, member tuple) order.  A value is built each time it is
+    read, so a listing read once in order holds one value at a time, not one
+    per downset.  Slices are sequences of the same kind."""
+
+    __slots__ = ("base", "_masks")
+
+    def __init__(self, base: FiniteQO, masks: list[int]) -> None:
+        self.base = base
+        self._masks = masks
+
+    def __len__(self) -> int:
+        return len(self._masks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return DownsetSequence(self.base, self._masks[i])
+        return _built(Downset, self.base, self._masks[i])
+
+    def __iter__(self):
+        for mask in self._masks:
+            yield _built(Downset, self.base, mask)
 
 
 def principal(q: FiniteQO, i: int) -> Ideal:
@@ -175,15 +204,16 @@ def principal(q: FiniteQO, i: int) -> Ideal:
     return Ideal.from_mask(q, _element_masks(q)[0][i])
 
 
-def enumerate_downsets(q: FiniteQO, max_count: int | None = 100_000) -> list[Downset]:
+def enumerate_downsets(q: FiniteQO, max_count: int | None = 100_000) -> DownsetSequence:
     """All nonempty downsets in (size, member tuple) order: one enumeration
     on the carrier, then one array pass that checks and orders every mask.
-    Raises CombinatorialBlowupError beyond max_count (None: no bound)."""
+    Each value is built when it is read.  Raises CombinatorialBlowupError
+    beyond max_count (None: no bound)."""
     if q.n == 0:
         raise EmptyCarrierError("no downsets over the empty carrier")
     bound = None if max_count is None else max_count + 1  # the empty set is dropped
     masks = all_downsets_of_poset(q.leq, bound)[1:]  # the empty set comes first
-    return _canonical(q, masks, Downset)
+    return DownsetSequence(q, _canonical(q, masks))
 
 
 def enumerate_ideals(q: FiniteQO) -> list[Ideal]:
@@ -192,12 +222,14 @@ def enumerate_ideals(q: FiniteQO) -> list[Ideal]:
     Principal down-closures, one per equivalence class; on a finite carrier
     every directed set contains an element above all of it, so nothing else
     can be directed and downward closed.  Distinct classes give distinct
-    ideals: elements with the same down-closure lie below each other.
+    ideals: elements with the same down-closure lie below each other.  A
+    list, unlike enumerate_downsets: it holds one value per class at most,
+    and ideal_monoid indexes it k^2 times.
     """
     if q.n == 0:
         raise EmptyCarrierError("no ideals over the empty carrier")
     tops = (_element_masks(q)[0][c[0]] for c in equiv_classes(q))
-    return _canonical(q, tops, Ideal)
+    return [_built(Ideal, q, mask) for mask in _canonical(q, tops)]
 
 
 def ideal_decomposition(d: Downset) -> list[Ideal]:
@@ -211,17 +243,29 @@ def ideal_decomposition(d: Downset) -> list[Ideal]:
     down, up = _element_masks(q)
     least = (c[0] for c in equiv_classes(q))
     parts = [down[i] for i in least if d.mask >> i & 1 and not up[i] & ~down[i] & d.mask]
-    return _canonical(q, parts, Ideal)
+    return [_built(Ideal, q, mask) for mask in _canonical(q, parts)]
+
+
+def _product_masks(m: "MonoidalQO") -> list[list[int]]:
+    """Row a, entry b: the down-mask of a*b.  Built on first use and held on
+    the monoid, not on its carrier, so it lives and dies with the table."""
+    if m._down_rows is None:
+        down = _element_masks(m.order)[0]
+        m._down_rows = [[down[c] for c in row] for row in m.mult.tolist()]
+    return m._down_rows
 
 
 def downset_product(x: Downset, y: Downset, m: "MonoidalQO") -> Downset:
     """Pointwise product: everything below some product of a member of x with
-    a member of y.  Ideal inputs give an ideal output (the product of directed
-    downsets is directed whenever the multiplication satisfies its axioms)."""
+    a member of y, the union of the held down-masks of those products.  Ideal
+    inputs give an ideal output (the product of directed downsets is directed
+    whenever the multiplication satisfies its axioms)."""
     if x.base is not m.order or y.base is not m.order:
         raise ValueError("downsets must live over the monoid's carrier")
-    products = m.mult[np.ix_(_bits(x.mask), _bits(y.mask))]
-    mask = _union_mask(_element_masks(m.order)[0], set(products.ravel().tolist()))
+    rows, rights = _product_masks(m), _bits(y.mask)
+    mask = 0
+    for a in _bits(x.mask):
+        mask |= _union_mask(rows[a], rights)
     kind = Ideal if isinstance(x, Ideal) and isinstance(y, Ideal) else Downset
     return kind.from_mask(m.order, mask)
 
@@ -240,11 +284,10 @@ def product_decomposition(
     prod = downset_product(a, b, m)
     if c.mask & ~prod.mask:
         raise ValueError("c must be contained in the product of a and b")
+    rows, outside = _product_masks(m), ~c.mask
     lefts, rights = _bits(a.mask), _bits(b.mask)
-    fibers = [
-        sum(1 << bb for bb, p in zip(rights, row) if c.mask >> p & 1)
-        for row in m.mult[np.ix_(lefts, rights)].tolist()
-    ]
+    # a'b' lies in c exactly when its down-mask does, as c is closed
+    fibers = [sum(1 << bb for bb in rights if not rows[aa][bb] & outside) for aa in lefts]
     out: list[tuple[Downset, Downset]] = []
     for fiber in dict.fromkeys(f for f in fibers if f):
         left = sum(1 << aa for aa, f in zip(lefts, fibers) if not fiber & ~f)

@@ -315,6 +315,8 @@ def hword_primes_check(alphabet: AtomAlphabet, maxlen: int = 4) -> Report:
             R, B = W[reps], W[new]
             known = _word_order(alphabet, B, R, True) & _word_order(alphabet, R, B, True).T
             new = new[~known.any(1)]
+        if not len(new):
+            continue
         tied = _word_order(alphabet, W[new], W[new], True)
         # a word tied to an earlier one is tied to that one's representative
         reps = np.concatenate([reps, new[~np.tril(tied & tied.T, -1).any(1)]])

@@ -28,10 +28,12 @@ class MonoidalQO:
 
     The constructor checks only integrality, shape and range; whether the
     data actually satisfies the axioms is the job of check_axioms, so that
-    broken tables can be represented, checked, and reported on.
+    broken tables can be represented, checked, and reported on.  Two memo
+    tables live and die with the monoid: hset_mult's products and the
+    down-masks of products that downset_product reads, built on first use.
     """
 
-    __slots__ = ("order", "mult", "unit", "_mult_cache")
+    __slots__ = ("order", "mult", "unit", "_mult_cache", "_down_rows")
 
     def __init__(self, order: FiniteQO, mult, unit: int) -> None:
         if order.n == 0:
@@ -50,6 +52,7 @@ class MonoidalQO:
         self.mult = table
         self.unit = unit
         self._mult_cache: dict = {}
+        self._down_rows: list[list[int]] | None = None
 
     @property
     def n(self) -> int:
@@ -308,17 +311,13 @@ def ideal_monoid(m: MonoidalQO) -> MonoidalQO:
     inclusion.  Element i is enumerate_ideals(m.order)[i]; labels list the
     members.  The unit is the down-closure of the unit element."""
     ideals = enumerate_ideals(m.order)
-    index = {ideal.mask: i for i, ideal in enumerate(ideals)}
-    k = len(ideals)
-    table = np.zeros((k, k), dtype=bool)
-    for i in range(k):
-        for j in range(k):
-            table[i, j] = ideals[i] <= ideals[j]
-    mult = np.zeros((k, k), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            prod = downset_product(ideals[i], ideals[j], m)
-            mult[i, j] = index[prod.mask]
+    masks = [ideal.mask for ideal in ideals]
+    index = {mask: i for i, mask in enumerate(masks)}
+    table = np.array([[not x & ~y for y in masks] for x in masks], dtype=bool)
+    mult = np.array(
+        [[index[downset_product(x, y, m).mask] for y in ideals] for x in ideals],
+        dtype=np.int64,
+    )
     labels = tuple("{" + ",".join(ideal.labels) + "}" for ideal in ideals)
     unit = index[principal(m.order, m.unit).mask]
     return MonoidalQO(FiniteQO(labels, table), mult, unit)

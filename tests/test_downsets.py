@@ -1,8 +1,10 @@
+import gc
 import json
 import random
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from idealforge.downsets import (
@@ -17,11 +19,14 @@ from idealforge.downsets import (
     product_decomposition,
 )
 from idealforge.errors import CombinatorialBlowupError
-from idealforge.fixtures import capped_addition, flat
+from idealforge.fixtures import capped_addition, flat, squaring_to_unit
 from idealforge.higman import AtomAlphabet, bounded_word_monoid, upward_closed_subsets
+from idealforge.monoid import MonoidalQO, check_axioms, prime_factorization
 from idealforge.qo import (
     FiniteQO,
     _bits,
+    _element_masks,
+    _union_mask,
     all_downsets_of_poset,
     all_quasi_orders,
     from_json,
@@ -29,10 +34,6 @@ from idealforge.qo import (
 )
 
 from conftest import DATA
-
-
-def _canonical_masks(q, masks):
-    return [d.mask for d in _canonical(q, masks, Downset)]
 
 
 def test_downset_requires_downward_closure(n_shape, antichain3):
@@ -198,18 +199,18 @@ def test_canonical_pass_rejects_open_and_empty_masks(n_shape, two_cycle, singlet
     # one array pass checks every mask; a mask that is not downward closed,
     # or the empty mask, fails the whole pass
     a, b, c = (1 << n_shape.index(x) for x in "abc")
-    assert _canonical_masks(n_shape, [a | b | c, b, a]) == [a, b, a | b | c]
+    assert _canonical(n_shape, [a | b | c, b, a]) == [a, b, a | b | c]
     for bad in ([a, c], [b, a | c], [0], [a, 0]):
         with pytest.raises(ValueError, match="not downward closed, or empty"):
-            _canonical_masks(n_shape, bad)
+            _canonical(n_shape, bad)
     # a is below b and b below a: half a class is not closed
     with pytest.raises(ValueError):
-        _canonical_masks(two_cycle, [1 << two_cycle.index("a")])
+        _canonical(two_cycle, [1 << two_cycle.index("a")])
     # bits outside the carrier, above it or from a negative mask, are
     # rejected as Downset.from_mask rejects them
     for bad in ([2], [-1], [1, 1 << 64], [1, -(1 << 70)]):
         with pytest.raises(ValueError, match="outside range"):
-            _canonical_masks(singleton, bad)
+            _canonical(singleton, bad)
 
 
 def test_canonical_pass_matches_the_sorted_reference():
@@ -228,8 +229,8 @@ def test_canonical_pass_matches_the_sorted_reference():
         masks = all_downsets_of_poset(q.leq)[1:]
         rng.shuffle(masks)
         want = sorted(masks, key=lambda m: (m.bit_count(), _bits(m)))
-        assert _canonical_masks(q, masks) == want
-        assert _canonical_masks(q, iter(masks)) == want
+        assert _canonical(q, masks) == want
+        assert _canonical(q, iter(masks)) == want
 
 
 def test_canonical_order_across_machine_words():
@@ -256,7 +257,7 @@ def test_enumeration_peak_memory_is_bounded():
     # bounded word order above: 86.6 MiB when each result held a frozenset
     # of members, 7.6 MiB with one int mask each, 5.5 MiB with no quotient
     # and one int sort key per mask, 4.2 MiB with one array pass that checks
-    # and orders the masks
+    # and orders the masks, 3.5 MiB with each value built when it is read
     vee = validate(["a", "b", "c"], [("a", "c"), ("b", "c")], close=True)
     order = bounded_word_monoid(AtomAlphabet(vee, ()), 3).order
     tracemalloc.start()
@@ -320,3 +321,126 @@ def test_product_decomposition_rejects_noncontained():
     three = principal(m.order, 3)
     with pytest.raises(ValueError):
         product_decomposition(three, zero, zero, m)
+
+
+def test_downset_sequence_reads_like_a_list(n_shape):
+    downs = enumerate_downsets(n_shape)
+    masks = _canonical(n_shape, all_downsets_of_poset(n_shape.leq)[1:])
+    want = [Downset.from_mask(n_shape, mask) for mask in masks]
+    assert len(downs) == len(want) == 7
+    assert downs[0] == want[0] and downs[-1] == want[-1] and downs[-7] == want[0]
+    assert all(type(d) is Downset for d in downs)
+    for i in (7, -8, 10**6):
+        with pytest.raises(IndexError):
+            downs[i]
+    for cut in (slice(None, 3), slice(-3, None), slice(1, -1, 2), slice(5, 2), slice(None)):
+        part = downs[cut]
+        assert len(part) == len(want[cut]) and list(part) == want[cut]
+    assert list(downs) == [downs[i] for i in range(len(downs))] == want
+    assert list(reversed(downs)) == want[::-1]
+    assert want[3] in downs and downs.index(want[3]) == 3
+    # a view is read-only: no item can be set or deleted
+    with pytest.raises(TypeError):
+        downs[0] = want[1]
+
+
+def test_downset_listing_builds_no_values():
+    # the 41,267 masks are listed and checked; no value is built until read,
+    # so the garbage collector tracks no object per downset
+    vee = validate(["a", "b", "c"], [("a", "c"), ("b", "c")], close=True)
+    order = bounded_word_monoid(AtomAlphabet(vee, ()), 3).order
+    gc.collect()
+    before = len(gc.get_objects())
+    downs = enumerate_downsets(order, max_count=None)
+    grown = len(gc.get_objects()) - before
+    assert len(downs) == 41_267
+    assert grown < 1_000, grown
+
+
+def _numpy_product(x, y, m):
+    'The product as a numpy gather of the member products, the route before held rows.'
+    if x.base is not m.order or y.base is not m.order:
+        raise ValueError("downsets must live over the monoid's carrier")
+    products = m.mult[np.ix_(_bits(x.mask), _bits(y.mask))]
+    mask = _union_mask(_element_masks(m.order)[0], set(products.ravel().tolist()))
+    kind = Ideal if isinstance(x, Ideal) and isinstance(y, Ideal) else Downset
+    return kind.from_mask(m.order, mask)
+
+
+def _numpy_decomposition(c, a, b, m):
+    'The boxed products through the same gather, reading c member by member.'
+    prod = _numpy_product(a, b, m)
+    if c.mask & ~prod.mask:
+        raise ValueError("c must be contained in the product of a and b")
+    lefts, rights = _bits(a.mask), _bits(b.mask)
+    fibers = [
+        sum(1 << bb for bb, p in zip(rights, row) if c.mask >> p & 1)
+        for row in m.mult[np.ix_(lefts, rights)].tolist()
+    ]
+    out = []
+    for fiber in dict.fromkeys(f for f in fibers if f):
+        left = sum(1 << aa for aa, f in zip(lefts, fibers) if not fiber & ~f)
+        out.append((Downset.from_mask(m.order, left), Downset.from_mask(m.order, fiber)))
+    return out
+
+
+def _outcome(call, *args):
+    try:
+        value = call(*args)
+    except ValueError as err:
+        return type(err), str(err)
+    if isinstance(value, list):
+        return [(type(p), p.mask, type(q), q.mask) for p, q in value]
+    return type(value), value.mask
+
+
+def test_products_match_the_member_products():
+    # every pair of downsets and ideals, and for each pair every downset c,
+    # against the numpy gather; a downset over another carrier and a c
+    # outside the product must fail with the same error
+    plain = AtomAlphabet(validate(["a", "b"], [], close=True), ())
+    monoids = (capped_addition(3), flat(2), squaring_to_unit(), bounded_word_monoid(plain, 2))
+    foreign = principal(capped_addition(1).order, 0)
+    decompositions = 0
+    for m in monoids:
+        downs = list(enumerate_downsets(m.order))
+        values = downs + enumerate_ideals(m.order)
+        for a in values + [foreign]:
+            for b in values:
+                got = _outcome(downset_product, a, b, m)
+                assert got == _outcome(_numpy_product, a, b, m)
+                if a is foreign:
+                    assert got[0] is ValueError
+                    continue
+                for c in downs:
+                    want = _outcome(_numpy_decomposition, c, a, b, m)
+                    assert _outcome(product_decomposition, c, a, b, m) == want
+                    decompositions += isinstance(want, list)
+    assert decompositions == 18_280
+
+
+def test_product_masks_live_with_their_monoid():
+    # two monoids share one chain: capped addition and max; each reads its
+    # own table, in any order of calls
+    chain = capped_addition(2).order
+    adding = MonoidalQO(chain, [[min(i + j, 2) for j in range(3)] for i in range(3)], 0)
+    joining = MonoidalQO(chain, [[max(i, j) for j in range(3)] for i in range(3)], 0)
+    ideals = enumerate_ideals(chain)
+    for x in ideals:
+        for y in ideals:
+            for m in (adding, joining, adding):
+                assert downset_product(x, y, m) == _numpy_product(x, y, m)
+    one = principal(chain, 1)
+    assert downset_product(one, one, adding) == principal(chain, 2)
+    assert downset_product(one, one, joining) == one
+
+
+def test_monoid_checks_build_no_product_masks():
+    # the axioms and the factorization read the table alone, so a long chain
+    # pays for no n^2 table of product masks
+    m = capped_addition(60)
+    assert check_axioms(m).passed
+    assert prime_factorization(m, 60) == [1] * 60
+    assert m._down_rows is None
+    downset_product(principal(m.order, 1), principal(m.order, 2), m)
+    assert m._down_rows is not None
