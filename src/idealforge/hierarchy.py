@@ -200,7 +200,7 @@ def _check_level(alpha: int, q: FiniteQO) -> None:
 
 
 def build_level(
-    base: FiniteQO | MonoidalQO,
+    q: FiniteQO,
     alpha: int,
     kind: str = "ihat",
     max_members: int = DEFAULT_MAX_MEMBERS,
@@ -221,7 +221,6 @@ def build_level(
     candidates are counted before any of its sets is built, so a doomed
     stage interns none.
     """
-    q = base.order if isinstance(base, MonoidalQO) else base
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
     _check_level(alpha, q)

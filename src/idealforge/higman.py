@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -25,10 +25,12 @@ from .qo import (
     _bits,
     _canonical_relation_keys,
     _checked_indices,
+    _letter_block,
     _row_blocks,
     all_downsets_of_poset,
     all_quasi_orders,
     all_tuples,
+    seq_label,
 )
 from .report import CheckResult, Report
 
@@ -101,7 +103,7 @@ class HWord:
         return hash(self.letters)
 
     def __repr__(self) -> str:
-        return f"HWord({'.'.join(self.labels) or 'ε'})"
+        return f"HWord({seq_label(self.alphabet.order.elements, self.letters)})"
 
 
 def concat(u: HWord, v: HWord) -> HWord:
@@ -214,12 +216,6 @@ def _witness_table(
             found &= leq[:, rows[..., k], targets[..., k]]
         out.append(found.any(-1))
     return np.concatenate(out, axis=1)
-
-
-def _letter_block(words: Sequence[tuple[int, ...]], width: int) -> np.ndarray:
-    'Letter tuples as a len(words) x width index array, each padded on the right with -1.'
-    pad = (-1,) * width
-    return np.array([w + pad[len(w) :] for w in words], dtype=np.intp).reshape(len(words), width)
 
 
 def _idem_vector(n: int, idem: Iterable[int]) -> np.ndarray:
@@ -438,7 +434,7 @@ def bounded_word_monoid(
     words = all_tuples(alphabet.order.n, maxlen)
     k = len(words)
     index = {w: i for i, w in enumerate(words)}
-    labels = [".".join(alphabet.order.elements[i] for i in w) if w else "ε" for w in words]
+    labels = [seq_label(alphabet.order.elements, w) for w in words]
     W = _letter_block(words, maxlen)
     table = np.ones((k + 1, k + 1), dtype=bool)
     table[:k, :k] = _word_order(alphabet, W, W, True)

@@ -32,9 +32,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ScaleExceededError
-from .higman import _letter_block, _word_order, hword_primes_check
+from .higman import _word_order, hword_primes_check
 from .hierarchy import Atom, _idem_atom, _letter_table, build_atoms, non_idem_atom
-from .qo import FiniteQO, _disjoint_table, _row_blocks, _row_masks, all_tuples
+from .qo import FiniteQO, _disjoint_table, _letter_block, _row_blocks, _row_masks, all_tuples
+from .qo import seq_label
 from .report import CheckResult, Report
 
 _SEQ_UNIVERSE_CAP = 200_000
@@ -44,10 +45,6 @@ _CONTAINMENT_PAIR_CAP = 1 << 26
 # quadruples one product sweep may ask: the 15-letter 4-point carrier asks
 # 241^4, about 3.4 G, and the discrete 4-point carrier 381^4, about 21 G
 _QUADRUPLE_CAP = 1 << 32
-
-
-def seq_label(names: Sequence[str], s: tuple[int, ...]) -> str:
-    return ".".join(names[i] for i in s) if s else "ε"
 
 
 class DenotationContext:
@@ -444,7 +441,7 @@ def check_xy_wz(
     words = all_tuples(len(system.atoms), max_word_len)
     word_bits = ctx.word_rows(system.atoms, max_word_len)
     lists = _factor_lists(system.atoms, words, ctx)
-    labels = [".".join(system.atoms[i].serial for i in t) or "ε" for t in words]
+    labels = [seq_label(system.alphabet.order.elements, t) for t in words]
     packed_rows = (
         cells
         for s in _row_blocks(k, k * word_bits.shape[1])

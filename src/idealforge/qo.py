@@ -12,7 +12,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -221,6 +221,16 @@ def all_tuples(n: int, maxlen: int) -> list[tuple[int, ...]]:
         # an empty list would let a sweep over it pass on nothing
         raise ValueError(f"tuple length must be at least 0, got {maxlen}")
     return [t for k in range(maxlen + 1) for t in itertools.product(range(n), repeat=k)]
+
+
+def _letter_block(words: Sequence[tuple[int, ...]], width: int) -> np.ndarray:
+    'Letter tuples as a len(words) x width index array, each padded on the right with -1.'
+    pad = (-1,) * width
+    return np.array([w + pad[len(w) :] for w in words], dtype=np.intp).reshape(len(words), width)
+
+
+def seq_label(names: Sequence[str], s: tuple[int, ...]) -> str:
+    return ".".join(names[i] for i in s) if s else "ε"
 
 
 def _row_masks(table: np.ndarray) -> list[int]:

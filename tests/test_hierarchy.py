@@ -100,7 +100,7 @@ def test_lesssim_is_a_quasi_order(a2, chain2):
 def test_hset_mult_laws_exhaustive():
     # every stage member of the small fixtures, all triples and pairs
     for m in (capped_addition(3), flat(2), idem_pair()):
-        lev = build_level(m, 2, "vstar")
+        lev = build_level(m.order, 2, "vstar")
         members = lev.members
         q = m.order
         for x, y in itertools.product(members, repeat=2):
@@ -133,7 +133,7 @@ def test_hset_mult_matches_four_case_reference():
     # the member pairs of test_hset_mult_laws_exhaustive
     pairs = 0
     for m in (capped_addition(3), flat(2), idem_pair()):
-        members = build_level(m, 2, "vstar").members
+        members = build_level(m.order, 2, "vstar").members
         for x, y in itertools.product(members, repeat=2):
             assert hset_mult(x, y, m) is _plain_hset_mult(x, y, m), (x.serial, y.serial)
             pairs += 1
@@ -143,7 +143,7 @@ def test_hset_mult_matches_four_case_reference():
 def test_unit_is_neutral_up_to_equivalence():
     m = flat(2)
     e = ur_elem(m.unit)
-    lev = build_level(m, 2, "vstar")
+    lev = build_level(m.order, 2, "vstar")
     for x in lev.members:
         assert sim_star(hset_mult(x, e, m), x, m.order)
         assert sim_star(hset_mult(e, x, m), x, m.order)
@@ -215,7 +215,7 @@ def test_frozen_cardinalities(a2, singleton, chain3):
 
 
 def test_flat_fixture_vstar_growth():
-    assert [s.cardinality for s in build_level(flat(2), 2, "vstar").chain()] == [4, 5, 6]
+    assert [s.cardinality for s in build_level(flat(2).order, 2, "vstar").chain()] == [4, 5, 6]
 
 
 def test_istar_members_have_principal_twins(a2, singleton, chain2, chain3, antichain3, two_cycle):

@@ -263,7 +263,8 @@ def test_sweep_catches_a_wrong_decision(monkeypatch):
 
     monkeypatch.setattr(higman, "_embedding", classical_rule)
     report = dp_agreement_sweep(max_atoms=2, max_pair_len=4, full_len=4, full_atom_cap=2)
-    (check,) = report.checks
+    check = report.check("dp-matches-witness-search")
+    assert report.checks == (check,)
     assert not check.passed
     assert check.counterexample == {
         "alphabet": ["a"],
@@ -282,7 +283,8 @@ def test_sweep_catches_a_wrong_decision(monkeypatch):
 
     monkeypatch.setattr(higman, "_embedding", plain_b)
     report = dp_agreement_sweep(max_atoms=2, max_pair_len=4, full_len=4, full_atom_cap=2)
-    (check,) = report.checks
+    check = report.check("dp-matches-witness-search")
+    assert report.checks == (check,)
     assert check.counterexample == {
         "alphabet": ["a", "b"],
         "idem": ["a", "b"],
@@ -302,7 +304,8 @@ def test_sweep_catches_a_wrong_audit(monkeypatch):
 
     monkeypatch.setattr(higman, "_witness_table", any_target_absorbs)
     report = dp_agreement_sweep(max_atoms=2, max_pair_len=4, full_len=4, full_atom_cap=2)
-    (check,) = report.checks
+    check = report.check("dp-matches-witness-search")
+    assert report.checks == (check,)
     assert not check.passed
     assert check.counterexample == {
         "alphabet": ["a"],
@@ -590,7 +593,7 @@ def test_abstract_matching_fails_on_commuting_primes():
     # a1.a2 letterwise into a2.a1
     report = check_abstractly_higman(flat(2))
     assert not report.passed
-    check = report.checks[0]
+    check = report.check("products-compare-letterwise")
     assert check.counterexample == {
         "left": ["a1", "a2"],
         "right": ["a2", "a1"],

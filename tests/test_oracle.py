@@ -10,7 +10,7 @@ from idealforge.downsets import enumerate_ideals
 from idealforge.errors import LevelCapExceededError, ScaleExceededError
 from idealforge.fixtures import capped_addition
 from idealforge.hierarchy import build_atoms
-from idealforge.higman import AtomAlphabet, HWord, leq_H_bruteforce
+from idealforge.higman import AtomAlphabet, HWord, bounded_word_monoid, leq_H_bruteforce
 from idealforge.oracle import (
     DenotationContext,
     _concat,
@@ -709,6 +709,18 @@ def test_product_sweep_guard_sees_a_lying_concatenation(monkeypatch, singleton, 
         guard = check_xy_wz(p).check("exact-implies-bounded")
         assert not guard.passed
         assert guard.counterexample == {"x": "a", "y": "a", "w": "ε", "z": "a"}
+
+
+def test_a_letter_labelled_empty_is_not_the_empty_word(monkeypatch):
+    # from_json accepts the label "", so a word is labelled ε when it has no
+    # letters, not when its joined labels are empty
+    blank = qo.from_json({"elements": [""], "order": [["", ""]]})
+    alphabet = AtomAlphabet(blank, ())
+    assert (repr(HWord(alphabet, [])), repr(HWord(alphabet, [0]))) == ("HWord(ε)", "HWord()")
+    assert bounded_word_monoid(alphabet, 2).order.elements == ("ε", "", ".", "⊤")
+    monkeypatch.setattr(oracle, "_concat", lambda fu, fv: fu if fu else fv)
+    guard = check_xy_wz(blank).check("exact-implies-bounded")
+    assert guard.counterexample == {"x": "", "y": "", "w": "ε", "z": ""}
 
 
 def _refusing_single_factors(kernel):

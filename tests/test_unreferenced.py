@@ -3,8 +3,9 @@
 A top-level function or class, or a method that is not a dunder, counts as
 used when a package module other than __init__.py, a demo or a perfbench
 module names it: as a bare name, as an attribute, or in an import.  `main`
-is used through the console script in pyproject.toml.  Tests and the
-__init__ re-exports do not count: a definition only they name is not needed.
+is used through the console script in pyproject.toml.  Tests do not
+count: a definition only they name is not needed.  __init__.py binds only
+__version__, so each name has one import path, the module defining it.
 A top-level name a package module binds by assignment, dunders aside, such
 as a cap, a budget or a pool, counts as used the same way, but only where
 it is read: binding it again is no use.  Likewise every name a package module other than
@@ -105,3 +106,13 @@ def test_no_package_module_imports_a_name_it_does_not_use():
         for item in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     )
     assert unused == []
+
+
+def test_package_namespace_binds_only_the_version():
+    # each name is imported from the module that defines it, so __init__.py
+    # holds its docstring and __version__ and nothing else
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert [type(node) for node in tree.body] == [ast.Expr, ast.Assign]
+    doc, version = tree.body
+    assert isinstance(doc.value, ast.Constant) and isinstance(doc.value.value, str)
+    assert [ast.unparse(target) for target in version.targets] == ["__version__"]
