@@ -21,7 +21,7 @@ from .errors import CombinatorialBlowupError, EmptyCarrierError, LevelCapExceede
 from .higman import AtomAlphabet
 from .monoid import MonoidalQO
 from .qo import FiniteQO, _bits, _checked_indices, _element_masks
-from .qo import _as_index, all_downsets_of_poset, equiv_classes
+from .qo import _as_index, _check_downset_count, all_downsets_of_poset, equiv_classes
 
 # The paper's hierarchy runs through every ordinal; this package stops here.
 LEVEL_CAP = 3
@@ -484,7 +484,7 @@ def compare_atoms(x: Atom, y: Atom) -> bool:
     return not x.mask & ~y.mask
 
 
-def _letter_table(atoms: list[Atom]) -> np.ndarray:
+def _letter_table(atoms: Sequence[Atom]) -> np.ndarray:
     'The compare_atoms table over the given letters, by index.'
     n = len(atoms)
     cells = (compare_atoms(x, y) for x in atoms for y in atoms)
@@ -516,28 +516,43 @@ def build_atoms(
 
     Stage 0 holds one plain letter per carrier class.  Each later stage
     adjoins one idempotent letter per nonempty downward-closed subset of the
-    letters built so far, under the compare_atoms order.  The final alphabet
+    letters built so far, under the compare_atoms order.  A stage depends
+    only on the carrier and the stage below, so p holds each stage once
+    built (FiniteQO._atom_stages): its letters in build order and how many
+    downsets it enumerated.  A call builds only the stages past the held
+    ones, so a carrier's letters come from the compare_atoms in force when
+    each stage was first built.  Every call re-checks each stage up to alpha
+    against max_members as a fresh build would, the downset count first,
+    then the letter count, and a stage refused by either is not held.  The
+    final order is one live _letter_table on every call, and the alphabet
     rejects construction if any idempotent letter lands below a plain one,
     which is how a corrupted comparison rule gets caught early.
     """
     _check_level(alpha, p)
 
-    atoms: list[Atom] = [non_idem_atom(p, cls[0]) for cls in equiv_classes(p)]
-    present = set(atoms)
-    counts = []
+    if p._atom_stages is None:
+        p._atom_stages = []
+    held = p._atom_stages
     for stage in range(alpha + 1):
-        if stage:
+        if stage < len(held):
+            letters, downsets = held[stage]
+        elif stage:
+            below = held[-1][0]
+            downs = all_downsets_of_poset(_letter_table(below), max_count=max_members)
             # the enumeration lists the empty downset first
-            for ds in all_downsets_of_poset(_letter_table(atoms), max_count=max_members)[1:]:
-                atom = _idem_atom(p, (atoms[i] for i in _bits(ds)))
-                if atom not in present:
-                    present.add(atom)
-                    atoms.append(atom)
-        if len(atoms) > max_members:
+            stars = (_idem_atom(p, (below[i] for i in _bits(ds))) for ds in downs[1:])
+            letters, downsets = tuple(dict.fromkeys(itertools.chain(below, stars))), len(downs)
+        else:
+            letters, downsets = tuple(non_idem_atom(p, cls[0]) for cls in equiv_classes(p)), 0
+        if stage:
+            _check_downset_count(downsets, max_members)
+        if len(letters) > max_members:
             raise CombinatorialBlowupError(f"alphabet exceeds {max_members} letters")
-        counts.append(len(atoms))
+        if stage == len(held):
+            held.append((letters, downsets))
 
-    atoms.sort(key=lambda a: (a.level, a.serial))
+    atoms = sorted(held[alpha][0], key=lambda a: (a.level, a.serial))
+    counts = tuple(len(letters) for letters, _ in held[: alpha + 1])
     order = FiniteQO(tuple(a.serial for a in atoms), _letter_table(atoms))
     alphabet = AtomAlphabet(order, (i for i, a in enumerate(atoms) if a.is_idem))
-    return AtomSystem(p, alpha, tuple(atoms), alphabet, tuple(counts))
+    return AtomSystem(p, alpha, tuple(atoms), alphabet, counts)

@@ -40,13 +40,18 @@ class FiniteQO:
     Closures, downsets and their enumeration work on int bitmasks, bit i
     standing for element i.  Each element's down-mask and up-mask are
     computed from leq on first use and kept on the carrier, as are the
-    per-byte tables that close a whole mask one byte at a time and stage 0
-    of its hierarchies, which every set-formation rule starts from.
+    per-byte tables that close a whole mask one byte at a time, stage 0
+    of its hierarchies, which every set-formation rule starts from, and the
+    letter stages built so far: per stage, the letters after it in build
+    order and how many downsets it enumerated.  Those letters come from the
+    compare_atoms in force when each stage was first built; build_atoms
+    re-checks its caps against the held counts on every call and builds the
+    final letter table live.
     """
 
     __slots__ = (
         "elements", "leq", "_index", "_classes", "_masks", "_down_bytes",
-        "_stage0", "_atom_pool",
+        "_stage0", "_atom_stages", "_atom_pool",
     )
 
     def __init__(self, elements: Iterable[str], leq) -> None:
@@ -65,6 +70,7 @@ class FiniteQO:
         self._masks: tuple[list[int], list[int]] | None = None
         self._down_bytes: list[list[int]] | None = None
         self._stage0: tuple | None = None
+        self._atom_stages: list[tuple[tuple, int]] | None = None
         # hierarchy letters over this carrier, hash-consed on their payload
         self._atom_pool: dict = {}
 
@@ -354,11 +360,17 @@ def all_downsets_of_poset(leq: np.ndarray, max_count: int | None = None) -> list
         start = next((k for c, k in reversed(steps) if c & preds), 0)
         steps.append((cls, len(downs)))
         downs += [d | cls for d in downs[start:] if d & preds == preds]
-        if max_count is not None and len(downs) > max_count:
-            raise CombinatorialBlowupError(
-                f"more than {max_count} downward-closed subsets, the empty one included"
-            )
+        _check_downset_count(len(downs), max_count)
     return downs
+
+
+def _check_downset_count(count: int, max_count: int | None) -> None:
+    """Refuse count downsets, the empty one included, past max_count (None:
+    no bound): the enumeration's bound, re-checked on a held count."""
+    if max_count is not None and count > max_count:
+        raise CombinatorialBlowupError(
+            f"more than {max_count} downward-closed subsets, the empty one included"
+        )
 
 
 @lru_cache(maxsize=None)

@@ -35,7 +35,13 @@ class ReflectionTable:
 
 
 def build_reflection(p: FiniteQO, alpha: int) -> ReflectionTable:
-    'Build the atom system at the given level and translate every atom.'
+    """Build the atom system at the given level and translate every atom.
+
+    The system is build_atoms', so it reuses the letter stages held on p,
+    whose letters come from the compare_atoms in force when each stage was
+    first built.  The caps are re-checked on every call, and the final
+    letter table is live: a rule swapped in since refuses the alphabet.
+    """
     system = build_atoms(p, alpha)
     star_qo = disjoint_union_with_star(p)
     star = star_qo.n - 1

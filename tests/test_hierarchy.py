@@ -566,6 +566,89 @@ def test_atom_guards(a2):
         build_atoms(a2, 2, max_members=8)
 
 
+def _system_view(system):
+    'What a caller reads of an AtomSystem, by value.'
+    return (
+        [a.serial for a in system.atoms],
+        system.level_counts,
+        system.alphabet.order.leq.tolist(),
+        sorted(system.alphabet.idem),
+    )
+
+
+def test_held_letter_stages_match_fresh_ones(monkeypatch):
+    # every quasi-order on at most 3 points, built at alpha and then at
+    # alpha', in both orders: the held stages give what a fresh carrier gives
+    for n in range(1, 4):
+        for q in all_quasi_orders(n):
+            for alpha, again in itertools.product(range(3), repeat=2):
+                held = FiniteQO(q.elements, q.leq)
+                build_atoms(held, alpha)
+                fresh = build_atoms(FiniteQO(q.elements, q.leq), again)
+                got = build_atoms(held, again)
+                assert _system_view(got) == _system_view(fresh), (q.leq.tolist(), alpha, again)
+
+    # a second build at the same level enumerates no stage, and asks the
+    # live rule only for the final table
+    calls = {"enumerations": 0, "comparisons": 0}
+    enumerate_, compare = hierarchy.all_downsets_of_poset, hierarchy.compare_atoms
+
+    def counted_enumeration(*args, **kwargs):
+        calls["enumerations"] += 1
+        return enumerate_(*args, **kwargs)
+
+    def counted_compare(x, y):
+        calls["comparisons"] += 1
+        return compare(x, y)
+
+    monkeypatch.setattr(hierarchy, "all_downsets_of_poset", counted_enumeration)
+    monkeypatch.setattr(hierarchy, "compare_atoms", counted_compare)
+    for n in range(1, 4):
+        for q in all_quasi_orders(n):
+            for alpha in range(3):
+                carrier = FiniteQO(q.elements, q.leq)
+                build_atoms(carrier, alpha)
+                calls.update(enumerations=0, comparisons=0)
+                system = build_atoms(carrier, alpha)
+                assert calls == {"enumerations": 0, "comparisons": len(system.atoms) ** 2}
+
+
+def test_held_letter_stages_keep_caps_and_scope(a2):
+    # a2 at level 2 has level_counts (2, 5, 11); every cap from 1 to 12 acts
+    # on a carrier already built with the default cap as on a fresh one
+    def outcome(carrier, cap):
+        try:
+            return _system_view(build_atoms(carrier, 2, max_members=cap))
+        except CombinatorialBlowupError as e:
+            return type(e), str(e)
+
+    held = FiniteQO(a2.elements, a2.leq)
+    assert build_atoms(held, 2).level_counts == (2, 5, 11)
+    outcomes = [outcome(held, cap) for cap in range(1, 13)]
+    assert outcomes == [outcome(FiniteQO(a2.elements, a2.leq), cap) for cap in range(1, 13)]
+    # both caps refuse some of them: stage 1 on its 5 letters, stage 2 on
+    # its downsets
+    assert outcomes[3] == (CombinatorialBlowupError, "alphabet exceeds 4 letters")
+    assert outcomes[7][1].startswith("more than 8 downward-closed subsets")
+    assert outcomes[11][1] == (2, 5, 11)
+
+    # a stage refused by its cap is not held, and a later default-cap call
+    # builds it as a fresh carrier does
+    for cap, stages in ((4, 1), (8, 2)):
+        carrier = FiniteQO(a2.elements, a2.leq)
+        with pytest.raises(CombinatorialBlowupError):
+            build_atoms(carrier, 2, max_members=cap)
+        assert len(carrier._atom_stages) == stages
+        assert _system_view(build_atoms(carrier, 2)) == outcomes[11]
+        assert len(carrier._atom_stages) == 3
+
+    # two carriers with equal tables share no held letter
+    other = FiniteQO(a2.elements, a2.leq)
+    build_atoms(other, 2)
+    letters = [{id(a) for a in c._atom_stages[-1][0]} for c in (held, other)]
+    assert len(letters[0]) == 11 and not letters[0] & letters[1]
+
+
 def test_negative_level_is_rejected(a2):
     with pytest.raises(ValueError):
         build_level(a2, -1)
